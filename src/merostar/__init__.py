@@ -16,8 +16,8 @@ from .classes import (
     check_starlike,
     coeff_bound,
     coeff_sufficient_me,
+    class_margins,
     coeff_weight,
-    me_functional,
     me_margins,
 )
 from .convolution import (
@@ -51,9 +51,7 @@ from .harness import (
 from .partial_sums import (
     RatioBoundReport,
     check_ratio_bounds,
-    dk,
     eq16_function,
-    hypothesis11,
 )
 from .reporting import CheckResult, CheckStatus, VerificationReport
 from .series import (
@@ -73,7 +71,6 @@ from .tme import (
     recompose,
     refute_on_axis,
     sharp_function,
-    weighted_sum,
 )
 from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
 
@@ -90,8 +87,8 @@ __all__ = [
     "check_starlike",
     "coeff_bound",
     "coeff_sufficient_me",
+    "class_margins",
     "coeff_weight",
-    "me_functional",
     "me_margins",
     "KernelSpec",
     "check_thm31",
@@ -117,9 +114,7 @@ __all__ = [
     "save_series",
     "RatioBoundReport",
     "check_ratio_bounds",
-    "dk",
     "eq16_function",
-    "hypothesis11",
     "CheckResult",
     "CheckStatus",
     "VerificationReport",
@@ -137,7 +132,6 @@ __all__ = [
     "recompose",
     "refute_on_axis",
     "sharp_function",
-    "weighted_sum",
     "EXACT_TOL",
     "MARGIN_TOL",
     "ZERO_TOL",

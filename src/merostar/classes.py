@@ -6,7 +6,8 @@ The classes, all over the punctured unit disc E with g = z*f:
     MF(alpha):       |z g'(z)/g(z)| < 1 - alpha             (0 <= alpha < 1)
     STARLIKE(alpha): Re(z g'(z)/g(z)) < 1 - alpha           (0 <= alpha < 1)
 
-Each check evaluates the corresponding margin on a finite grid. A negative
+One table maps each family to its margin, which the checks evaluate on a
+finite grid. A negative
 margin is a proof of non-membership (the witness point is returned);
 nonnegative margins everywhere are evidence, not proof, so the best sampled
 verdict is SampledMember. CertifiedMember is reserved for the coefficient
@@ -30,7 +31,8 @@ __all__ = [
     "ClassSpec",
     "Status",
     "MembershipVerdict",
-    "me_functional",
+    "class_margins",
+    "me_margins",
     "check_me",
     "check_mf",
     "check_starlike",
@@ -50,7 +52,12 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """A class family together with its order parameter."""
+    """A class family together with its order parameter.
+
+    The one validator of alpha: every public entry point that takes an
+    order builds a ClassSpec, so NaN, infinities and out-of-range orders are
+    rejected the same way everywhere.
+    """
 
     family: Family
     alpha: float
@@ -91,12 +98,14 @@ def _verdict_from_margins(
 ) -> MembershipVerdict:
     """Fold pointwise margins into a verdict.
 
-    degenerate marks points whose margin is meaningless (e.g. |g| ~ 0); they
-    force Indeterminate unless a strict violation exists elsewhere.
+    degenerate marks points whose margin is meaningless (e.g. |g| ~ 0), and
+    non-finite margins (overflow) count the same way: they are never the
+    minimum or the witness, and they force Indeterminate unless a strict
+    violation exists elsewhere.
     """
-    if degenerate is None:
-        degenerate = np.zeros(margins.shape, dtype=bool)
-    usable = ~degenerate
+    usable = np.isfinite(margins)
+    if degenerate is not None:
+        usable &= ~degenerate
     if not usable.any():
         raise ValueError("all grid points degenerate; margin undefined everywhere")
     idx = int(np.argmin(np.where(usable, margins, np.inf)))
@@ -105,53 +114,72 @@ def _verdict_from_margins(
     n = int(margins.size if samples is None else samples)
     if min_margin < -MARGIN_TOL:
         return MembershipVerdict(Status.NON_MEMBER, min_margin, witness, n)
-    if degenerate.any() or min_margin < MARGIN_TOL:
+    if not usable.all() or min_margin < MARGIN_TOL:
         return MembershipVerdict(Status.INDETERMINATE, min_margin, witness, n)
     return MembershipVerdict(Status.SAMPLED_MEMBER, min_margin, witness, n)
 
 
-def me_functional(f: LaurentFunction, alpha: float, z: complex) -> float:
-    """Margin of the ME(alpha) condition at one point: Re g - alpha*|z g'|.
+def _worst(verdicts) -> tuple[float, Optional[complex]]:
+    """Least min_margin over the verdicts and its witness (the first on
+    ties); (inf, None) when there are none."""
+    worst, witness = math.inf, None
+    for v in verdicts:
+        if v.min_margin < worst:
+            worst, witness = v.min_margin, v.witness
+    return worst, witness
 
-    Positive on all of E means f in ME(alpha). Supports ndarray z.
-    """
-    g = eval_g(f, z)
-    zgp = np.asarray(z) * eval_g_prime(f, z)
-    out = np.real(g) - alpha * np.abs(zgp)
-    return float(out) if out.ndim == 0 else out
+
+# Family -> (margin of the class condition from g, zg' and alpha; whether it
+# divides by g, so that points with |g| < ZERO_TOL are degenerate). The
+# negative-coefficient class TME is a subclass of ME and shares its margin.
+_MARGINS = {
+    Family.ME: (lambda g, zgp, alpha: np.real(g) - alpha * np.abs(zgp), False),
+    Family.MF: (lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
+    Family.STARLIKE: (lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
+}
+_MARGINS[Family.TME] = _MARGINS[Family.ME]
+# Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own
+_REMARK2 = (lambda g, zgp, alpha: np.real(g) - np.real(zgp), False)
 
 
-def me_margins(f: LaurentFunction, alpha: float, points: np.ndarray) -> np.ndarray:
+def _margins(rule, f: LaurentFunction, alpha: float, points):
+    margin, divides = rule
     g = eval_g(f, points)
     zgp = points * eval_g_prime(f, points)
-    return np.real(g) - alpha * np.abs(zgp)
+    degenerate = None
+    if divides:
+        degenerate = np.abs(g) < ZERO_TOL
+        g = np.where(degenerate, 1.0, g)
+    return margin(g, zgp, alpha), degenerate
+
+
+def class_margins(spec: ClassSpec, f: LaurentFunction, points: np.ndarray):
+    """Pointwise margins of the class condition, plus the mask of points
+    where |g| ~ 0 makes them meaningless (None for classes whose margin
+    never divides by g). Positive everywhere on E means membership."""
+    return _margins(_MARGINS[spec.family], f, spec.alpha, points)
+
+
+def me_margins(f: LaurentFunction, alpha: float, points):
+    """Margin of the ME(alpha) condition, Re g - alpha*|z g'|, at a scalar
+    point or an array of points. Positive on all of E means f in ME(alpha)."""
+    return class_margins(ClassSpec(Family.ME, alpha), f, points)[0]
+
+
+def _check(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
+    pts = grid.points
+    margins, degenerate = class_margins(spec, f, pts)
+    return _verdict_from_margins(margins, pts, degenerate)
 
 
 def check_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Sample the ME(alpha) margin on the grid."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    pts = grid.points
-    return _verdict_from_margins(me_margins(f, alpha, pts), pts)
-
-
-def _ratio_margins(f: LaurentFunction, points: np.ndarray):
-    """zg'/g on the grid plus the degeneracy mask where |g| ~ 0."""
-    g = eval_g(f, points)
-    zgp = points * eval_g_prime(f, points)
-    degenerate = np.abs(g) < ZERO_TOL
-    safe_g = np.where(degenerate, 1.0, g)
-    return zgp / safe_g, degenerate
+    return _check(ClassSpec(Family.ME, alpha), f, grid)
 
 
 def check_mf(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Sample the MF(alpha) margin (1 - alpha) - |z g'/g| on the grid."""
-    if not 0 <= alpha < 1:
-        raise ValueError(f"mf order must satisfy 0 <= alpha < 1, got {alpha}")
-    pts = grid.points
-    ratio, degenerate = _ratio_margins(f, pts)
-    margins = (1.0 - alpha) - np.abs(ratio)
-    return _verdict_from_margins(margins, pts, degenerate)
+    return _check(ClassSpec(Family.MF, alpha), f, grid)
 
 
 def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
@@ -159,12 +187,7 @@ def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> Membersh
 
     Re(zf'/f) < -alpha rewrites to Re(zg'/g) < 1 - alpha via zf'/f + 1 = zg'/g.
     """
-    if not 0 <= alpha < 1:
-        raise ValueError(f"starlike order must satisfy 0 <= alpha < 1, got {alpha}")
-    pts = grid.points
-    ratio, degenerate = _ratio_margins(f, pts)
-    margins = (1.0 - alpha) - np.real(ratio)
-    return _verdict_from_margins(margins, pts, degenerate)
+    return _check(ClassSpec(Family.STARLIKE, alpha), f, grid)
 
 
 def coeff_weight(alpha: float, n: int) -> float:
@@ -184,8 +207,7 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     The comparison allows EXACT_TOL of dust so boundary functions whose sum
     is exactly 1 in real arithmetic stay certified.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = ClassSpec(Family.ME, alpha).alpha
     total = math.fsum(coeff_weight(alpha, n) * abs(c) for n, c in enumerate(f.coeffs))
     return total <= 1.0 + EXACT_TOL, 1.0 - total
 
@@ -196,8 +218,7 @@ def coeff_bound(alpha: float, n: int) -> float:
     Algebraically 2*(sqrt(alpha^2(n+1)^2+1) - alpha(n+1)); the reciprocal form
     avoids the cancellation of the difference form for large alpha*(n+1).
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = ClassSpec(Family.ME, alpha).alpha
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     m = alpha * (n + 1)
@@ -212,7 +233,5 @@ def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     implication (it carries no alpha of its own).
     """
     pts = grid.points
-    g = eval_g(f, pts)
-    zgp = pts * eval_g_prime(f, pts)
-    margins = np.real(g) - np.real(zgp)
+    margins, _ = _margins(_REMARK2, f, 0.0, pts)
     return _verdict_from_margins(margins, pts)

@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from . import extremal, harness, tme
-from .classes import Status, check_mf, check_starlike, me_margins
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, serialize_coeffs
-from .tolerances import ZERO_TOL
+from .classes import ClassSpec, Family, check_mf, check_starlike, class_margins
+from .series import DiscGrid, serialize_coeffs
 
 
 def _build_grid(args) -> DiscGrid:
@@ -31,21 +30,6 @@ def _build_grid(args) -> DiscGrid:
     if rmax is None:
         return DiscGrid(angular_samples=int(theta))
     return DiscGrid.with_rmax(float(rmax), int(theta) if theta else 2048)
-
-
-def _margins_for(family: str, f: LaurentFunction, alpha: float, grid: DiscGrid) -> np.ndarray:
-    pts = grid.points
-    if family == "me":
-        return me_margins(f, alpha, pts)
-    g = eval_g(f, pts)
-    zgp = pts * eval_g_prime(f, pts)
-    degenerate = np.abs(g) < ZERO_TOL
-    ratio = zgp / np.where(degenerate, 1.0, g)
-    if family == "mf":
-        out = (1.0 - alpha) - np.abs(ratio)
-    else:
-        out = (1.0 - alpha) - np.real(ratio)
-    return np.where(degenerate, np.nan, out)
 
 
 def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
@@ -63,21 +47,12 @@ def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
 def _cmd_check(args) -> int:
     grid = _build_grid(args)
     alpha = float(args.alpha)
+    payload = {"class": args.klass, "alpha": alpha}
     if args.klass == "tme":
         f = harness.load_tme(args.series)
-        verdict = harness.classify_tme(f, alpha)
-        _, exact_margin = tme.check_tme_exact(f, alpha)
-        payload = {
-            "class": "tme",
-            "alpha": alpha,
-            "status": verdict.status.value,
-            "min_margin": verdict.min_margin,
-            "exact_margin": exact_margin,
-            "witness": None
-            if verdict.witness is None
-            else [verdict.witness.real, verdict.witness.imag],
-            "samples_checked": verdict.samples_checked,
-        }
+        exact = tme.check_tme_exact(f, alpha)
+        verdict = harness._tme_verdict(f, alpha, exact)
+        payload["exact_margin"] = exact[1]
         lf = f.to_laurent()
     else:
         lf = harness.load_series(args.series)
@@ -87,20 +62,18 @@ def _cmd_check(args) -> int:
             verdict = check_mf(lf, alpha, grid)
         else:
             verdict = check_starlike(lf, alpha, grid)
-        payload = {
-            "class": args.klass,
-            "alpha": alpha,
-            "status": verdict.status.value,
-            "min_margin": verdict.min_margin,
-            "witness": None
-            if verdict.witness is None
-            else [verdict.witness.real, verdict.witness.imag],
-            "samples_checked": verdict.samples_checked,
-        }
+    payload.update(
+        status=verdict.status.value,
+        min_margin=verdict.min_margin,
+        witness=None if verdict.witness is None else [verdict.witness.real, verdict.witness.imag],
+        samples_checked=verdict.samples_checked,
+    )
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.csv:
-        family = "me" if args.klass == "tme" else args.klass
-        _dump_margin_csv(args.csv, grid, _margins_for(family, lf, alpha, grid))
+        margins, degenerate = class_margins(ClassSpec(Family(args.klass), alpha), lf, grid.points)
+        if degenerate is not None:
+            margins = np.where(degenerate, np.nan, margins)
+        _dump_margin_csv(args.csv, grid, margins)
     return 0 if verdict.is_member else 1
 
 

@@ -18,9 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import Status, MembershipVerdict, _verdict_from_margins, check_me, coeff_weight
+from .classes import (
+    ClassSpec,
+    Family,
+    MembershipVerdict,
+    Status,
+    _verdict_from_margins,
+    _worst,
+    check_me,
+    coeff_weight,
+)
 from .reporting import CheckResult, CheckStatus, VerificationReport
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime
+from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support
 
 __all__ = [
     "KernelSpec",
@@ -43,8 +52,7 @@ class KernelSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", ClassSpec(Family.ME, self.alpha).alpha)
         # normalize the phase into (-pi, pi]
         g = math.remainder(float(self.gamma), TAU)
         if g <= -math.pi:
@@ -76,15 +84,18 @@ def thm31_margins(
     phases gamma_j = 2 pi j / gamma_samples. The sampled value never drops
     below the exact one; the gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
+    alpha = ClassSpec(Family.ME, alpha).alpha
     g = eval_g(f, points)
     w = alpha * points * eval_g_prime(f, points)
     exact = np.real(g) - np.abs(w)
     # min_j cos(arg w + gamma_j) = -cos(distance from the nearest sampled
-    # angle to pi), computed directly instead of looping over j
+    # angle to pi), computed directly instead of looping over j; the gap
+    # 1 - cos(dist) is taken as 2 sin^2(dist/2), which keeps its relative
+    # accuracy instead of cancelling two margins near 1
     step = TAU / gamma_samples
     residue = np.mod(math.pi - np.angle(w), step)
     dist = np.minimum(residue, step - residue)
-    sampled = np.real(g) - np.abs(w) * np.cos(dist)
+    sampled = exact + np.abs(w) * 2.0 * np.sin(dist / 2.0) ** 2
     return exact, sampled
 
 
@@ -99,8 +110,6 @@ def check_thm31(
     """
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     pts = grid.points
     exact, _ = thm31_margins(f, alpha, pts, gamma_samples)
     return _verdict_from_margins(exact, pts, samples=len(pts) * gamma_samples)
@@ -150,18 +159,12 @@ def neighborhood_sample(
         on_sphere = i % 3 == 0
         if on_sphere and spikes_placed < 8:
             spikes_placed += 1
-            k = spikes_placed
-            coeffs = base + [0j] * max(0, k + 1 - len(base))
-            coeffs[k] = coeffs[k] + delta / k
-            samples.append(LaurentFunction(tuple(coeffs)))
-            continue
-        n_active = int(rng.integers(1, 13))
-        indices = rng.choice(np.arange(1, 41), size=n_active, replace=False)
-        weights = rng.dirichlet(np.ones(n_active))
-        phases = np.exp(1j * rng.uniform(0.0, TAU, n_active))
-        scale = delta if on_sphere else delta * float(rng.uniform(0.0, 1.0))
-        top = int(indices.max())
-        coeffs = base + [0j] * max(0, top + 1 - len(base))
+            indices, weights, phases, scale = [spikes_placed], [1.0], [1.0], delta
+        else:
+            indices, weights = random_support(rng, 1, 40, 13)
+            phases = np.exp(1j * rng.uniform(0.0, TAU, len(indices)))
+            scale = delta if on_sphere else delta * float(rng.uniform(0.0, 1.0))
+        coeffs = base + [0j] * max(0, int(max(indices)) + 1 - len(base))
         for k, t, ph in zip(indices, weights, phases):
             coeffs[int(k)] = coeffs[int(k)] + (scale * float(t) / int(k)) * complex(ph)
         samples.append(LaurentFunction(tuple(coeffs)))
@@ -213,19 +216,13 @@ def check_thm32(
         checks.append(
             CheckResult("premise", CheckStatus.PASS, premise.min_margin, premise.witness)
         )
-        worst = math.inf
-        worst_witness = None
-        refuted = 0
-        undecided = 0
-        for sample in neighborhood_sample(f, delta, count, seed):
-            verdict = check_me(sample, alpha, grid)
-            if verdict.min_margin < worst:
-                worst = verdict.min_margin
-                worst_witness = verdict.witness
-            if verdict.status is Status.NON_MEMBER:
-                refuted += 1
-            elif not verdict.is_member:
-                undecided += 1
+        verdicts = [
+            check_me(sample, alpha, grid)
+            for sample in neighborhood_sample(f, delta, count, seed)
+        ]
+        worst, worst_witness = _worst(verdicts)
+        refuted = sum(v.status is Status.NON_MEMBER for v in verdicts)
+        undecided = sum(not v.is_member for v in verdicts) - refuted
         if refuted:
             status = CheckStatus.FAIL
             detail = f"{refuted} of {count} samples refuted"

@@ -8,9 +8,8 @@ is a geometric series so this is an honest scale).
 
 from __future__ import annotations
 
-import math
-
-from .series import LaurentFunction, exp_tail
+from .classes import coeff_bound
+from .series import LaurentFunction
 
 __all__ = [
     "theorem21_extremal",
@@ -26,19 +25,6 @@ __all__ = [
 DEFAULT_EXTREMAL_DEGREE = 64
 
 
-def _c_value(alpha: float) -> float:
-    # positive root of c^2 + 2*alpha*c - 1 = 0, in reciprocal form to dodge
-    # the cancellation of sqrt(1+alpha^2) - alpha at large alpha
-    return 1.0 / (math.sqrt(1.0 + alpha * alpha) + alpha)
-
-
-def _d_value(alpha: float, n: int) -> float:
-    # positive root of 1 - d^2 - 2*alpha*n*d = 0; equals half of
-    # coeff_bound(alpha, n-1) bit for bit
-    m = alpha * n
-    return 1.0 / (math.sqrt(m * m + 1.0) + m)
-
-
 def theorem21_extremal(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> LaurentFunction:
     """Boundary function of ME(alpha) for alpha >= 1.
 
@@ -47,17 +33,17 @@ def theorem21_extremal(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> L
     margin tends to 0 along the negative real axis, and its starlikeness
     order functional tends to 1 - 1/alpha along the positive real axis.
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    c = _c_value(alpha)
+    c = coeff_bound(alpha, 0) / 2.0  # root of c^2 + 2*alpha*c - 1 = 0
     return LaurentFunction(tuple(complex(2.0 * c ** (n + 1)) for n in range(degree + 1)))
 
 
 def theorem21_tail_bound(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> float:
     """Magnitude of the first dropped coefficient, 2 c^{degree+2}."""
-    return 2.0 * _c_value(alpha) ** (degree + 2)
+    return 2.0 * (coeff_bound(alpha, 0) / 2.0) ** (degree + 2)
 
 
 def theorem23_extremal(
@@ -69,13 +55,11 @@ def theorem23_extremal(
     so f(z) = 1/z + sum_{m>=1} 2 d^m z^{mn-1}. The coefficient at index n-1
     equals coeff_bound(alpha, n-1) exactly.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    d = _d_value(alpha, n)
+    d = coeff_bound(alpha, n - 1) / 2.0  # root of 1 - d^2 - 2*alpha*n*d = 0
     coeffs = [0j] * (degree + 1)
     m = 1
     while m * n - 1 <= degree:
@@ -88,7 +72,7 @@ def theorem23_extremal(
 
 def theorem23_tail_bound(alpha: float, n: int, degree: int = DEFAULT_EXTREMAL_DEGREE) -> float:
     """Magnitude 2 d^m of the first dropped term (smallest m with mn-1 > degree)."""
-    d = _d_value(alpha, n)
+    d = coeff_bound(alpha, n - 1) / 2.0
     m = (degree + 1) // n + 1
     return 2.0 * d**m
 
@@ -111,7 +95,11 @@ def mf_not_me_witness(degree: int = 30) -> LaurentFunction:
     """
     if degree < 10:
         raise ValueError(f"degree must be >= 10, got {degree}")
-    return exp_tail(degree)
+    coeffs, fact = [], 1.0
+    for n in range(degree + 1):
+        fact *= n + 1
+        coeffs.append(1.0 / fact)  # 1/(n+1)!
+    return LaurentFunction(tuple(coeffs))
 
 
 def starlike_not_mf_witness() -> LaurentFunction:

@@ -17,12 +17,16 @@ import numpy as np
 
 from . import convolution, extremal, partial_sums, tme
 from .classes import (
+    ClassSpec,
+    Family,
     MembershipVerdict,
     Status,
+    _worst,
     check_me,
     check_mf,
     check_remark2,
     check_starlike,
+    class_margins,
     coeff_bound,
     coeff_sufficient_me,
     coeff_weight,
@@ -38,6 +42,7 @@ from .series import (
     eval_g_prime,
     hadamard,
     partial_sum,
+    random_support,
     refinement_grid,
     serialize_coeffs,
 )
@@ -88,6 +93,18 @@ _DEFAULTS: dict[str, dict] = {
 
 # ---------------------------------------------------------------- samplers
 
+def _sample_weighted(
+    alpha: float, rng: np.random.Generator, lowest: int, max_index: int
+) -> LaurentFunction:
+    indices, weights = random_support(rng, lowest, max_index, 13)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(indices)))
+    u = float(rng.uniform(0.0, 1.0))
+    coeffs = [0j] * (int(indices.max()) + 1)
+    for idx, t, ph in zip(indices, weights, phases):
+        coeffs[int(idx)] = (u * float(t) / coeff_weight(alpha, int(idx))) * complex(ph)
+    return LaurentFunction(tuple(coeffs))
+
+
 def sample_certified_member(
     alpha: float, rng: np.random.Generator, max_index: int = 40
 ) -> LaurentFunction:
@@ -97,30 +114,14 @@ def sample_certified_member(
     with uniform phases, covering both the interior and the near-boundary
     of the certificate.
     """
-    n_active = int(rng.integers(1, 13))
-    indices = rng.choice(np.arange(0, max_index + 1), size=n_active, replace=False)
-    weights = rng.dirichlet(np.ones(n_active))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_active))
-    u = float(rng.uniform(0.0, 1.0))
-    coeffs = [0j] * (int(indices.max()) + 1)
-    for idx, t, ph in zip(indices, weights, phases):
-        coeffs[int(idx)] = (u * float(t) / coeff_weight(alpha, int(idx))) * complex(ph)
-    return LaurentFunction(tuple(coeffs))
+    return _sample_weighted(alpha, rng, 0, max_index)
 
 
 def sample_hypothesis_member(
     alpha: float, rng: np.random.Generator, max_index: int = 40
 ) -> LaurentFunction:
     """Random function with sum_{k>=1} d_k |a_k| = u <= 1 (index 0 empty)."""
-    n_active = int(rng.integers(1, 13))
-    indices = rng.choice(np.arange(1, max_index + 1), size=n_active, replace=False)
-    weights = rng.dirichlet(np.ones(n_active))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_active))
-    u = float(rng.uniform(0.0, 1.0))
-    coeffs = [0j] * (int(indices.max()) + 1)
-    for idx, t, ph in zip(indices, weights, phases):
-        coeffs[int(idx)] = (u * float(t) / partial_sums.dk(alpha, int(idx))) * complex(ph)
-    return LaurentFunction(tuple(coeffs))
+    return _sample_weighted(alpha, rng, 1, max_index)
 
 
 def sample_tme_member(
@@ -130,9 +131,7 @@ def sample_tme_member(
 
     boundary=True omits the pole weight so the weighted sum is exactly 1.
     """
-    n_active = int(rng.integers(1, 9))
-    indices = rng.choice(np.arange(1, max_index + 1), size=n_active, replace=False)
-    lam = rng.dirichlet(np.ones(n_active + (0 if boundary else 1)))
+    indices, lam = random_support(rng, 1, max_index, 9, 0 if boundary else 1)
     tail = lam if boundary else lam[1:]
     mags = [0.0] * int(indices.max())
     for idx, l in zip(indices, tail):
@@ -174,7 +173,12 @@ def classify_tme(f: tme.TmeFunction, alpha: float):
     its witness from the real-axis scan when the violation is large enough
     to sample, otherwise the verdict stays Indeterminate.
     """
-    member, margin = tme.check_tme_exact(f, alpha)
+    return _tme_verdict(f, alpha, tme.check_tme_exact(f, alpha))
+
+
+def _tme_verdict(f: tme.TmeFunction, alpha: float, exact: tuple[bool, float]):
+    """classify_tme given the result of check_tme_exact."""
+    member, margin = exact
     if member:
         return MembershipVerdict(Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes))
     axis = tme.refute_on_axis(f, alpha)
@@ -191,9 +195,20 @@ def _ok(name: str, ok: bool, margin=None, witness=None, detail: str = "") -> Che
     )
 
 
+def _boundary_deviation(results) -> float:
+    """Largest |margin| over the (certified, margin) results of functions
+    whose weighted sum is exactly 1; inf as soon as one is not certified."""
+    worst = 0.0
+    for certified, margin in results:
+        if not certified:
+            return math.inf
+        worst = max(worst, abs(margin))
+    return worst
+
+
 def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha = p["alpha"]
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"thm2.1 suite needs alpha >= 1, got {alpha}")
     checks = []
 
@@ -254,19 +269,14 @@ def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
         )
     )
 
-    # order functional 1 - Re(zg'/g): its infimum 1 - 1/alpha is approached
-    # along the positive real axis (the functional is 1 - 2cz/(1-c^2 z^2),
-    # odd numerator, so the mirrored axis tends to 1 + 1/alpha instead)
-    radii = (0.9, 0.99, 0.999)
-    vals = []
-    mirrored = []
-    for r in radii:
-        g = eval_g(f21, r)
-        gp = eval_g_prime(f21, r)
-        vals.append(1.0 - (r * gp / g).real)
-        gm = eval_g(f21, -r)
-        gpm = eval_g_prime(f21, -r)
-        mirrored.append(1.0 - (-r * gpm / gm).real)
+    # order functional 1 - Re(zg'/g), the STARLIKE(0) margin: its infimum
+    # 1 - 1/alpha is approached along the positive real axis (the functional
+    # is 1 - 2cz/(1-c^2 z^2), odd numerator, so the mirrored axis tends to
+    # 1 + 1/alpha instead)
+    radii = np.array((0.9, 0.99, 0.999))
+    star0 = ClassSpec(Family.STARLIKE, 0.0)
+    vals = class_margins(star0, f21, radii)[0]
+    mirrored = class_margins(star0, f21, -radii)[0]
     gaps = [abs(v - order) for v in vals]
     limit_ok = (
         gaps[0] > gaps[1] > gaps[2]
@@ -291,17 +301,10 @@ def _suite_thm22(p: dict, grid: DiscGrid) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 22)
     checks = []
 
-    worst = math.inf
-    worst_witness = None
-    for _ in range(count):
-        f = sample_certified_member(alpha, rng)
-        certified, _ = coeff_sufficient_me(f, alpha)
-        v = check_me(f, alpha, grid)
-        if not certified:
-            worst = -math.inf
-            break
-        if v.min_margin < worst:
-            worst, worst_witness = v.min_margin, v.witness
+    members = [sample_certified_member(alpha, rng) for _ in range(count)]
+    worst, worst_witness = _worst(check_me(f, alpha, grid) for f in members)
+    if not all(coeff_sufficient_me(f, alpha)[0] for f in members):
+        worst = -math.inf
     checks.append(
         _ok(
             "certificate_implies_grid_margins",
@@ -312,17 +315,13 @@ def _suite_thm22(p: dict, grid: DiscGrid) -> list[CheckResult]:
         )
     )
 
-    worst_dev = 0.0
-    all_certified = True
-    for n in range(1, 21):
-        w = extremal.remark1_witness(n)
-        certified, margin = coeff_sufficient_me(w, 1.0)
-        all_certified = all_certified and certified
-        worst_dev = max(worst_dev, abs(margin))
+    worst_dev = _boundary_deviation(
+        coeff_sufficient_me(extremal.remark1_witness(n), 1.0) for n in range(1, 21)
+    )
     checks.append(
         _ok(
             "boundary_members_sum_exactly_one",
-            all_certified and worst_dev < 1e-12,
+            worst_dev < 1e-12,
             worst_dev,
             None,
             "single-term functions with weighted sum 1 at alpha=1, n=1..20",
@@ -359,7 +358,7 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
         attained = abs(f.coeffs[k - 1].real - coeff_bound(a, k - 1))
         worst_attain = max(worst_attain, attained)
         m = a * k
-        d = 1.0 / (math.sqrt(m * m + 1.0) + m)
+        d = coeff_bound(a, k - 1) / 2.0
         worst_root = max(worst_root, abs(1.0 - d * d - 2.0 * m * d))
     checks.append(
         _ok(
@@ -396,20 +395,16 @@ def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, n = p["alpha"], p["n"]
     checks = []
 
-    worst = 0.0
-    for k in range(1, 21):
-        certified, margin = coeff_sufficient_me(extremal.remark1_witness(k), 1.0)
-        if not certified:
-            worst = math.inf
-            break
-        worst = max(worst, abs(margin))
+    worst = _boundary_deviation(
+        coeff_sufficient_me(extremal.remark1_witness(k), 1.0) for k in range(1, 21)
+    )
     checks.append(_ok("certified_boundary_members_alpha1", worst < 1e-12, worst))
 
     w = extremal.remark1_witness(n)
     me_v = check_me(w, 1.0, grid)
     checks.append(_ok("witness_in_me_alpha1", me_v.min_margin >= -MARGIN_TOL, me_v.min_margin))
 
-    if alpha <= 0 or alpha >= 1:
+    if not 0 < alpha < 1:
         raise ValueError(f"rem1 suite needs 0 < alpha < 1, got {alpha}")
     # the rejection threshold is the integer part of (2-3a)/a; nudge before
     # flooring because e.g. (2 - 3*0.1)/0.1 lands just under 17
@@ -443,7 +438,7 @@ def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 def _suite_rem2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, count, seed = p["alpha"], p["count"], p["seed"]
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"rem2 suite needs alpha >= 1, got {alpha}")
     rng = np.random.default_rng(seed + 32)
     checks = []
@@ -451,13 +446,9 @@ def _suite_rem2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     v = check_remark2(extremal.theorem21_extremal(alpha), grid)
     checks.append(_ok("holds_for_extremal", v.min_margin >= -MARGIN_TOL, v.min_margin, v.witness))
 
-    worst = math.inf
-    worst_witness = None
-    for _ in range(count):
-        f = sample_certified_member(alpha, rng)
-        r = check_remark2(f, grid)
-        if r.min_margin < worst:
-            worst, worst_witness = r.min_margin, r.witness
+    worst, worst_witness = _worst(
+        check_remark2(sample_certified_member(alpha, rng), grid) for _ in range(count)
+    )
     checks.append(
         _ok(
             "holds_for_certified_members",
@@ -574,23 +565,18 @@ def _suite_thm32(p: dict, grid: DiscGrid) -> list[CheckResult]:
     inner = convolution.check_thm32(pole, alpha, eps, count, grid, seed, scale=scale)
     checks = list(inner.checks)
 
-    refuted = 0
-    first_witness = None
-    worst = math.inf
-    for sample in neighborhood_sample(pole, 10.0 * delta, min(count, 60), seed + 1):
-        v = check_me(sample, alpha, grid)
-        worst = min(worst, v.min_margin)
-        if v.status is Status.NON_MEMBER:
-            refuted += 1
-            if first_witness is None:
-                first_witness = v.witness
+    verdicts = [
+        check_me(sample, alpha, grid)
+        for sample in neighborhood_sample(pole, 10.0 * delta, min(count, 60), seed + 1)
+    ]
+    refuted = [v for v in verdicts if v.status is Status.NON_MEMBER]
     checks.append(
         _ok(
             "inflated_radius_refuted",
-            refuted > 0,
-            worst,
-            first_witness,
-            f"{refuted} refutations at delta*10",
+            bool(refuted),
+            _worst(verdicts)[0],
+            refuted[0].witness if refuted else None,
+            f"{len(refuted)} refutations at delta*10",
         )
     )
     return checks
@@ -601,13 +587,9 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 41)
     checks = []
 
-    worst = 0.0
-    for k in range(1, 21):
-        member, margin = tme.check_tme_exact(tme.sharp_function(alpha, k), alpha)
-        if not member:
-            worst = math.inf
-            break
-        worst = max(worst, abs(margin))
+    worst = _boundary_deviation(
+        tme.check_tme_exact(tme.sharp_function(alpha, k), alpha) for k in range(1, 21)
+    )
     checks.append(_ok("sharp_functions_margin_zero", worst < 1e-12, worst))
 
     sharp = tme.sharp_function(alpha, n)
@@ -625,17 +607,15 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
     )
 
     ok = True
-    worst_member = math.inf
+    verdicts = []
     for i in range(count):
         f = sample_tme_member(alpha, rng, boundary=(i % 4 == 0))
         member, _ = tme.check_tme_exact(f, alpha)
-        v = check_me(f.to_laurent(), alpha, grid)
-        ok = ok and member and v.min_margin >= -MARGIN_TOL
-        worst_member = min(worst_member, v.min_margin)
+        verdicts.append(check_me(f.to_laurent(), alpha, grid))
         bad = tme.TmeFunction(tuple(1.01 * m for m in sample_tme_member(alpha, rng, boundary=True).magnitudes))
-        bad_member, _ = tme.check_tme_exact(bad, alpha)
-        bad_axis = tme.refute_on_axis(bad, alpha)
-        ok = ok and (not bad_member) and bad_axis.status is Status.NON_MEMBER
+        ok = ok and member and classify_tme(bad, alpha).status is Status.NON_MEMBER
+    worst_member, _ = _worst(verdicts)
+    ok = ok and worst_member >= -MARGIN_TOL
     checks.append(
         _ok(
             "characterization_both_directions",
@@ -692,13 +672,9 @@ def _suite_cor2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 82)
     checks = []
 
-    worst = math.inf
-    worst_witness = None
-    for _ in range(count):
-        f = sample_tme_member(alpha, rng)
-        v = tme.check_distortion(f, alpha, grid)
-        if v.min_margin < worst:
-            worst, worst_witness = v.min_margin, v.witness
+    worst, worst_witness = _worst(
+        tme.check_distortion(sample_tme_member(alpha, rng), alpha, grid) for _ in range(count)
+    )
     checks.append(
         _ok(
             "bounds_hold_for_members",
@@ -728,14 +704,12 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 42)
     checks = []
 
-    worst = math.inf
-    applicable = True
+    reports = []
     for _ in range(count):
         f = sample_hypothesis_member(alpha, rng)
-        k = int(rng.integers(1, 9))
-        rep = partial_sums.check_ratio_bounds(f, alpha, k, grid)
-        applicable = applicable and rep.applicable
-        worst = min(worst, *rep.margins)
+        reports.append(partial_sums.check_ratio_bounds(f, alpha, int(rng.integers(1, 9)), grid))
+    applicable = all(r.applicable for r in reports)
+    worst = min((min(r.margins) for r in reports), default=math.inf)
     checks.append(
         _ok(
             "ratio_bounds_hold_for_members",
@@ -747,7 +721,7 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     )
 
     f16 = partial_sums.eq16_function(alpha, n)
-    d_n = partial_sums.dk(alpha, n)
+    d_n = coeff_weight(alpha, n)
     z = 0.9999
     observed = float(
         np.real(eval_g(f16, complex(z)) / eval_g(partial_sum(f16, n), complex(z)))
@@ -782,20 +756,14 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
         )
     )
 
-    shared = all(
-        partial_sums.dk(alpha, k) == coeff_weight(alpha, k) for k in range(1, 65)
-    )
-    checks.append(_ok("weights_shared_with_coefficient_tests", shared, None))
-
-    violated = 0
-    worst_a0 = math.inf
+    a0_margins = []
     for _ in range(20):
         f = sample_hypothesis_member(alpha, rng)
         witha0 = LaurentFunction((0.3 + 0j,) + f.coeffs[1:])
         rep = partial_sums.check_ratio_bounds(witha0, alpha, int(rng.integers(1, 9)), grid)
-        m = min(rep.margins)
-        worst_a0 = min(worst_a0, m)
-        violated += m < -MARGIN_TOL
+        a0_margins.append(min(rep.margins))
+    worst_a0 = min(a0_margins)
+    violated = sum(m < -MARGIN_TOL for m in a0_margins)
     checks.append(
         CheckResult(
             "nonzero_a0_observation",
@@ -880,7 +848,9 @@ def load_tme(path: str | Path) -> tme.TmeFunction:
         data = json.load(fh)
     if isinstance(data, dict) and "magnitudes" in data:
         raw = data["magnitudes"]
-        if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
+        if not isinstance(raw, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+        ):
             raise ValueError('"magnitudes" must be a list of numbers')
         return tme.TmeFunction(tuple(float(x) for x in raw))
     return tme.TmeFunction.from_laurent(deserialize_coeffs(data))

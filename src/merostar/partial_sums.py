@@ -14,50 +14,23 @@ and are excluded but counted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import coeff_weight
+from .classes import coeff_sufficient_me, coeff_weight
 from .series import DiscGrid, LaurentFunction, eval_g, partial_sum
-from .tolerances import EXACT_TOL, ZERO_TOL
+from .tme import sharp_function
+from .tolerances import ZERO_TOL
 
-__all__ = ["RatioBoundReport", "dk", "hypothesis11", "check_ratio_bounds", "eq16_function"]
-
-
-def dk(alpha: float, k: int) -> float:
-    """Weight d_k = 1 + alpha(k+1); strictly increasing in k, > 1 for
-    alpha > 0. Identical to the coefficient weight of the sufficient
-    condition and the exact negative-coefficient test."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return coeff_weight(alpha, k)
-
-
-def hypothesis11(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
-    """Weighted tail condition sum_{k>=1} d_k |a_k| <= 1.
-
-    Returns (holds, 1 - sum). Index 0 is not weighed at all; whether a
-    nonzero a_0 breaks the ratio bounds is recorded by the suites as an
-    observation, not asserted either way.
-    """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    total = math.fsum(
-        coeff_weight(alpha, k) * abs(c) for k, c in enumerate(f.coeffs) if k >= 1
-    )
-    return total <= 1.0 + EXACT_TOL, 1.0 - total
+__all__ = ["RatioBoundReport", "check_ratio_bounds", "eq16_function"]
 
 
 def eq16_function(alpha: float, n: int) -> LaurentFunction:
     """Sharp function 1/z - z^n/d_n: hypothesis sum exactly 1 and
-    f/S_n = 1 - z^{n+1}/d_n."""
-    coeffs = [0j] * (n + 1)
-    coeffs[n] = complex(-1.0 / dk(alpha, n))
-    return LaurentFunction(tuple(coeffs))
+    f/S_n = 1 - z^{n+1}/d_n. It is the extreme point f_n of the
+    negative-coefficient class."""
+    return sharp_function(alpha, n).to_laurent()
 
 
 @dataclass(frozen=True)
@@ -99,8 +72,9 @@ def check_ratio_bounds(
     bounds 1 - 1/d_n and d_n/(1 + d_n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d_n = dk(alpha, n)
-    holds, margin = hypothesis11(f, alpha)
+    d_n = coeff_weight(alpha, n)
+    # the hypothesis is the coefficient certificate with a_0 left out
+    holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
     pts = grid.points
     gf = eval_g(f, pts)
     gs = eval_g(partial_sum(f, n), pts)

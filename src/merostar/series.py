@@ -32,6 +32,7 @@ __all__ = [
     "hadamard",
     "partial_sum",
     "delta_distance",
+    "random_support",
 ]
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.9999)
@@ -119,8 +120,6 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     kept = list(f.coeffs[:n])
     if kept:
         kept[0] = 0j
-    for k in range(n, len(kept)):
-        kept[k] = 0j
     while kept and kept[-1] == 0:
         kept.pop()
     return LaurentFunction(tuple(kept))
@@ -199,6 +198,20 @@ class DiscGrid:
         return r, th
 
 
+def random_support(
+    rng: np.random.Generator, lowest: int, highest: int, max_active: int, extra: int = 0
+):
+    """Random coefficient support shared by the member samplers.
+
+    Draws n in [1, max_active) distinct indices from lowest..highest, then
+    Dirichlet(1, ..., 1) weights of length n + extra (extra weights lead).
+    Returns (indices, weights).
+    """
+    n_active = int(rng.integers(1, max_active))
+    indices = rng.choice(np.arange(lowest, highest + 1), size=n_active, replace=False)
+    return indices, rng.dirichlet(np.ones(n_active + extra))
+
+
 def refinement_grid(angular_samples: int = 64) -> DiscGrid:
     """Radii 1 - 10^-k, k = 1..8: a boundary-chasing grid for refutation
     searches whose violations only appear extremely close to |z| = 1."""
@@ -212,8 +225,9 @@ def serialize_coeffs(f: LaurentFunction) -> dict:
 
 
 def deserialize_coeffs(data: dict) -> LaurentFunction:
-    """Inverse of serialize_coeffs. Unknown keys are ignored; non-finite or
-    malformed entries are rejected with the offending index."""
+    """Inverse of serialize_coeffs. Unknown keys are ignored; malformed
+    entries (including JSON true/false) and non-finite ones are rejected
+    with the offending index."""
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError('series JSON must be an object with a "coeffs" key')
     raw = data["coeffs"]
@@ -224,35 +238,8 @@ def deserialize_coeffs(data: dict) -> LaurentFunction:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValueError(f"coeffs[{i}] is not an [re, im] pair: {entry!r}")
-        c = complex(entry[0], entry[1])
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"coeffs[{i}] is not finite: {entry!r}")
-        out.append(c)
+        out.append(complex(entry[0], entry[1]))
     return LaurentFunction(tuple(out))
-
-
-def horner_scalar(coeffs: Sequence[complex], z: complex) -> complex:
-    """Plain scalar Horner evaluation of an ascending-coefficient polynomial.
-
-    Reference path used by tests and by code that wants no numpy round trip
-    for a single point.
-    """
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def exp_tail(degree: int) -> LaurentFunction:
-    """Truncation of e^z/z = 1/z + sum_{n>=0} z^n/(n+1)!."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    coeffs = []
-    fact = 1.0
-    for n in range(degree + 1):
-        fact *= n + 1
-        coeffs.append(1.0 / fact)
-    return LaurentFunction(tuple(complex(c) for c in coeffs))

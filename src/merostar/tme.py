@@ -16,9 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .classes import MembershipVerdict, _verdict_from_margins, coeff_weight, me_margins
-from .series import DiscGrid, LaurentFunction, eval_g
-from .tolerances import EXACT_TOL
+from .classes import (
+    ClassSpec,
+    Family,
+    MembershipVerdict,
+    _verdict_from_margins,
+    coeff_sufficient_me,
+    coeff_weight,
+    me_margins,
+)
+from .series import DiscGrid, LaurentFunction, eval_g, refinement_grid
 
 __all__ = [
     "TmeFunction",
@@ -66,22 +73,14 @@ class TmeFunction:
         return cls(tuple(mags))
 
 
-def weighted_sum(f: TmeFunction, alpha: float) -> float:
-    return math.fsum(
-        coeff_weight(alpha, n) * m for n, m in enumerate(f.magnitudes, start=1)
-    )
-
-
 def check_tme_exact(f: TmeFunction, alpha: float) -> tuple[bool, float]:
     """Exact two-sided membership test: sum (1 + alpha(n+1)) a_n <= 1.
 
-    Returns (member, 1 - sum). Unlike the sampled checks this decides both
+    Returns (member, 1 - sum). This is the coefficient certificate
+    coeff_sufficient_me, which on the negative-coefficient form decides both
     directions; EXACT_TOL of slack keeps boundary functions inside.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    total = weighted_sum(f, alpha)
-    return total <= 1.0 + EXACT_TOL, 1.0 - total
+    return coeff_sufficient_me(f.to_laurent(), alpha)
 
 
 def sharp_function(alpha: float, n: int) -> TmeFunction:
@@ -90,7 +89,7 @@ def sharp_function(alpha: float, n: int) -> TmeFunction:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     mags = [0.0] * n
-    mags[n - 1] = 1.0 / coeff_weight(alpha, n)
+    mags[n - 1] = 1.0 / coeff_weight(ClassSpec(Family.TME, alpha).alpha, n)
     return TmeFunction(tuple(mags))
 
 
@@ -135,8 +134,7 @@ def distortion_bounds(alpha: float, r: float) -> tuple[float, float]:
     1/r -+ r/(1 + 2 alpha)."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0,1), got {r}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = ClassSpec(Family.TME, alpha).alpha
     spread = r / coeff_weight(alpha, 1)
     return 1.0 / r - spread, 1.0 / r + spread
 
@@ -153,10 +151,8 @@ def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> Membership
     lf = f.to_laurent()
     pts = grid.points
     absf = np.abs(eval_g(lf, pts)) / np.abs(pts)
-    radii = np.repeat(np.asarray(grid.radii), grid.angular_samples)
-    spread = radii / coeff_weight(alpha, 1)
-    lower = 1.0 / radii - spread
-    upper = 1.0 / radii + spread
+    bounds = [distortion_bounds(alpha, r) for r in grid.radii]
+    lower, upper = np.repeat(np.asarray(bounds), grid.angular_samples, axis=0).T
     margins = np.minimum(absf - lower, upper - absf)
     return _verdict_from_margins(margins, pts)
 
@@ -169,6 +165,6 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     verdict of that one-dimensional scan.
     """
     lf = f.to_laurent()
-    pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
+    pts = np.asarray(refinement_grid().radii, dtype=complex)
     margins = me_margins(lf, alpha, pts)
     return _verdict_from_margins(margins, pts)

@@ -38,7 +38,7 @@ from merostar.harness import (
     sample_tme_member,
     sample_wild_function,
 )
-from merostar.partial_sums import check_ratio_bounds, dk, eq16_function
+from merostar.partial_sums import check_ratio_bounds, eq16_function
 from merostar.series import (
     DiscGrid,
     LaurentFunction,
@@ -330,7 +330,7 @@ def test_criterion_09_partial_sum_ratios(capsys):
             applicable = applicable and rep.applicable
             worst = min(worst, *rep.margins)
         f16 = eq16_function(1.0, 2)
-        d2 = dk(1.0, 2)
+        d2 = coeff_weight(1.0, 2)
         z = complex(0.9999)
         observed = float(np.real(eval_g(f16, z) / eval_g(partial_sum(f16, 2), z)))
         gap = abs(observed - (1.0 - 1.0 / d2))

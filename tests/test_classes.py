@@ -8,6 +8,7 @@ from merostar.classes import (
     Family,
     MembershipVerdict,
     Status,
+    _verdict_from_margins,
     check_me,
     check_mf,
     check_remark2,
@@ -15,7 +16,6 @@ from merostar.classes import (
     coeff_bound,
     coeff_sufficient_me,
     coeff_weight,
-    me_functional,
     me_margins,
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
@@ -32,7 +32,7 @@ def test_me_functional_of_pole_is_one():
     f = from_coeffs([])
     for alpha in (0.0, 1.0, 7.5):
         for z in (0.2, -0.9j, 0.6 + 0.3j):
-            assert me_functional(f, alpha, z) == 1.0
+            assert me_margins(f, alpha, z) == 1.0
 
 
 def test_me_functional_alpha_zero_is_re_g():
@@ -40,15 +40,15 @@ def test_me_functional_alpha_zero_is_re_g():
     for _ in range(25):
         f = sample_wild_function(rng)
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        assert me_functional(f, 0.0, z) == pytest.approx(eval_g(f, z).real, abs=1e-15)
+        assert me_margins(f, 0.0, z) == pytest.approx(eval_g(f, z).real, abs=1e-15)
 
 
 def test_me_functional_accepts_arrays():
     f = from_coeffs([0.5])
     pts = GRID.points[:100]
-    vals = me_functional(f, 1.0, pts)
+    vals = me_margins(f, 1.0, pts)
     assert vals.shape == pts.shape
-    assert np.allclose(vals, me_margins(f, 1.0, pts))
+    assert np.allclose(vals, [me_margins(f, 1.0, z) for z in pts])
 
 
 def test_check_me_pole():
@@ -260,7 +260,7 @@ def test_remark2_violation_at_large_coefficient():
     # margin is Re(1 - 3z^2), which is -1.43 at z = 0.9
     v = check_remark2(from_coeffs([0.0, 3.0]), GRID)
     assert v.status is Status.NON_MEMBER
-    assert me_functional(from_coeffs([0.0, 3.0]), 0.0, 0.9) > 0  # not an ME failure
+    assert me_margins(from_coeffs([0.0, 3.0]), 0.0, 0.9) > 0  # not an ME failure
 
 
 def test_class_spec_validation():
@@ -274,9 +274,24 @@ def test_class_spec_validation():
         ClassSpec(Family.ME, -0.1)
 
 
-def test_verdict_fold_degenerate_rules():
-    from merostar.classes import _verdict_from_margins
+def test_nonfinite_margins_count_as_degenerate():
+    # g' overflows on part of the grid; those margins are not evidence of
+    # anything, and the finite ones refute
+    v = check_me(from_coeffs([1.7e308, 0.8e308]), 1.0, GRID)
+    assert v.status is Status.NON_MEMBER
+    assert math.isfinite(v.min_margin)
+    pts = np.array([0.5 + 0j, 0.5j, -0.5 + 0j])
+    v = _verdict_from_margins(np.array([np.nan, 0.5, np.inf]), pts)
+    assert v.status is Status.INDETERMINATE
+    assert v.min_margin == 0.5 and v.witness == 0.5j
+    with pytest.raises(ValueError, match="degenerate"):
+        _verdict_from_margins(np.array([np.nan, -np.inf, np.inf]), pts)
+    # g' has an infinite coefficient, so every ME margin is non-finite
+    with pytest.raises(ValueError, match="degenerate"):
+        check_me(from_coeffs([0] * 5 + [1e308]), 1.0, GRID)
 
+
+def test_verdict_fold_degenerate_rules():
     pts = np.array([0.5 + 0j, 0.5j])
     ok = _verdict_from_margins(np.array([0.5, 0.3]), pts, np.array([False, True]))
     assert ok.status is Status.INDETERMINATE

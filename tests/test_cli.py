@@ -170,6 +170,36 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("klass", ["me", "mf", "starlike", "tme"])
+def test_check_bad_alpha_exits_two(tmp_path, capsys, klass, alpha):
+    series = write_series(tmp_path, [[0.0, 0.0], [-0.1, 0.0]])
+    code, out, err = run(
+        capsys, ["check", "--class", klass, "--alpha", alpha, "--series", series]
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "NaN" not in out
+
+
+@pytest.mark.parametrize(
+    "klass, data",
+    [
+        ("me", {"coeffs": [[True, False]]}),
+        ("tme", {"magnitudes": [True]}),
+        # every margin overflows, so the grid decides nothing
+        ("me", {"coeffs": [[0.0, 0.0], [1e308, 0.0]]}),
+    ],
+)
+def test_check_hostile_series_exits_two(tmp_path, capsys, klass, data):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["check", "--class", klass, "--alpha", "1.0", "--series", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_bad_suite_parameter_exits_two(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -3,53 +3,54 @@ import pytest
 
 from merostar.classes import coeff_weight
 from merostar.harness import sample_hypothesis_member
-from merostar.partial_sums import (
-    RatioBoundReport,
-    check_ratio_bounds,
-    dk,
-    eq16_function,
-    hypothesis11,
-)
+from merostar.partial_sums import RatioBoundReport, check_ratio_bounds, eq16_function
 from merostar.series import DiscGrid, LaurentFunction, eval_g, from_coeffs, partial_sum
 
 import oracles
 
 GRID = DiscGrid.default()
 POLE = from_coeffs([])
+SMALL_GRID = DiscGrid(radii=(0.5,), angular_samples=8)
+
+
+def hypothesis(f, alpha):
+    """(holds, 1 - weighted tail sum) as check_ratio_bounds reports them."""
+    rep = check_ratio_bounds(f, alpha, 1, SMALL_GRID)
+    return rep.applicable, rep.hypothesis_margin
 
 
 def test_dk_examples_and_validation():
-    assert dk(0.0, 1) == 1.0
-    assert dk(0.0, 17) == 1.0
-    assert dk(1.0, 1) == 3.0
-    assert dk(1.0, 2) == 4.0
-    assert dk(0.5, 3) == 3.0
+    # d_k is the coefficient weight at k >= 1
+    assert coeff_weight(0.0, 1) == 1.0
+    assert coeff_weight(0.0, 17) == 1.0
+    assert coeff_weight(1.0, 1) == 3.0
+    assert coeff_weight(1.0, 2) == 4.0
+    assert coeff_weight(0.5, 3) == 3.0
     for k in range(1, 12):
-        assert dk(2.0, k + 1) > dk(2.0, k)
-        assert dk(2.0, k) == coeff_weight(2.0, k)
+        assert coeff_weight(2.0, k + 1) > coeff_weight(2.0, k)
     with pytest.raises(ValueError):
-        dk(1.0, 0)
+        check_ratio_bounds(POLE, 1.0, 0, SMALL_GRID)
     with pytest.raises(ValueError):
-        dk(-0.5, 1)
+        check_ratio_bounds(POLE, -0.5, 1, SMALL_GRID)
 
 
 def test_hypothesis_examples():
-    assert hypothesis11(POLE, 1.0) == (True, 1.0)
-    holds, margin = hypothesis11(eq16_function(1.0, 2), 1.0)
+    assert hypothesis(POLE, 1.0) == (True, 1.0)
+    holds, margin = hypothesis(eq16_function(1.0, 2), 1.0)
     assert holds
     assert abs(margin) < 1e-12
     # a_1 twice the admissible size: weighted sum is exactly 2
-    f = from_coeffs([0.0, 2.0 / dk(1.0, 1)])
-    holds, margin = hypothesis11(f, 1.0)
+    f = from_coeffs([0.0, 2.0 / coeff_weight(1.0, 1)])
+    holds, margin = hypothesis(f, 1.0)
     assert not holds
     assert margin == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        hypothesis11(POLE, -1.0)
+        hypothesis(POLE, -1.0)
 
 
 def test_hypothesis_ignores_constant_term():
     f = from_coeffs([5.0, 0.1])
-    holds, margin = hypothesis11(f, 1.0)
+    holds, margin = hypothesis(f, 1.0)
     assert holds
     assert margin == pytest.approx(1.0 - 3.0 * 0.1, abs=1e-15)
 
@@ -60,7 +61,7 @@ def test_hypothesis_matches_naive_oracle():
         alpha = float(rng.uniform(0.0, 4.0))
         coeffs = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 0.1
         f = from_coeffs(coeffs.tolist())
-        _, margin = hypothesis11(f, alpha)
+        _, margin = hypothesis(f, alpha)
         naive = oracles.naive_hypothesis_sum(f.coeffs, alpha)
         assert 1.0 - margin == pytest.approx(naive, abs=1e-12)
 
@@ -68,7 +69,7 @@ def test_hypothesis_matches_naive_oracle():
 def test_eq16_function_structure():
     f = eq16_function(1.0, 2)
     assert f.coeffs == (0j, 0j, complex(-0.25))
-    holds, margin = hypothesis11(f, 1.0)
+    holds, margin = hypothesis(f, 1.0)
     assert holds and abs(margin) < 1e-12
     with pytest.raises(ValueError):
         eq16_function(1.0, 0)

@@ -208,6 +208,9 @@ def test_deserialize_rejects_malformed_entries():
         deserialize_coeffs({"coeffs": [[0, 0], [1, 0], [2, 0], [1, 2, 3]]})
     with pytest.raises(ValueError, match="1"):
         deserialize_coeffs({"coeffs": [[0.0, 0.0], [float("nan"), 0.0]]})
+    # JSON true/false are ints to Python but not numbers to a series file
+    with pytest.raises(ValueError, match="0"):
+        deserialize_coeffs({"coeffs": [[True, False]]})
 
 
 def test_deserialize_ignores_unknown_keys():

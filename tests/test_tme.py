@@ -17,7 +17,6 @@ from merostar.tme import (
     recompose,
     refute_on_axis,
     sharp_function,
-    weighted_sum,
 )
 from merostar.tolerances import MARGIN_TOL
 
@@ -68,7 +67,7 @@ def test_weighted_sum_matches_naive_oracle():
         alpha = float(rng.uniform(0.0, 4.0))
         f = sample_tme_member(alpha, rng)
         naive = oracles.naive_hypothesis_sum(f.to_laurent().coeffs, alpha)
-        assert weighted_sum(f, alpha) == pytest.approx(naive, abs=1e-12)
+        assert 1.0 - check_tme_exact(f, alpha)[1] == pytest.approx(naive, abs=1e-12)
 
 
 def test_sharp_functions_sit_on_the_boundary():
