@@ -10,6 +10,7 @@ from .classes import (
     Family,
     MembershipVerdict,
     Status,
+    check_class,
     check_me,
     check_mf,
     check_remark2,
@@ -81,6 +82,7 @@ __all__ = [
     "Family",
     "MembershipVerdict",
     "Status",
+    "check_class",
     "check_me",
     "check_mf",
     "check_remark2",

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime
+from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, ring_values
 from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "MembershipVerdict",
     "class_margins",
     "me_margins",
+    "check_class",
     "check_me",
     "check_mf",
     "check_starlike",
@@ -142,22 +143,23 @@ _MARGINS[Family.TME] = _MARGINS[Family.ME]
 _REMARK2 = (lambda g, zgp, alpha: np.real(g) - np.real(zgp), False)
 
 
-def _margins(rule, f: LaurentFunction, alpha: float, points):
+def _margins(rule, alpha: float, g, zgp):
     margin, divides = rule
-    g = eval_g(f, points)
-    zgp = points * eval_g_prime(f, points)
     degenerate = None
     if divides:
         degenerate = np.abs(g) < ZERO_TOL
-        g = np.where(degenerate, 1.0, g)
+        g = np.where(degenerate, np.nan, g)  # NaN margins where |g| ~ 0
     return margin(g, zgp, alpha), degenerate
 
 
-def class_margins(spec: ClassSpec, f: LaurentFunction, points: np.ndarray):
-    """Pointwise margins of the class condition, plus the mask of points
-    where |g| ~ 0 makes them meaningless (None for classes whose margin
-    never divides by g). Positive everywhere on E means membership."""
-    return _margins(_MARGINS[spec.family], f, spec.alpha, points)
+def class_margins(spec: ClassSpec, f: LaurentFunction, points):
+    """Pointwise margins of the class condition at arbitrary points, plus
+    the mask of points where |g| ~ 0 makes them meaningless and NaN (None
+    for classes whose margin never divides by g). Positive everywhere on E
+    means membership. On a DiscGrid, check_class is the faster route."""
+    return _margins(
+        _MARGINS[spec.family], spec.alpha, eval_g(f, points), points * eval_g_prime(f, points)
+    )
 
 
 def me_margins(f: LaurentFunction, alpha: float, points):
@@ -166,20 +168,23 @@ def me_margins(f: LaurentFunction, alpha: float, points):
     return class_margins(ClassSpec(Family.ME, alpha), f, points)[0]
 
 
-def _check(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
-    pts = grid.points
-    margins, degenerate = class_margins(spec, f, pts)
-    return _verdict_from_margins(margins, pts, degenerate)
+def check_class(
+    spec: ClassSpec, f: LaurentFunction, grid: DiscGrid
+) -> tuple[MembershipVerdict, np.ndarray]:
+    """Sample the class margin on the grid: the verdict, and the margins it
+    folds in grid.points order (NaN where |g| ~ 0 leaves them undefined)."""
+    margins, degenerate = _margins(_MARGINS[spec.family], spec.alpha, *ring_values(f, grid))
+    return _verdict_from_margins(margins, grid.points, degenerate), margins
 
 
 def check_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Sample the ME(alpha) margin on the grid."""
-    return _check(ClassSpec(Family.ME, alpha), f, grid)
+    return check_class(ClassSpec(Family.ME, alpha), f, grid)[0]
 
 
 def check_mf(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Sample the MF(alpha) margin (1 - alpha) - |z g'/g| on the grid."""
-    return _check(ClassSpec(Family.MF, alpha), f, grid)
+    return check_class(ClassSpec(Family.MF, alpha), f, grid)[0]
 
 
 def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
@@ -187,7 +192,7 @@ def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> Membersh
 
     Re(zf'/f) < -alpha rewrites to Re(zg'/g) < 1 - alpha via zf'/f + 1 = zg'/g.
     """
-    return _check(ClassSpec(Family.STARLIKE, alpha), f, grid)
+    return check_class(ClassSpec(Family.STARLIKE, alpha), f, grid)[0]
 
 
 def coeff_weight(alpha: float, n: int) -> float:
@@ -208,7 +213,10 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     is exactly 1 in real arithmetic stay certified.
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
-    total = math.fsum(coeff_weight(alpha, n) * abs(c) for n, c in enumerate(f.coeffs))
+    try:
+        total = math.fsum(coeff_weight(alpha, n) * abs(c) for n, c in enumerate(f.coeffs))
+    except OverflowError:  # finite terms whose sum is beyond float range
+        total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total
 
 
@@ -232,6 +240,5 @@ def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     ME(alpha) for alpha >= 1; this check is the sampled form of that
     implication (it carries no alpha of its own).
     """
-    pts = grid.points
-    margins, _ = _margins(_REMARK2, f, 0.0, pts)
-    return _verdict_from_margins(margins, pts)
+    margins, _ = _margins(_REMARK2, 0.0, *ring_values(f, grid))
+    return _verdict_from_margins(margins, grid.points)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import extremal, harness, tme
-from .classes import ClassSpec, Family, check_mf, check_starlike, class_margins
+from .classes import ClassSpec, Family, check_class
 from .series import DiscGrid, serialize_coeffs
 
 
@@ -48,6 +48,7 @@ def _cmd_check(args) -> int:
     grid = _build_grid(args)
     alpha = float(args.alpha)
     payload = {"class": args.klass, "alpha": alpha}
+    margins = None
     if args.klass == "tme":
         f = harness.load_tme(args.series)
         exact = tme.check_tme_exact(f, alpha)
@@ -56,23 +57,21 @@ def _cmd_check(args) -> int:
         lf = f.to_laurent()
     else:
         lf = harness.load_series(args.series)
-        if args.klass == "me":
-            verdict = harness.classify_me(lf, alpha, grid)
-        elif args.klass == "mf":
-            verdict = check_mf(lf, alpha, grid)
-        else:
-            verdict = check_starlike(lf, alpha, grid)
+        spec = ClassSpec(Family(args.klass), alpha)
+        # one grid evaluation feeds both the verdict and the CSV
+        verdict, margins = check_class(spec, lf, grid)
+        if spec.family is Family.ME:
+            verdict = harness._me_verdict(lf, alpha, verdict)
     payload.update(
         status=verdict.status.value,
         min_margin=verdict.min_margin,
         witness=None if verdict.witness is None else [verdict.witness.real, verdict.witness.imag],
         samples_checked=verdict.samples_checked,
     )
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     if args.csv:
-        margins, degenerate = class_margins(ClassSpec(Family(args.klass), alpha), lf, grid.points)
-        if degenerate is not None:
-            margins = np.where(degenerate, np.nan, margins)
+        if margins is None:  # the TME verdict is exact and never sampled the grid
+            margins = check_class(ClassSpec(Family.TME, alpha), lf, grid)[1]
         _dump_margin_csv(args.csv, grid, margins)
     return 0 if verdict.is_member else 1
 
@@ -102,7 +101,7 @@ def _cmd_extremal(args) -> int:
         tail = 0.0
     payload = serialize_coeffs(f)
     payload["tail_bound"] = tail
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -134,7 +133,7 @@ def _cmd_decompose(args) -> int:
         print(f"error: not a member (weighted sum exceeds 1 by {-margin})", file=sys.stderr)
         return 1
     weights = tme.decompose(f, alpha)
-    print(json.dumps({"alpha": alpha, "weights": list(weights)}, indent=2))
+    print(json.dumps({"alpha": alpha, "weights": list(weights)}, indent=2, allow_nan=False))
     return 0
 
 

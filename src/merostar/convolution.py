@@ -29,7 +29,7 @@ from .classes import (
     coeff_weight,
 )
 from .reporting import CheckResult, CheckStatus, VerificationReport
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support
+from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values
 
 __all__ = [
     "KernelSpec",
@@ -75,9 +75,10 @@ def kernel(spec: KernelSpec, degree: int) -> LaurentFunction:
 
 
 def thm31_margins(
-    f: LaurentFunction, alpha: float, points: np.ndarray, gamma_samples: int
+    f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point margins of Re[g + alpha e^{i gamma} z g'] over gamma.
+    """Margins of Re[g + alpha e^{i gamma} z g'] over gamma at each grid
+    point, in grid.points order.
 
     Returns (exact, sampled): the exact minimum over all phases, which is
     Re g - alpha |z g'|, and the minimum over gamma_samples equispaced
@@ -85,8 +86,8 @@ def thm31_margins(
     below the exact one; the gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
-    g = eval_g(f, points)
-    w = alpha * points * eval_g_prime(f, points)
+    g, zgp = ring_values(f, grid)
+    w = alpha * zgp
     exact = np.real(g) - np.abs(w)
     # min_j cos(arg w + gamma_j) = -cos(distance from the nearest sampled
     # angle to pi), computed directly instead of looping over j; the gap
@@ -110,9 +111,8 @@ def check_thm31(
     """
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
-    pts = grid.points
-    exact, _ = thm31_margins(f, alpha, pts, gamma_samples)
-    return _verdict_from_margins(exact, pts, samples=len(pts) * gamma_samples)
+    exact, _ = thm31_margins(f, alpha, grid, gamma_samples)
+    return _verdict_from_margins(exact, grid.points, samples=len(grid) * gamma_samples)
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):

@@ -39,11 +39,11 @@ from .series import (
     LaurentFunction,
     deserialize_coeffs,
     eval_g,
-    eval_g_prime,
     hadamard,
     partial_sum,
     random_support,
     refinement_grid,
+    ring_values,
     serialize_coeffs,
 )
 from .tolerances import EXACT_TOL, MARGIN_TOL
@@ -157,8 +157,12 @@ def classify_me(f: LaurentFunction, alpha: float, grid: DiscGrid):
     A passing certificate upgrades the verdict to CertifiedMember unless the
     grid found a strict violation (which would contradict it and wins).
     """
+    return _me_verdict(f, alpha, check_me(f, alpha, grid))
+
+
+def _me_verdict(f: LaurentFunction, alpha: float, verdict: MembershipVerdict):
+    """classify_me given the sampled verdict of check_me."""
     certified, _ = coeff_sufficient_me(f, alpha)
-    verdict = check_me(f, alpha, grid)
     if certified and verdict.status is not Status.NON_MEMBER:
         return MembershipVerdict(
             Status.CERTIFIED_MEMBER, verdict.min_margin, verdict.witness, verdict.samples_checked
@@ -536,9 +540,8 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(_ok("kernel_identity", worst_rel < 1e-10, worst_rel))
 
-    pts = grid.points
-    exact, sampled = thm31_margins(f, alpha, pts, gamma_samples)
-    zgp = np.abs(pts * eval_g_prime(f, pts))
+    exact, sampled = thm31_margins(f, alpha, grid, gamma_samples)
+    zgp = np.abs(ring_values(f, grid)[1])
     bound = 2.0 * np.pi**2 * alpha * zgp / gamma_samples**2
     slack = float(np.min(bound - (sampled - exact)))
     nonneg = float(np.min(sampled - exact))
@@ -852,7 +855,7 @@ def load_tme(path: str | Path) -> tme.TmeFunction:
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
         ):
             raise ValueError('"magnitudes" must be a list of numbers')
-        return tme.TmeFunction(tuple(float(x) for x in raw))
+        return tme.TmeFunction(tuple(raw))
     return tme.TmeFunction.from_laurent(deserialize_coeffs(data))
 
 

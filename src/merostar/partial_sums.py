@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import coeff_sufficient_me, coeff_weight
-from .series import DiscGrid, LaurentFunction, eval_g, partial_sum
+from .series import DiscGrid, LaurentFunction, partial_sum, ring_values
 from .tme import sharp_function
 from .tolerances import ZERO_TOL
 
@@ -75,12 +75,11 @@ def check_ratio_bounds(
     d_n = coeff_weight(alpha, n)
     # the hypothesis is the coefficient certificate with a_0 left out
     holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
-    pts = grid.points
-    gf = eval_g(f, pts)
-    gs = eval_g(partial_sum(f, n), pts)
+    gf = ring_values(f, grid)[0]
+    gs = ring_values(partial_sum(f, n), grid)[0]
     degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
     excluded = int(np.count_nonzero(degenerate))
-    if excluded == len(pts):
+    if excluded == len(grid):
         raise ValueError("all grid points degenerate")
     usable = ~degenerate
     f_over_s = np.real(gf[usable] / gs[usable])

@@ -29,6 +29,7 @@ __all__ = [
     "from_coeffs",
     "eval_g",
     "eval_g_prime",
+    "ring_values",
     "hadamard",
     "partial_sum",
     "delta_distance",
@@ -39,11 +40,17 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.999
 DEFAULT_ANGULAR_SAMPLES = 2048
 
 
-def _require_finite(values: Iterable[complex], what: str) -> None:
+def _finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    out = []
     for i, v in enumerate(values):
-        c = complex(v)
+        try:
+            c = complex(v)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError(f"{what}[{i}] is beyond float range") from None
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError(f"{what}[{i}] is not finite: {c!r}")
+        out.append(c)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,7 @@ class LaurentFunction:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        _require_finite(self.coeffs, "coeffs")
+        object.__setattr__(self, "coeffs", _finite_complex(self.coeffs, "coeffs"))
 
     @property
     def truncation_degree(self) -> int:
@@ -83,13 +89,14 @@ def from_coeffs(coeffs: Sequence[complex]) -> LaurentFunction:
 
     An empty sequence gives the bare pole. Non-finite entries are rejected.
     """
-    return LaurentFunction(tuple(complex(c) for c in coeffs))
+    return LaurentFunction(tuple(coeffs))
 
 
 def eval_g(f: LaurentFunction, z: complex):
     """Evaluate g(z) = z*f(z) = 1 + sum a_n z^{n+1} by Horner recurrence.
 
-    Accepts a scalar or an ndarray of points; g(0) = 1 is legal.
+    Accepts a scalar or an ndarray of points; g(0) = 1 is legal. This is the
+    scalar and off-grid API; ring_values evaluates a whole DiscGrid.
     """
     return npoly.polyval(z, f.g_coeffs)
 
@@ -98,6 +105,35 @@ def eval_g_prime(f: LaurentFunction, z: complex):
     """Evaluate g'(z) = sum (n+1) a_n z^n; consistent with eval_g under
     finite differencing."""
     return npoly.polyval(z, f.g_prime_coeffs)
+
+
+def ring_values(f: LaurentFunction, grid: DiscGrid) -> tuple[np.ndarray, np.ndarray]:
+    """g and z g' at every grid point, as flat arrays in grid.points order.
+
+    On the ring |z| = r with M equispaced angles, g(r e^{2 pi i j/M}) =
+    sum_k c_k r^k e^{2 pi i jk/M} is one inverse DFT of length M, and the
+    coefficients with k >= M fold onto index k mod M exactly (aliasing).
+    The fold takes M coefficients at a time, so memory stays O(N + R*M) for
+    N coefficients on R rings. Series of at most log2(M) coefficients take
+    Horner's rule on grid.points instead: its cost grows with the length and
+    the transform's does not, so it is the cheaper one on the shortest series.
+    """
+    c = f.g_coeffs
+    m = grid.angular_samples
+    if len(c) <= math.log2(m):
+        pts = grid.points
+        return eval_g(f, pts), pts * eval_g_prime(f, pts)
+    radii = np.asarray(grid.radii)[:, None]
+    spectra = np.zeros((2, len(grid.radii), m), dtype=complex)
+    # one block of M coefficients at a time, on every ring at once
+    for start in range(0, len(c), m):
+        stop = min(start + m, len(c))
+        k = np.arange(start, stop)
+        a = c[start:stop] * radii**k
+        spectra[0, :, : len(k)] += a
+        spectra[1, :, : len(k)] += k * a
+    values = np.fft.ifft(spectra, axis=-1, norm="forward")
+    return values[0].ravel(), values[1].ravel()
 
 
 def hadamard(f: LaurentFunction, g: LaurentFunction) -> LaurentFunction:
@@ -226,8 +262,8 @@ def serialize_coeffs(f: LaurentFunction) -> dict:
 
 def deserialize_coeffs(data: dict) -> LaurentFunction:
     """Inverse of serialize_coeffs. Unknown keys are ignored; malformed
-    entries (including JSON true/false) and non-finite ones are rejected
-    with the offending index."""
+    entries (including JSON true/false), integers beyond float range and
+    non-finite values are rejected with the offending index."""
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError('series JSON must be an object with a "coeffs" key')
     raw = data["coeffs"]
@@ -241,5 +277,8 @@ def deserialize_coeffs(data: dict) -> LaurentFunction:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValueError(f"coeffs[{i}] is not an [re, im] pair: {entry!r}")
-        out.append(complex(entry[0], entry[1]))
+        try:
+            out.append(complex(entry[0], entry[1]))
+        except OverflowError:  # a JSON integer beyond float range
+            raise ValueError(f"coeffs[{i}] is beyond float range") from None
     return LaurentFunction(tuple(out))

@@ -25,7 +25,7 @@ from .classes import (
     coeff_weight,
     me_margins,
 )
-from .series import DiscGrid, LaurentFunction, eval_g, refinement_grid
+from .series import DiscGrid, LaurentFunction, refinement_grid, ring_values
 
 __all__ = [
     "TmeFunction",
@@ -49,11 +49,16 @@ class TmeFunction:
     magnitudes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        mags = tuple(float(m) for m in self.magnitudes)
-        object.__setattr__(self, "magnitudes", mags)
-        for i, m in enumerate(mags):
+        mags = []
+        for i, m in enumerate(self.magnitudes):
+            try:
+                m = float(m)
+            except OverflowError:  # an integer beyond float range
+                raise ValueError(f"magnitudes[{i}] is beyond float range") from None
             if not math.isfinite(m) or m < 0:
                 raise ValueError(f"magnitudes[{i}] must be finite and >= 0, got {m}")
+            mags.append(m)
+        object.__setattr__(self, "magnitudes", tuple(mags))
 
     def to_laurent(self) -> LaurentFunction:
         return LaurentFunction((0j,) + tuple(-m + 0j for m in self.magnitudes))
@@ -148,9 +153,8 @@ def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> Membership
     member, _ = check_tme_exact(f, alpha)
     if not member:
         raise ValueError("distortion bounds only apply to members")
-    lf = f.to_laurent()
     pts = grid.points
-    absf = np.abs(eval_g(lf, pts)) / np.abs(pts)
+    absf = np.abs(ring_values(f.to_laurent(), grid)[0]) / np.abs(pts)
     bounds = [distortion_bounds(alpha, r) for r in grid.radii]
     lower, upper = np.repeat(np.asarray(bounds), grid.angular_samples, axis=0).T
     margins = np.minimum(absf - lower, upper - absf)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -77,3 +78,17 @@ def rational_g_thm23(alpha: float, n: int):
     """Closed form (1 + d z^n)/(1 - d z^n) of the bound-attaining function."""
     d = math.sqrt(alpha * alpha * n * n + 1.0) - alpha * n
     return lambda z: (1.0 + d * z**n) / (1.0 - d * z**n)
+
+
+def mp_me_margin(coeffs, alpha: float, z: complex, dps: int = 50) -> float:
+    """Re g - alpha |z g'| at the point z, summed term by term in dps-digit
+    arithmetic; z and the coefficients are taken exactly as given."""
+    with mpmath.workdps(dps):
+        zz = mpmath.mpc(z)
+        g, zgp, power = mpmath.mpc(1), mpmath.mpc(0), zz
+        for n, a in enumerate(coeffs):
+            term = mpmath.mpc(a) * power  # a_n z^{n+1}
+            g += term
+            zgp += (n + 1) * term
+            power *= zz
+        return float(g.real - alpha * abs(zgp))

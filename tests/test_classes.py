@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merostar.classes import (
     ClassSpec,
@@ -9,6 +11,7 @@ from merostar.classes import (
     MembershipVerdict,
     Status,
     _verdict_from_margins,
+    check_class,
     check_me,
     check_mf,
     check_remark2,
@@ -19,10 +22,20 @@ from merostar.classes import (
     me_margins,
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
-from merostar.harness import sample_certified_member, sample_wild_function
-from merostar.series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, from_coeffs
+from merostar.harness import classify_me, sample_certified_member, sample_wild_function
+from merostar.partial_sums import eq16_function
+from merostar.series import (
+    DEFAULT_ANGULAR_SAMPLES,
+    DEFAULT_RADII,
+    DiscGrid,
+    LaurentFunction,
+    eval_g,
+    eval_g_prime,
+    from_coeffs,
+)
 from merostar.tolerances import MARGIN_TOL
 
+import hostile
 import oracles
 
 GRID = DiscGrid.default()
@@ -298,3 +311,48 @@ def test_verdict_fold_degenerate_rules():
     bad = _verdict_from_margins(np.array([-1.0, 0.3]), pts, np.array([False, True]))
     assert bad.status is Status.NON_MEMBER
     assert bad.witness == 0.5 + 0j
+
+
+@given(hostile.coeffs, st.sampled_from([Family.ME, Family.MF, Family.STARLIKE]), st.floats(0.0, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_hostile_series_never_give_a_member_with_a_nonfinite_margin(coeffs, family, alpha):
+    try:
+        f = from_coeffs(coeffs)
+    except ValueError:
+        return  # not finite or beyond float range: refused on construction
+    with np.errstate(all="ignore"):
+        try:
+            verdict, margins = check_class(ClassSpec(family, alpha), f, GRID)
+        except ValueError:
+            return  # no grid point has a defined margin
+        assert math.isfinite(verdict.min_margin)
+        if verdict.is_member:
+            assert np.isfinite(margins).all()
+        if family is Family.ME:
+            assert math.isfinite(classify_me(f, alpha, GRID).min_margin)
+
+
+# the default grid's outer rings, where both extremals approach the boundary
+OUTER = DiscGrid(DEFAULT_RADII[-2:], DEFAULT_ANGULAR_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "f, alpha, horner",
+    [
+        (theorem21_extremal(2.0, 6), 2.0, True),
+        (theorem21_extremal(2.0), 2.0, False),
+        (eq16_function(1.0, 3), 1.0, True),
+        (eq16_function(1.0, 40), 1.0, False),
+    ],
+)
+def test_near_boundary_me_margins_match_mpmath(f, alpha, horner):
+    assert (len(f.g_coeffs) <= math.log2(OUTER.angular_samples)) is horner
+    verdict, margins = check_class(ClassSpec(Family.ME, alpha), f, OUTER)
+    assert abs(verdict.min_margin) < 1e-2
+    c = np.abs(f.g_coeffs)
+    k = np.arange(len(c))
+    pts = OUTER.points
+    for i in sorted({*range(0, len(OUTER), 61), int(np.argmin(margins))}):
+        r = OUTER.point_label(i)[0]
+        tol = 1e-12 * (1.0 + float(np.sum((k + 1) * c * r**k)))
+        assert abs(margins[i] - oracles.mp_me_margin(f.coeffs, alpha, pts[i])) <= tol

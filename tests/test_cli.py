@@ -2,8 +2,13 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from merostar import cli
+from merostar import classes, cli, extremal
+from merostar.series import serialize_coeffs
+
+import hostile
 
 
 def write_series(tmp_path, coeffs, name="series.json"):
@@ -81,6 +86,37 @@ def test_check_margin_csv(tmp_path, capsys):
     assert len(rows) == 1 + 5 * 8
     for row in rows[1:]:
         assert float(row[4]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("klass, alpha", [("me", 2.0), ("mf", 0.3), ("starlike", 0.3), ("tme", 1.0)])
+def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass, alpha):
+    calls = []
+    original = classes.ring_values
+
+    def counting(f, grid):
+        calls.append(len(grid))
+        return original(f, grid)
+
+    monkeypatch.setattr(classes, "ring_values", counting)
+    if klass == "tme":
+        series = tmp_path / "f.json"
+        series.write_text(json.dumps({"magnitudes": [0.0] * 63 + [0.01]}))
+    else:
+        f = extremal.theorem21_extremal(2.0, 64)
+        series = write_series(tmp_path, serialize_coeffs(f)["coeffs"])
+    csv_path = tmp_path / "margins.csv"
+    code, out, _ = run(
+        capsys,
+        ["check", "--class", klass, "--alpha", str(alpha), "--series", str(series),
+         "--csv", str(csv_path)],
+    )
+    assert code == 0
+    assert calls == [12 * 2048]
+    with open(csv_path, newline="") as fh:
+        margins = [float(row[4]) for row in list(csv.reader(fh))[1:]]
+    assert len(margins) == 12 * 2048
+    if klass != "tme":  # the TME verdict is the exact test, not a grid minimum
+        assert min(margins) == json.loads(out)["min_margin"]
 
 
 @pytest.mark.parametrize("name", ["thm21", "thm23", "rem1", "expz", "onemz2"])
@@ -189,6 +225,9 @@ def test_check_bad_alpha_exits_two(tmp_path, capsys, klass, alpha):
         ("tme", {"magnitudes": [True]}),
         # every margin overflows, so the grid decides nothing
         ("me", {"coeffs": [[0.0, 0.0], [1e308, 0.0]]}),
+        # JSON integers beyond float range
+        ("me", {"coeffs": [[0.0, 0.0], [10**400, 0]]}),
+        ("tme", {"magnitudes": [0.1, 10**400]}),
     ],
 )
 def test_check_hostile_series_exits_two(tmp_path, capsys, klass, data):
@@ -218,3 +257,43 @@ def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
     capsys.readouterr()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["me", "mf", "starlike"]), hostile.series_file),
+        st.tuples(st.sampled_from(["tme", "decompose"]), hostile.tme_file),
+    ),
+    st.sampled_from(["0", "0.5", "1"]),
+)
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_hostile_files_give_strict_json_or_exit_two(tmp_path, capsys, case, alpha):
+    command, data = case
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    if command == "decompose":
+        argv = ["decompose", "--alpha", alpha, "--series", str(path)]
+    else:
+        argv = ["check", "--class", command, "--alpha", alpha, "--series", str(path)]
+    code, out, err = run(capsys, argv)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+    elif command == "decompose" and code == 1:
+        assert out == "" and err.startswith("error: not a member")
+    else:
+        assert code in (0, 1)
+        payload = _strict_json(out)
+        if command == "decompose":
+            assert payload["alpha"] == float(alpha)
+        else:
+            assert (code == 0) is (payload["status"] in ("CertifiedMember", "SampledMember"))

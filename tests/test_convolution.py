@@ -87,21 +87,22 @@ def test_closed_form_gamma_minimum_matches_brute_scan():
         alpha = float(rng.uniform(0.0, 2.5))
         z = complex(rng.uniform(-0.65, 0.65), rng.uniform(-0.65, 0.65)) or 0.3 + 0j
         m = int(rng.choice([8, 17, 256]))
-        pts = np.array([z])
-        exact, sampled = thm31_margins(f, alpha, pts, m)
-        g = complex(eval_g(f, z))
-        w = alpha * z * complex(eval_g_prime(f, z))
-        brute = oracles.brute_gamma_min(g, w, m)
-        assert sampled[0] == pytest.approx(brute, abs=1e-12)
-        assert exact[0] == pytest.approx(g.real - abs(w), abs=1e-12)
-        assert sampled[0] >= exact[0] - 1e-15
+        grid = DiscGrid((abs(z),), 8)
+        exact, sampled = thm31_margins(f, alpha, grid, m)
+        for j, p in enumerate(grid.points):
+            g = complex(eval_g(f, p))
+            w = alpha * p * complex(eval_g_prime(f, p))
+            brute = oracles.brute_gamma_min(g, w, m)
+            assert sampled[j] == pytest.approx(brute, abs=1e-12)
+            assert exact[j] == pytest.approx(g.real - abs(w), abs=1e-12)
+            assert sampled[j] >= exact[j] - 1e-15
 
 
 def test_sampled_gamma_gap_within_quadratic_bound():
     rng = np.random.default_rng(14)
     f = sample_certified_member(1.0, rng)
     for m in (8, 64, 256):
-        exact, sampled = thm31_margins(f, 1.0, GRID.points, m)
+        exact, sampled = thm31_margins(f, 1.0, GRID, m)
         gap = sampled - exact
         zgp = np.abs(GRID.points * eval_g_prime(f, GRID.points))
         bound = 2.0 * np.pi**2 * 1.0 * zgp / m**2

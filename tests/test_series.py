@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from merostar.series import (
     hadamard,
     partial_sum,
     refinement_grid,
+    ring_values,
     serialize_coeffs,
 )
 
@@ -211,6 +213,11 @@ def test_deserialize_rejects_malformed_entries():
     # JSON true/false are ints to Python but not numbers to a series file
     with pytest.raises(ValueError, match="0"):
         deserialize_coeffs({"coeffs": [[True, False]]})
+    # JSON integers have no size limit; floats do
+    with pytest.raises(ValueError, match="1"):
+        deserialize_coeffs({"coeffs": [[0, 0], [10**400, 0]]})
+    with pytest.raises(ValueError, match="2"):
+        from_coeffs([0, 0, -(10**400)])
 
 
 def test_deserialize_ignores_unknown_keys():
@@ -222,3 +229,77 @@ def test_serialized_form_is_json_friendly():
     f = from_coeffs([1.0 + 2.0j, -0.5])
     text = json.dumps(serialize_coeffs(f))
     assert deserialize_coeffs(json.loads(text)).coeffs == f.coeffs
+
+
+def _ring_scale(f, grid):
+    """1 + sum (k+1)|c_k| r^k over the coefficients c_k of g, per grid point:
+    the size of g and z g' that their rounding error is measured against."""
+    c = np.abs(f.g_coeffs)
+    k = np.arange(len(c))
+    per_ring = [1.0 + float(np.sum((k + 1) * c * r**k)) for r in grid.radii]
+    return np.repeat(per_ring, grid.angular_samples)
+
+
+@pytest.mark.parametrize("m", [8, 64, 2048])
+def test_ring_values_match_horner_on_grid_points(m):
+    # len(g) = degree + 2, so Horner takes degrees up to log2(m) - 2, the
+    # transform everything above, and degrees past m and 2m alias
+    switch = int(math.log2(m)) - 2
+    degrees = [0, switch, switch + 1, m - 2, m + 5, 2 * m + 3]
+    grid = DiscGrid((0.1, 0.5, 0.9, 0.999, 0.9999), m)
+    rng = np.random.default_rng(m)
+    pts = grid.points
+    for degree in degrees:
+        raw = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        f = LaurentFunction(tuple(raw / np.arange(1, degree + 2)))
+        g, zgp = ring_values(f, grid)
+        tol = 1e-12 * _ring_scale(f, grid)
+        assert g.shape == zgp.shape == pts.shape
+        assert np.all(np.abs(g - eval_g(f, pts)) <= tol)
+        assert np.all(np.abs(zgp - pts * eval_g_prime(f, pts)) <= tol)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [0.0, 1e308],  # short enough for Horner
+        [1e308] * 40,  # transform; both g and z g' overflow near theta = 0
+        [0.0] * 100 + [1e308, -1e308],  # huge terms folded onto one index
+    ],
+)
+def test_ring_values_overflow_is_never_finite_garbage(coeffs):
+    grid = DiscGrid((0.5, 0.9999), 64)
+    f = from_coeffs(coeffs)
+    g, zgp = ring_values(f, grid)
+    # the same values scaled by 2^-1000, which is exact and cannot overflow
+    scale = 2.0**-1000
+    c = f.g_coeffs * scale
+    pts = grid.points
+    true_g = np.polynomial.polynomial.polyval(pts, c)
+    true_zgp = pts * np.polynomial.polynomial.polyval(pts, np.arange(1, len(c)) * c[1:])
+    tol = 1e-12 * _ring_scale(from_coeffs([x * scale for x in coeffs]), grid)
+    limit = np.finfo(float).max * scale
+    overflowing = 0
+    for got, true in ((g, true_g), (zgp, true_zgp)):
+        for part in (np.real, np.imag):
+            finite = np.isfinite(part(got))
+            beyond = np.abs(part(true)) > limit
+            overflowing += int(beyond.sum())
+            assert not finite[beyond].any()
+            err = np.abs(part(got)[finite] * scale - part(true)[finite])
+            assert np.all(err <= tol[finite])
+    assert overflowing > 0
+
+
+def test_ring_values_memory_is_linear_in_degree_plus_grid():
+    f = from_coeffs(np.random.default_rng(0).normal(size=100_000))
+    grid = DiscGrid.default()
+    f.g_coeffs, grid.points  # cached inputs, not part of the evaluation
+    tracemalloc.start()
+    try:
+        ring_values(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one radius-by-coefficient complex array alone is 12 * 10^5 * 16 bytes
+    assert peak < 8e6

@@ -32,6 +32,8 @@ def test_type_validation():
         TmeFunction((0.1, -0.2))
     with pytest.raises(ValueError):
         TmeFunction((float("nan"),))
+    with pytest.raises(ValueError, match="1"):
+        TmeFunction((0.1, 10**400))  # an integer beyond float range
 
 
 def test_laurent_conversion_roundtrip():
