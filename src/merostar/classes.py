@@ -120,16 +120,6 @@ def _verdict_from_margins(
     return MembershipVerdict(Status.SAMPLED_MEMBER, min_margin, witness, n)
 
 
-def _worst(verdicts) -> tuple[float, Optional[complex]]:
-    """Least min_margin over the verdicts and its witness (the first on
-    ties); (inf, None) when there are none."""
-    worst, witness = math.inf, None
-    for v in verdicts:
-        if v.min_margin < worst:
-            worst, witness = v.min_margin, v.witness
-    return worst, witness
-
-
 # Family -> (margin of the class condition from g, zg' and alpha; whether it
 # divides by g, so that points with |g| < ZERO_TOL are degenerate). The
 # negative-coefficient class TME is a subclass of ME and shares its margin.
@@ -149,7 +139,8 @@ def _margins(rule, alpha: float, g, zgp):
     if divides:
         degenerate = np.abs(g) < ZERO_TOL
         g = np.where(degenerate, np.nan, g)  # NaN margins where |g| ~ 0
-    return margin(g, zgp, alpha), degenerate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
+        return margin(g, zgp, alpha), degenerate
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
@@ -157,9 +148,10 @@ def class_margins(spec: ClassSpec, f: LaurentFunction, points):
     the mask of points where |g| ~ 0 makes them meaningless and NaN (None
     for classes whose margin never divides by g). Positive everywhere on E
     means membership. On a DiscGrid, check_class is the faster route."""
-    return _margins(
-        _MARGINS[spec.family], spec.alpha, eval_g(f, points), points * eval_g_prime(f, points)
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
+        return _margins(
+            _MARGINS[spec.family], spec.alpha, eval_g(f, points), points * eval_g_prime(f, points)
+        )
 
 
 def me_margins(f: LaurentFunction, alpha: float, points):

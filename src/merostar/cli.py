@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -95,7 +94,7 @@ def _cmd_extremal(args) -> int:
     elif name == "expz":
         d = int(degree) if degree is not None else 30
         f = extremal.mf_not_me_witness(d)
-        tail = 1.0 / math.factorial(d + 2)
+        tail = extremal.mf_not_me_tail_bound(d)
     else:  # onemz2
         f = extremal.starlike_not_mf_witness()
         tail = 0.0

@@ -22,13 +22,11 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
-    Status,
     _verdict_from_margins,
-    _worst,
     check_me,
     coeff_weight,
 )
-from .reporting import CheckResult, CheckStatus, VerificationReport
+from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
 from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values
 
 __all__ = [
@@ -220,20 +218,8 @@ def check_thm32(
             check_me(sample, alpha, grid)
             for sample in neighborhood_sample(f, delta, count, seed)
         ]
-        worst, worst_witness = _worst(verdicts)
-        refuted = sum(v.status is Status.NON_MEMBER for v in verdicts)
-        undecided = sum(not v.is_member for v in verdicts) - refuted
-        if refuted:
-            status = CheckStatus.FAIL
-            detail = f"{refuted} of {count} samples refuted"
-        elif undecided:
-            status = CheckStatus.INDETERMINATE
-            detail = f"{undecided} of {count} samples within margin tolerance"
-        else:
-            status = CheckStatus.PASS
-            detail = f"all {count} samples are members"
         checks.append(
-            CheckResult("neighborhood_members", status, worst, worst_witness, detail)
+            fold_members("neighborhood_members", verdicts, f"all {count} samples are members")
         )
     else:
         checks.append(

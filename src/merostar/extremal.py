@@ -8,6 +8,8 @@ is a geometric series so this is an honest scale).
 
 from __future__ import annotations
 
+import math
+
 from .classes import coeff_bound
 from .series import LaurentFunction
 
@@ -18,6 +20,7 @@ __all__ = [
     "theorem23_tail_bound",
     "remark1_witness",
     "mf_not_me_witness",
+    "mf_not_me_tail_bound",
     "starlike_not_mf_witness",
     "DEFAULT_EXTREMAL_DEGREE",
 ]
@@ -100,6 +103,14 @@ def mf_not_me_witness(degree: int = 30) -> LaurentFunction:
         fact *= n + 1
         coeffs.append(1.0 / fact)  # 1/(n+1)!
     return LaurentFunction(tuple(coeffs))
+
+
+def mf_not_me_tail_bound(degree: int = 30) -> float:
+    """The scale 1/(degree+2)! of the tail that mf_not_me_witness drops."""
+    try:
+        return 1.0 / math.factorial(degree + 2)
+    except OverflowError:  # (degree+2)! is beyond float range from degree 169
+        return 1 / math.factorial(degree + 2)  # exact; below 169 it differs in the last bit
 
 
 def starlike_not_mf_witness() -> LaurentFunction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .classes import (
     Family,
     MembershipVerdict,
     Status,
-    _worst,
     check_me,
     check_mf,
     check_remark2,
@@ -33,7 +33,7 @@ from .classes import (
     me_margins,
 )
 from .convolution import KernelSpec, kernel, neighborhood_sample, thm31_margins
-from .reporting import CheckResult, CheckStatus, VerificationReport
+from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
 from .series import (
     DiscGrid,
     LaurentFunction,
@@ -60,36 +60,6 @@ __all__ = [
     "classify_me",
     "classify_tme",
 ]
-
-SUITE_IDS = (
-    "thm2.1",
-    "thm2.2",
-    "thm2.3",
-    "rem1",
-    "rem2",
-    "thm3.1",
-    "thm3.2",
-    "thm4.1",
-    "cor1",
-    "cor2",
-    "thm4.2",
-    "all",
-)
-
-_DEFAULTS: dict[str, dict] = {
-    "thm2.1": {"alpha": 2.0},
-    "thm2.2": {"alpha": 1.0, "count": 200, "seed": 0},
-    "thm2.3": {"alpha": 1.5, "n": 2, "count": 200, "seed": 0},
-    "rem1": {"alpha": 0.1, "n": 18},
-    "rem2": {"alpha": 1.0, "count": 50, "seed": 0},
-    "thm3.1": {"alpha": 1.0, "count": 200, "seed": 0, "gamma_samples": 256},
-    "thm3.2": {"alpha": 1.0, "eps": 0.5, "count": 200, "seed": 0},
-    "thm4.1": {"alpha": 2.0, "n": 3, "count": 100, "seed": 0},
-    "cor1": {"alpha": 1.0, "count": 200, "seed": 0},
-    "cor2": {"alpha": 1.0, "count": 200, "seed": 0},
-    "thm4.2": {"alpha": 1.0, "n": 2, "count": 200, "seed": 0},
-}
-
 
 # ---------------------------------------------------------------- samplers
 
@@ -306,18 +276,14 @@ def _suite_thm22(p: dict, grid: DiscGrid) -> list[CheckResult]:
     checks = []
 
     members = [sample_certified_member(alpha, rng) for _ in range(count)]
-    worst, worst_witness = _worst(check_me(f, alpha, grid) for f in members)
-    if not all(coeff_sufficient_me(f, alpha)[0] for f in members):
-        worst = -math.inf
-    checks.append(
-        _ok(
-            "certificate_implies_grid_margins",
-            worst >= -MARGIN_TOL,
-            worst,
-            worst_witness,
-            f"{count} random certified members",
-        )
+    check = fold_members(
+        "certificate_implies_grid_margins",
+        [check_me(f, alpha, grid) for f in members],
+        f"{count} random certified members",
     )
+    if not all(coeff_sufficient_me(f, alpha)[0] for f in members):
+        check = replace(check, status=CheckStatus.FAIL, margin=-math.inf)
+    checks.append(check)
 
     worst_dev = _boundary_deviation(
         coeff_sufficient_me(extremal.remark1_witness(n), 1.0) for n in range(1, 21)
@@ -448,17 +414,12 @@ def _suite_rem2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     checks = []
 
     v = check_remark2(extremal.theorem21_extremal(alpha), grid)
-    checks.append(_ok("holds_for_extremal", v.min_margin >= -MARGIN_TOL, v.min_margin, v.witness))
+    checks.append(fold_members("holds_for_extremal", [v], ""))
 
-    worst, worst_witness = _worst(
-        check_remark2(sample_certified_member(alpha, rng), grid) for _ in range(count)
-    )
     checks.append(
-        _ok(
+        fold_members(
             "holds_for_certified_members",
-            worst >= -MARGIN_TOL,
-            worst,
-            worst_witness,
+            (check_remark2(sample_certified_member(alpha, rng), grid) for _ in range(count)),
             f"{count} random certified members",
         )
     )
@@ -577,7 +538,7 @@ def _suite_thm32(p: dict, grid: DiscGrid) -> list[CheckResult]:
         _ok(
             "inflated_radius_refuted",
             bool(refuted),
-            _worst(verdicts)[0],
+            min(v.min_margin for v in verdicts),
             refuted[0].witness if refuted else None,
             f"{len(refuted)} refutations at delta*10",
         )
@@ -617,7 +578,7 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
         verdicts.append(check_me(f.to_laurent(), alpha, grid))
         bad = tme.TmeFunction(tuple(1.01 * m for m in sample_tme_member(alpha, rng, boundary=True).magnitudes))
         ok = ok and member and classify_tme(bad, alpha).status is Status.NON_MEMBER
-    worst_member, _ = _worst(verdicts)
+    worst_member = min((v.min_margin for v in verdicts), default=math.inf)
     ok = ok and worst_member >= -MARGIN_TOL
     checks.append(
         _ok(
@@ -675,15 +636,10 @@ def _suite_cor2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 82)
     checks = []
 
-    worst, worst_witness = _worst(
-        tme.check_distortion(sample_tme_member(alpha, rng), alpha, grid) for _ in range(count)
-    )
     checks.append(
-        _ok(
+        fold_members(
             "bounds_hold_for_members",
-            worst >= -MARGIN_TOL,
-            worst,
-            worst_witness,
+            (tme.check_distortion(sample_tme_member(alpha, rng), alpha, grid) for _ in range(count)),
             f"{count} random members on the default grid",
         )
     )
@@ -780,19 +736,21 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     return checks
 
 
+# suite id -> (suite, its default parameters); "all" runs them in this order
 _SUITES = {
-    "thm2.1": _suite_thm21,
-    "thm2.2": _suite_thm22,
-    "thm2.3": _suite_thm23,
-    "rem1": _suite_rem1,
-    "rem2": _suite_rem2,
-    "thm3.1": _suite_thm31,
-    "thm3.2": _suite_thm32,
-    "thm4.1": _suite_thm41,
-    "cor1": _suite_cor1,
-    "cor2": _suite_cor2,
-    "thm4.2": _suite_thm42,
+    "thm2.1": (_suite_thm21, {"alpha": 2.0}),
+    "thm2.2": (_suite_thm22, {"alpha": 1.0, "count": 200, "seed": 0}),
+    "thm2.3": (_suite_thm23, {"alpha": 1.5, "n": 2, "count": 200, "seed": 0}),
+    "rem1": (_suite_rem1, {"alpha": 0.1, "n": 18}),
+    "rem2": (_suite_rem2, {"alpha": 1.0, "count": 50, "seed": 0}),
+    "thm3.1": (_suite_thm31, {"alpha": 1.0, "count": 200, "seed": 0, "gamma_samples": 256}),
+    "thm3.2": (_suite_thm32, {"alpha": 1.0, "eps": 0.5, "count": 200, "seed": 0}),
+    "thm4.1": (_suite_thm41, {"alpha": 2.0, "n": 3, "count": 100, "seed": 0}),
+    "cor1": (_suite_cor1, {"alpha": 1.0, "count": 200, "seed": 0}),
+    "cor2": (_suite_cor2, {"alpha": 1.0, "count": 200, "seed": 0}),
+    "thm4.2": (_suite_thm42, {"alpha": 1.0, "n": 2, "count": 200, "seed": 0}),
 }
+SUITE_IDS = (*_SUITES, "all")
 
 
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:
@@ -806,33 +764,27 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     params = dict(params or {})
     if name not in SUITE_IDS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_IDS)}")
-    grid = DiscGrid.default()
     if name == "all":
-        seed_override = params.get("seed")
+        seed = params.get("seed")
         checks: list[CheckResult] = []
-        inputs: dict = {"seed": seed_override if seed_override is not None else 0}
-        for sub in SUITE_IDS[:-1]:
-            p = dict(_DEFAULTS[sub])
-            if seed_override is not None and "seed" in p:
-                p["seed"] = int(seed_override)
-            inputs[sub] = p
-            for c in _SUITES[sub](p, grid):
-                checks.append(
-                    CheckResult(f"{sub}/{c.name}", c.status, c.margin, c.witness, c.detail)
-                )
-        runtime_ms = int((time.perf_counter() - t0) * 1000)
-        return VerificationReport("all", inputs, tuple(checks), runtime_ms)
-    p = dict(_DEFAULTS[name])
-    for key, value in params.items():
-        if value is None:
-            continue
-        p[key] = value
-    for key in ("n", "count", "seed", "gamma_samples"):
-        if key in p:
-            p[key] = int(p[key])
-    results = _SUITES[name](p, grid)
+        inputs: dict = {"seed": seed if seed is not None else 0}
+        for sub, (_, defaults) in _SUITES.items():
+            report = run_suite(sub, {"seed": seed} if "seed" in defaults else {})
+            inputs[sub] = report.inputs
+            checks.extend(replace(c, name=f"{sub}/{c.name}") for c in report.checks)
+    else:
+        suite, defaults = _SUITES[name]
+        inputs = dict(defaults)
+        for key, value in params.items():
+            if value is None:
+                continue
+            inputs[key] = value
+        for key in ("n", "count", "seed", "gamma_samples"):
+            if key in inputs:
+                inputs[key] = int(inputs[key])
+        checks = suite(inputs, DiscGrid.default())
     runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(name, p, tuple(results), runtime_ms)
+    return VerificationReport(name, inputs, tuple(checks), runtime_ms)
 
 
 # -------------------------------------------------------------------- IO

@@ -1,14 +1,18 @@
-"""Report types shared by the stability check and the verification harness."""
+"""Report types and the member fold shared by the stability check and the harness."""
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
+from .classes import MembershipVerdict, Status
 from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
 
-__all__ = ["CheckStatus", "CheckResult", "VerificationReport", "TOLERANCES", "DEVIATIONS"]
+__all__ = [
+    "CheckStatus", "CheckResult", "fold_members", "VerificationReport", "TOLERANCES", "DEVIATIONS"
+]
 
 TOLERANCES = {
     "margin_tol": MARGIN_TOL,
@@ -56,6 +60,30 @@ class CheckResult:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+
+def fold_members(name: str, verdicts: Iterable[MembershipVerdict], detail: str) -> CheckResult:
+    """Fold the verdicts of sampled functions that must all be members.
+
+    The check fails if any verdict is NonMember, is indeterminate if any
+    other is undecided (the detail then counts them) and passes with the
+    given detail otherwise. Its margin and witness are those of the least
+    min_margin, the first on ties; inf and None when there are no verdicts.
+    """
+    verdicts = list(verdicts)
+    worst = min(verdicts, key=lambda v: v.min_margin, default=None)
+    refuted = sum(v.status is Status.NON_MEMBER for v in verdicts)
+    undecided = sum(not v.is_member for v in verdicts) - refuted
+    if refuted:
+        status = CheckStatus.FAIL
+        detail = f"{refuted} of {len(verdicts)} samples refuted"
+    elif undecided:
+        status = CheckStatus.INDETERMINATE
+        detail = f"{undecided} of {len(verdicts)} samples within margin tolerance"
+    else:
+        status = CheckStatus.PASS
+    margin, witness = (math.inf, None) if worst is None else (worst.min_margin, worst.witness)
+    return CheckResult(name, status, margin, witness, detail)
 
 
 @dataclass(frozen=True)

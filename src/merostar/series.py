@@ -120,19 +120,20 @@ def ring_values(f: LaurentFunction, grid: DiscGrid) -> tuple[np.ndarray, np.ndar
     """
     c = f.g_coeffs
     m = grid.angular_samples
-    if len(c) <= math.log2(m):
-        pts = grid.points
-        return eval_g(f, pts), pts * eval_g_prime(f, pts)
-    radii = np.asarray(grid.radii)[:, None]
-    spectra = np.zeros((2, len(grid.radii), m), dtype=complex)
-    # one block of M coefficients at a time, on every ring at once
-    for start in range(0, len(c), m):
-        stop = min(start + m, len(c))
-        k = np.arange(start, stop)
-        a = c[start:stop] * radii**k
-        spectra[0, :, : len(k)] += a
-        spectra[1, :, : len(k)] += k * a
-    values = np.fft.ifft(spectra, axis=-1, norm="forward")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
+        if len(c) <= math.log2(m):
+            pts = grid.points
+            return eval_g(f, pts), pts * eval_g_prime(f, pts)
+        radii = np.asarray(grid.radii)[:, None]
+        spectra = np.zeros((2, len(grid.radii), m), dtype=complex)
+        # one block of M coefficients at a time, on every ring at once
+        for start in range(0, len(c), m):
+            stop = min(start + m, len(c))
+            k = np.arange(start, stop)
+            a = c[start:stop] * radii**k
+            spectra[0, :, : len(k)] += a
+            spectra[1, :, : len(k)] += k * a
+        values = np.fft.ifft(spectra, axis=-1, norm="forward")
     return values[0].ravel(), values[1].ravel()
 
 

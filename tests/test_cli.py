@@ -128,6 +128,14 @@ def test_extremal_emits_series_json(name, capsys):
     assert payload["tail_bound"] >= 0.0
 
 
+def test_extremal_expz_beyond_float_factorials_exits_zero(capsys):
+    code, out, err = run(capsys, ["extremal", "--name", "expz", "--degree", "200"])
+    assert code == 0 and err == ""
+    payload = _strict_json(out)
+    assert len(payload["coeffs"]) == 201
+    assert payload["tail_bound"] == 0.0
+
+
 def test_extremal_pipe_to_check(tmp_path, capsys):
     code, out, _ = run(capsys, ["extremal", "--name", "thm21", "--alpha", "2.0"])
     assert code == 0
@@ -236,6 +244,7 @@ def test_check_hostile_series_exits_two(tmp_path, capsys, klass, data):
     code, out, err = run(capsys, ["check", "--class", klass, "--alpha", "1.0", "--series", str(path)])
     assert code == 2
     assert err.startswith("error:")
+    assert err.count("\n") == 1  # the error line alone, no RuntimeWarning before it
     assert out == ""
 
 

@@ -6,6 +6,7 @@ import pytest
 from merostar.classes import Status, check_me, check_mf, check_starlike, coeff_bound, coeff_sufficient_me, me_margins
 from merostar.extremal import (
     DEFAULT_EXTREMAL_DEGREE,
+    mf_not_me_tail_bound,
     mf_not_me_witness,
     remark1_witness,
     starlike_not_mf_witness,
@@ -127,6 +128,13 @@ def test_bound_sharp_rejects_bad_input():
         theorem23_extremal(1.0, 0)
     with pytest.raises(ValueError):
         theorem23_extremal(-1.0, 2)
+
+
+def test_exp_tail_bound_is_the_float_quotient_and_never_overflows():
+    assert mf_not_me_tail_bound(30) == 1.0 / math.factorial(32)
+    # (degree+2)! leaves float range at degree 169
+    assert mf_not_me_tail_bound(168) > mf_not_me_tail_bound(169) > mf_not_me_tail_bound(170) > 0.0
+    assert mf_not_me_tail_bound(400) == 0.0
 
 
 def test_bound_sharp_tail_bound_decreases_with_degree():

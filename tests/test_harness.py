@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from merostar import harness
 from merostar.classes import Status, coeff_sufficient_me
 from merostar.extremal import remark1_witness, theorem21_extremal
 from merostar.harness import (
@@ -19,7 +21,7 @@ from merostar.harness import (
     save_report,
     save_series,
 )
-from merostar.reporting import CheckStatus
+from merostar.reporting import CheckResult, CheckStatus
 from merostar.series import DiscGrid, from_coeffs
 from merostar.tme import TmeFunction, check_tme_exact
 
@@ -184,6 +186,72 @@ def test_suite_seed_changes_draws():
     a.pop("runtime_ms")
     b.pop("runtime_ms")
     assert a != b
+
+
+def test_an_undecided_sample_makes_rem2_indeterminate(monkeypatch):
+    real = harness.check_remark2
+    calls = []
+
+    def one_undecided(f, grid):
+        calls.append(f)
+        v = real(f, grid)
+        # the first call checks the extremal, the next ten the certified members
+        return replace(v, status=Status.INDETERMINATE) if len(calls) == 3 else v
+
+    monkeypatch.setattr(harness, "check_remark2", one_undecided)
+    by_name = {c.name: c for c in run_suite("rem2", {"count": 10}).checks}
+    assert len(calls) == 12
+    assert by_name["holds_for_extremal"].status is CheckStatus.PASS
+    members = by_name["holds_for_certified_members"]
+    assert members.status is CheckStatus.INDETERMINATE
+    assert members.detail == "1 of 10 samples within margin tolerance"
+    assert by_name["check_has_power"].status is CheckStatus.PASS
+
+
+# the parameters "all" gives each suite, in order, when run with seed 5
+ALL_AT_SEED_5 = {
+    "thm2.1": {"alpha": 2.0},
+    "thm2.2": {"alpha": 1.0, "count": 200, "seed": 5},
+    "thm2.3": {"alpha": 1.5, "n": 2, "count": 200, "seed": 5},
+    "rem1": {"alpha": 0.1, "n": 18},
+    "rem2": {"alpha": 1.0, "count": 50, "seed": 5},
+    "thm3.1": {"alpha": 1.0, "count": 200, "seed": 5, "gamma_samples": 256},
+    "thm3.2": {"alpha": 1.0, "eps": 0.5, "count": 200, "seed": 5},
+    "thm4.1": {"alpha": 2.0, "n": 3, "count": 100, "seed": 5},
+    "cor1": {"alpha": 1.0, "count": 200, "seed": 5},
+    "cor2": {"alpha": 1.0, "count": 200, "seed": 5},
+    "thm4.2": {"alpha": 1.0, "n": 2, "count": 200, "seed": 5},
+}
+
+
+def test_all_runs_each_suite_once_with_its_defaults_and_the_seed(monkeypatch):
+    calls = []
+
+    def recorder(sid):
+        def suite(p, grid):
+            calls.append((sid, dict(p)))
+            return [CheckResult("first", CheckStatus.PASS, 1.0), CheckResult("second", CheckStatus.FAIL)]
+
+        return suite
+
+    for sid, (_, defaults) in list(harness._SUITES.items()):
+        monkeypatch.setitem(harness._SUITES, sid, (recorder(sid), defaults))
+    report = run_suite("all", {"seed": 5, "alpha": 9.0})
+    assert calls == list(ALL_AT_SEED_5.items())
+    assert SUITE_IDS == (*ALL_AT_SEED_5, "all")
+    assert report.suite == "all"
+    assert report.inputs == {"seed": 5, **ALL_AT_SEED_5}
+    assert [c.name for c in report.checks] == [
+        f"{sid}/{name}" for sid in ALL_AT_SEED_5 for name in ("first", "second")
+    ]
+    assert report.checks[0] == CheckResult("thm2.1/first", CheckStatus.PASS, 1.0)
+    assert not report.passed
+
+    calls.clear()
+    assert run_suite("all").inputs["seed"] == 0
+    assert [p.get("seed") for _, p in calls] == [
+        None if "seed" not in p else 0 for p in ALL_AT_SEED_5.values()
+    ]
 
 
 def test_thm32_suite_rejects_bad_delta():
