@@ -123,8 +123,10 @@ def _verdict_from_margins(
 # Family -> (margin of the class condition from g, zg' and alpha; whether it
 # divides by g, so that points with |g| < ZERO_TOL are degenerate). The
 # negative-coefficient class TME is a subclass of ME and shares its margin.
+# At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would be NaN wherever
+# z g' overflows, although Re g decides there.
 _MARGINS = {
-    Family.ME: (lambda g, zgp, alpha: np.real(g) - alpha * np.abs(zgp), False),
+    Family.ME: (lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0), False),
     Family.MF: (lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
     Family.STARLIKE: (lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
 }

@@ -105,11 +105,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    params = {}
-    for key in ("alpha", "n", "delta", "eps", "seed", "count"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in ("alpha", "n", "delta", "eps", "seed", "count")}
     report = harness.run_suite(args.name, params)
     harness.save_report(report, args.out)
     if args.csv:

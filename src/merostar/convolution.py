@@ -13,7 +13,6 @@ minimizing over gamma gives Re g - alpha |z g'|, the ME margin itself.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .classes import (
     check_me,
     coeff_weight,
 )
-from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
+from .reporting import CheckResult, CheckStatus, fold_members
 from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values
 
 __all__ = [
@@ -173,72 +172,51 @@ def check_thm32(
     f: LaurentFunction,
     alpha: float,
     eps: float,
+    delta: float,
     count: int,
     grid: DiscGrid,
     seed: int,
-    scale: float = 1.0,
-) -> VerificationReport:
+) -> list[CheckResult]:
     """Neighborhood stability: if the strengthened premise holds, every
     sampled function within delta of f must be a member of ME(alpha).
 
-    delta = delta_star * scale where delta_star = 1/(1 + 2 alpha) is the
-    radius the conclusion covers; scale <= 1 keeps samples inside it, and
-    delta < eps < 1 is required for the premise to have any force. A premise
-    failure makes the remaining checks inapplicable rather than failed.
+    Returns the checks "premise" and "neighborhood_members". delta must lie
+    in (0, delta_star], where delta_star = 1/(1 + 2 alpha) is the radius the
+    conclusion covers, and delta < eps < 1 is required for the premise to
+    have any force. A premise failure makes both checks inapplicable rather
+    than failed; neighborhood_sample validates count.
     """
-    t0 = time.perf_counter()
-    if not 0.0 < scale <= 1.0:
-        raise ValueError(f"scale must lie in (0,1], got {scale}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     delta_star = 1.0 / coeff_weight(alpha, 1)  # 1/(1+2*alpha)
-    delta = delta_star * scale
+    if not 0.0 < delta <= delta_star:
+        raise ValueError(f"delta must lie in (0, {delta_star}], got {delta}")
     if not delta < eps < 1.0:
         raise ValueError(
             f"need delta < eps < 1 (delta={delta}, eps={eps}); "
-            "raise eps or shrink scale"
+            "raise eps or shrink delta"
         )
-    inputs = {
-        "alpha": alpha,
-        "eps": eps,
-        "delta_star": delta_star,
-        "delta": delta,
-        "scale": scale,
-        "count": count,
-        "seed": seed,
-        "grid": {"radii": list(grid.radii), "angular_samples": grid.angular_samples},
-    }
-    checks: list[CheckResult] = []
     premise = stability_premise(f, alpha, eps, grid)
-    if premise.is_member:
-        checks.append(
-            CheckResult("premise", CheckStatus.PASS, premise.min_margin, premise.witness)
-        )
-        verdicts = [
-            check_me(sample, alpha, grid)
-            for sample in neighborhood_sample(f, delta, count, seed)
-        ]
-        checks.append(
-            fold_members("neighborhood_members", verdicts, f"all {count} samples are members")
-        )
-    else:
-        checks.append(
+    if not premise.is_member:
+        return [
             CheckResult(
                 "premise",
                 CheckStatus.INAPPLICABLE,
                 premise.min_margin,
                 premise.witness,
                 "premise margin does not clear eps; conclusion not claimed",
-            )
-        )
-        checks.append(
+            ),
             CheckResult(
                 "neighborhood_members",
                 CheckStatus.INAPPLICABLE,
                 None,
                 None,
                 "skipped: premise not established",
-            )
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("thm3.2", inputs, tuple(checks), runtime_ms)
+            ),
+        ]
+    verdicts = [
+        check_me(sample, alpha, grid)
+        for sample in neighborhood_sample(f, delta, count, seed)
+    ]
+    return [
+        CheckResult("premise", CheckStatus.PASS, premise.min_margin, premise.witness),
+        fold_members("neighborhood_members", verdicts, f"all {count} samples are members"),
+    ]

@@ -33,7 +33,7 @@ DEVIATIONS = (
     "exact-sum certificates allow 1e-12 slack so boundary members are not "
     "lost to rounding",
     "neighborhood radius symbol is delta_star = 1/(1+2*alpha); sampling uses "
-    "delta = delta_star*scale with scale <= 1 and requires delta < eps < 1",
+    "0 < delta <= delta_star and requires delta < eps < 1",
 )
 
 
@@ -55,10 +55,15 @@ class CheckResult:
     def to_dict(self) -> dict:
         out: dict = {"name": self.name, "status": self.status.value}
         out["margin"] = None if self.margin is None else float(self.margin)
+        detail = self.detail
+        if out["margin"] is not None and not math.isfinite(out["margin"]):
+            # JSON has no infinity or NaN: write null and keep the value in the detail
+            detail = "; ".join(filter(None, (detail, f"margin {out['margin']} written as null")))
+            out["margin"] = None
         if self.witness is not None:
             out["witness"] = [self.witness.real, self.witness.imag]
-        if self.detail:
-            out["detail"] = self.detail
+        if detail:
+            out["detail"] = detail
         return out
 
 

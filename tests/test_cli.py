@@ -258,6 +258,34 @@ def test_bad_suite_parameter_exits_two(tmp_path, capsys):
     assert "delta" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--name", "rem2", "--count", "0"], "count must be >= 1"),
+        (["--name", "thm3.1", "--count", "0"], "count must be >= 1"),
+        (["--name", "thm2.2", "--count", "-3"], "count must be >= 1"),
+        (["--name", "all", "--alpha", "9", "--count", "1", "--seed", "2"], "not alpha, count"),
+    ],
+    ids=["rem2-count-0", "thm3.1-count-0", "thm2.2-count-negative", "all-alpha-count"],
+)
+def test_suite_parameters_it_cannot_use_exit_two(tmp_path, capsys, args, message):
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, ["suite", *args, "--out", str(out_path)])
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+    assert out == "" and not out_path.exists()
+
+
+def test_me_at_alpha_zero_is_decided_by_re_g_where_zg_prime_overflows(tmp_path, capsys):
+    series = write_series(tmp_path, [[0.1, 0.0], [1e308, 0.0]])
+    code, out, err = run(capsys, ["check", "--class", "me", "--alpha", "0", "--series", series])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["status"] == "NonMember"
+    assert payload["min_margin"] < -1e307
+
+
 def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit):
         cli.main(["check"])

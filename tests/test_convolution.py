@@ -233,35 +233,33 @@ def test_neighborhood_sample_rejects_bad_input():
 
 
 def test_check_thm32_pole_neighborhood_all_members():
-    report = check_thm32(POLE, 1.0, eps=0.5, count=60, grid=GRID, seed=0)
-    assert report.suite == "thm3.2"
-    assert report.passed
-    by_name = {c.name: c for c in report.checks}
+    checks = check_thm32(POLE, 1.0, eps=0.5, delta=1.0 / 3.0, count=60, grid=GRID, seed=0)
+    assert all(c.status is not CheckStatus.FAIL for c in checks)
+    by_name = {c.name: c for c in checks}
     assert by_name["premise"].status is CheckStatus.PASS
     assert by_name["neighborhood_members"].status is CheckStatus.PASS
     assert "60" in by_name["neighborhood_members"].detail
-    assert report.inputs["delta_star"] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert report.inputs["delta"] == report.inputs["delta_star"]
 
 
 def test_check_thm32_premise_failure_is_inapplicable():
     f = from_coeffs([0.0, 0.8])
-    report = check_thm32(f, 1.0, eps=0.5, count=10, grid=GRID, seed=0)
-    assert report.passed  # inapplicable is not a failure
-    for c in report.checks:
-        assert c.status is CheckStatus.INAPPLICABLE
+    checks = check_thm32(f, 1.0, eps=0.5, delta=1.0 / 3.0, count=10, grid=GRID, seed=0)
+    assert [c.name for c in checks] == ["premise", "neighborhood_members"]
+    for c in checks:
+        assert c.status is CheckStatus.INAPPLICABLE  # inapplicable is not a failure
 
 
 def test_check_thm32_parameter_validation():
     with pytest.raises(ValueError):
-        check_thm32(POLE, 1.0, eps=0.2, count=5, grid=GRID, seed=0)  # eps <= delta
+        check_thm32(POLE, 1.0, eps=0.2, delta=1.0 / 3.0, count=5, grid=GRID, seed=0)  # eps <= delta
+    with pytest.raises(ValueError, match="delta"):
+        check_thm32(POLE, 1.0, eps=0.5, delta=0.4, count=5, grid=GRID, seed=0)  # delta > delta_star
+    with pytest.raises(ValueError, match="delta"):
+        check_thm32(POLE, 1.0, eps=0.5, delta=0.0, count=5, grid=GRID, seed=0)
     with pytest.raises(ValueError):
-        check_thm32(POLE, 1.0, eps=0.5, count=5, grid=GRID, seed=0, scale=1.2)
-    with pytest.raises(ValueError):
-        check_thm32(POLE, 1.0, eps=0.5, count=0, grid=GRID, seed=0)
+        check_thm32(POLE, 1.0, eps=0.5, delta=1.0 / 3.0, count=0, grid=GRID, seed=0)
 
 
 def test_check_thm32_shrunken_radius_still_passes():
-    report = check_thm32(POLE, 2.0, eps=0.3, count=30, grid=GRID, seed=11, scale=0.5)
-    assert report.passed
-    assert report.inputs["delta"] == pytest.approx(0.1, abs=1e-15)
+    checks = check_thm32(POLE, 2.0, eps=0.3, delta=0.1, count=30, grid=GRID, seed=11)
+    assert all(c.status is CheckStatus.PASS for c in checks)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,10 @@ from merostar.harness import (
     save_report,
     save_series,
 )
-from merostar.reporting import CheckResult, CheckStatus
+from merostar.reporting import CheckResult, CheckStatus, VerificationReport
 from merostar.series import DiscGrid, from_coeffs
 from merostar.tme import TmeFunction, check_tme_exact
+from merostar.tolerances import EXACT_TOL
 
 GRID = DiscGrid.default()
 
@@ -236,7 +238,7 @@ def test_all_runs_each_suite_once_with_its_defaults_and_the_seed(monkeypatch):
 
     for sid, (_, defaults) in list(harness._SUITES.items()):
         monkeypatch.setitem(harness._SUITES, sid, (recorder(sid), defaults))
-    report = run_suite("all", {"seed": 5, "alpha": 9.0})
+    report = run_suite("all", {"seed": 5})
     assert calls == list(ALL_AT_SEED_5.items())
     assert SUITE_IDS == (*ALL_AT_SEED_5, "all")
     assert report.suite == "all"
@@ -252,6 +254,79 @@ def test_all_runs_each_suite_once_with_its_defaults_and_the_seed(monkeypatch):
     assert [p.get("seed") for _, p in calls] == [
         None if "seed" not in p else 0 for p in ALL_AT_SEED_5.values()
     ]
+
+
+def test_all_rejects_every_parameter_but_the_seed():
+    with pytest.raises(ValueError, match="takes only seed, not count, n$"):
+        run_suite("all", {"seed": 2, "n": 3, "count": 1, "alpha": None})
+    # a single suite still accepts keys it does not use
+    assert run_suite("rem1", {"seed": 2}).passed
+
+
+# every check of "all" at seed 7, in report order
+ALL_CHECKS = (
+    "thm2.1/exp_separates_mf_from_me",
+    "thm2.1/square_separates_starlike_from_mf",
+    "thm2.1/extremal_in_me",
+    "thm2.1/extremal_margin_vanishes_on_negative_axis",
+    "thm2.1/inclusion_chain_at_order",
+    "thm2.1/order_functional_boundary_limit",
+    "thm2.2/certificate_implies_grid_margins",
+    "thm2.2/boundary_members_sum_exactly_one",
+    "thm2.2/certificate_is_not_necessary",
+    "thm2.3/root_identity",
+    "thm2.3/extremal_in_me",
+    "thm2.3/certified_members_respect_bounds",
+    "rem1/witness_in_me_alpha1",
+    "rem1/witness_not_starlike",
+    "rem2/holds_for_extremal",
+    "rem2/holds_for_certified_members",
+    "rem2/check_has_power",
+    "thm3.1/status_agreement_with_direct_check",
+    "thm3.1/kernel_coeffs_match_fourier_oracle",
+    "thm3.1/kernel_identity",
+    "thm3.1/gamma_discretization_within_bound",
+    "thm3.2/premise",
+    "thm3.2/neighborhood_members",
+    "thm3.2/inflated_radius_refuted",
+    "thm4.1/sharp_functions_margin_zero",
+    "thm4.1/scaled_sharp_function_refuted",
+    "thm4.1/members_in_me",
+    "thm4.1/scaled_members_refuted",
+    "cor1/decompose_recompose_roundtrip",
+    "cor1/convex_combinations_are_members",
+    "cor1/extreme_points_decompose_to_unit_weight",
+    "cor2/bounds_hold_for_members",
+    "cor2/equality_function_attains_lower_at_r",
+    "cor2/equality_function_attains_upper_at_ir",
+    "thm4.2/ratio_bounds_hold_for_members",
+    "thm4.2/sharpness_gap_shrinks_with_radius",
+    "thm4.2/nonzero_a0_observation",
+)
+
+
+def test_all_reports_each_claim_once():
+    report = run_suite("all", {"seed": 7})
+    assert tuple(c.name for c in report.checks) == ALL_CHECKS
+    assert len(set(ALL_CHECKS)) == 37
+    assert {c.name for c in report.checks if c.status is CheckStatus.INDETERMINATE} == {
+        "thm4.2/nonzero_a0_observation"
+    }
+    assert report.passed
+
+
+@pytest.mark.parametrize("deviation, status", [
+    (0.0, CheckStatus.PASS),
+    (np.nextafter(EXACT_TOL, 0.0), CheckStatus.PASS),
+    (EXACT_TOL, CheckStatus.FAIL),
+    (math.nan, CheckStatus.FAIL),
+    (math.inf, CheckStatus.FAIL),
+])
+def test_within_passes_strictly_below_its_tolerance(deviation, status):
+    check = harness._within("identity", deviation)
+    assert check.status is status
+    assert check.margin is deviation
+    assert harness._within("identity", 1e-10, 1e-10).status is CheckStatus.FAIL
 
 
 def test_thm32_suite_rejects_bad_delta():
@@ -298,6 +373,30 @@ def test_load_tme_accepts_both_shapes(tmp_path):
     path.write_text('{"coeffs": [[0, 0], [0.1, 0]]}')
     with pytest.raises(ValueError, match="index 1"):
         load_tme(path)
+
+
+def test_save_report_writes_non_finite_margins_as_null(tmp_path):
+    checks = (
+        CheckResult("uncertified", CheckStatus.FAIL, -math.inf, None, "certificate failed"),
+        CheckResult("no_samples", CheckStatus.PASS, math.inf),
+        CheckResult("undefined", CheckStatus.FAIL, math.nan, 0.5j),
+    )
+    path = tmp_path / "report.json"
+    save_report(VerificationReport("thm2.2", {"count": 3}, checks, 0), path)
+    data = json.loads(path.read_text(), parse_constant=pytest.fail)
+    assert [c["margin"] for c in data["checks"]] == [None, None, None]
+    assert [c["detail"] for c in data["checks"]] == [
+        "certificate failed; margin -inf written as null",
+        "margin inf written as null",
+        "margin nan written as null",
+    ]
+
+
+def test_save_report_refuses_nan_inputs_before_writing(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        save_report(VerificationReport("rem1", {"alpha": math.nan}, (), 0), path)
+    assert not path.exists()
 
 
 def test_save_report_stable_json(tmp_path):
