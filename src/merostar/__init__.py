@@ -23,7 +23,6 @@ from .classes import (
 )
 from .convolution import (
     KernelSpec,
-    check_thm31,
     check_thm32,
     convolve_with_kernel,
     kernel,
@@ -93,7 +92,6 @@ __all__ = [
     "coeff_weight",
     "me_margins",
     "KernelSpec",
-    "check_thm31",
     "check_thm32",
     "convolve_with_kernel",
     "kernel",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,13 +48,13 @@ def _cmd_check(args) -> int:
     grid = _build_grid(args)
     alpha = float(args.alpha)
     payload = {"class": args.klass, "alpha": alpha}
-    margins = None
     if args.klass == "tme":
         f = harness.load_tme(args.series)
         exact = tme.check_tme_exact(f, alpha)
         verdict = harness._tme_verdict(f, alpha, exact)
         payload["exact_margin"] = exact[1]
-        lf = f.to_laurent()
+        if args.csv:  # the TME verdict is exact and never sampled the grid
+            margins = check_class(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)[1]
     else:
         lf = harness.load_series(args.series)
         spec = ClassSpec(Family(args.klass), alpha)
@@ -67,10 +68,11 @@ def _cmd_check(args) -> int:
         witness=None if verdict.witness is None else [verdict.witness.real, verdict.witness.imag],
         samples_checked=verdict.samples_checked,
     )
+    for key in ("min_margin", "exact_margin"):  # JSON has no infinity or NaN: write null
+        if not math.isfinite(payload.get(key, 0.0)):
+            payload[key] = None
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     if args.csv:
-        if margins is None:  # the TME verdict is exact and never sampled the grid
-            margins = check_class(ClassSpec(Family.TME, alpha), lf, grid)[1]
         _dump_margin_csv(args.csv, grid, margins)
     return 0 if verdict.is_member else 1
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import (
+    _MARGINS,
     ClassSpec,
     Family,
     MembershipVerdict,
-    _verdict_from_margins,
+    _margins,
     check_me,
     coeff_weight,
 )
@@ -31,7 +32,6 @@ from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_supp
 __all__ = [
     "KernelSpec",
     "kernel",
-    "check_thm31",
     "thm31_margins",
     "stability_premise",
     "neighborhood_sample",
@@ -78,38 +78,27 @@ def thm31_margins(
     point, in grid.points order.
 
     Returns (exact, sampled): the exact minimum over all phases, which is
-    Re g - alpha |z g'|, and the minimum over gamma_samples equispaced
-    phases gamma_j = 2 pi j / gamma_samples. The sampled value never drops
-    below the exact one; the gap is at most alpha |z g'| pi^2 / (2 M^2).
-    """
-    alpha = ClassSpec(Family.ME, alpha).alpha
-    g, zgp = ring_values(f, grid)
-    w = alpha * zgp
-    exact = np.real(g) - np.abs(w)
-    # min_j cos(arg w + gamma_j) = -cos(distance from the nearest sampled
-    # angle to pi), computed directly instead of looping over j; the gap
-    # 1 - cos(dist) is taken as 2 sin^2(dist/2), which keeps its relative
-    # accuracy instead of cancelling two margins near 1
-    step = TAU / gamma_samples
-    residue = np.mod(math.pi - np.angle(w), step)
-    dist = np.minimum(residue, step - residue)
-    sampled = exact + np.abs(w) * 2.0 * np.sin(dist / 2.0) ** 2
-    return exact, sampled
-
-
-def check_thm31(
-    f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int = 256
-) -> MembershipVerdict:
-    """Membership via the kernel family: positive real part for all phases.
-
-    The verdict uses the exact minimum over gamma (no discretization), so it
-    agrees with check_me pointwise. samples_checked counts the grid-phase
-    combinations the sampled variant covers.
+    the ME margin, and the minimum over M = gamma_samples phases 2 pi j / M
+    (exact itself at alpha = 0). sampled never drops below exact, and the
+    gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
-    exact, _ = thm31_margins(f, alpha, grid, gamma_samples)
-    return _verdict_from_margins(exact, grid.points, samples=len(grid) * gamma_samples)
+    alpha = ClassSpec(Family.ME, alpha).alpha
+    g, zgp = ring_values(f, grid)
+    exact, _ = _margins(_MARGINS[Family.ME], alpha, g, zgp)
+    if not alpha:
+        return exact, exact
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN count as degenerate
+        w = alpha * zgp
+        # min_j cos(arg w + gamma_j) = -cos(distance from the nearest sampled
+        # angle to pi), computed directly instead of looping over j; the gap
+        # 1 - cos(dist) is taken as 2 sin^2(dist/2), which keeps its relative
+        # accuracy instead of cancelling two margins near 1
+        step = TAU / gamma_samples
+        residue = np.mod(math.pi - np.angle(w), step)
+        dist = np.minimum(residue, step - residue)
+        return exact, exact + np.abs(w) * 2.0 * np.sin(dist / 2.0) ** 2
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):
@@ -168,6 +157,11 @@ def neighborhood_sample(
     return samples
 
 
+def _delta_star(alpha: float) -> float:
+    """The neighborhood radius 1/(1 + 2 alpha) that Theorem 3.2 covers."""
+    return 1.0 / coeff_weight(ClassSpec(Family.ME, alpha).alpha, 1)
+
+
 def check_thm32(
     f: LaurentFunction,
     alpha: float,
@@ -186,9 +180,9 @@ def check_thm32(
     have any force. A premise failure makes both checks inapplicable rather
     than failed; neighborhood_sample validates count.
     """
-    delta_star = 1.0 / coeff_weight(alpha, 1)  # 1/(1+2*alpha)
-    if not 0.0 < delta <= delta_star:
-        raise ValueError(f"delta must lie in (0, {delta_star}], got {delta}")
+    radius = _delta_star(alpha)
+    if not 0.0 < delta <= radius:
+        raise ValueError(f"delta must lie in (0, {radius}], got {delta}")
     if not delta < eps < 1.0:
         raise ValueError(
             f"need delta < eps < 1 (delta={delta}, eps={eps}); "

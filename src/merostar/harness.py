@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convolution, extremal, partial_sums, tme
+from . import classes, convolution, extremal, partial_sums, tme
 from .classes import (
     ClassSpec,
     Family,
@@ -65,6 +65,7 @@ __all__ = [
 def _sample_weighted(
     alpha: float, rng: np.random.Generator, lowest: int, max_index: int
 ) -> LaurentFunction:
+    alpha = ClassSpec(Family.ME, alpha).alpha  # before coeff_weight, which is 0 at alpha = -0.5
     indices, weights = random_support(rng, lowest, max_index, 13)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(indices)))
     u = float(rng.uniform(0.0, 1.0))
@@ -100,6 +101,7 @@ def sample_tme_member(
 
     boundary=True omits the pole weight so the weighted sum is exactly 1.
     """
+    alpha = ClassSpec(Family.TME, alpha).alpha
     indices, lam = random_support(rng, 1, max_index, 9, 0 if boundary else 1)
     tail = lam if boundary else lam[1:]
     mags = [0.0] * int(indices.max())
@@ -154,6 +156,8 @@ def _tme_verdict(f: tme.TmeFunction, alpha: float, exact: tuple[bool, float]):
     member, margin = exact
     if member:
         return MembershipVerdict(Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes))
+    if margin == -math.inf:  # the weighted sum overflows: refuted, though no axis margin is finite
+        return MembershipVerdict(Status.NON_MEMBER, margin, None, len(f.magnitudes))
     axis = tme.refute_on_axis(f, alpha)
     if axis.status is Status.NON_MEMBER:
         return axis
@@ -416,9 +420,10 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
             f = LaurentFunction(tuple(3.0 * c for c in base.coeffs))
         else:
             f = sample_wild_function(rng)
-        a = convolution.check_thm31(f, alpha, grid, gamma_samples)
-        b = check_me(f, alpha, grid)
-        agree += a.status is b.status
+        exact, sampled = thm31_margins(f, alpha, grid, gamma_samples)
+        me = classes._verdict_from_margins(exact, grid.points)
+        kernels = classes._verdict_from_margins(sampled, grid.points)
+        agree += me.status is kernels.status
 
     worst = 0.0
     for _ in range(20):
@@ -473,7 +478,7 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
 def _suite_thm32(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, eps, count, seed = p["alpha"], p["eps"], p["count"], p["seed"]
     pole = LaurentFunction(())
-    delta = p.get("delta", 1.0 / coeff_weight(alpha, 1))
+    delta = p.get("delta", convolution._delta_star(alpha))
     stability = convolution.check_thm32(pole, alpha, eps, delta, count, grid, seed)
 
     verdicts = [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from merostar import classes, cli, extremal
+from merostar import classes, cli, extremal, harness
 from merostar.series import serialize_coeffs
 
 import hostile
@@ -275,6 +275,29 @@ def test_suite_parameters_it_cannot_use_exit_two(tmp_path, capsys, args, message
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
     assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "-0.5", "inf"])
+@pytest.mark.parametrize("name", harness.SUITE_IDS[:-1])
+def test_suite_with_a_bad_order_names_alpha_and_exits_two(tmp_path, capsys, name, alpha):
+    # a validated order, not a division by 1 + 2 alpha = 0 or a NaN coefficient, is what fails
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, ["suite", "--name", name, "--alpha", alpha, "--out", str(out_path)])
+    assert code == 2
+    assert err.startswith("error:") and "alpha" in err
+    assert err.count("\n") == 1
+    assert out == "" and not out_path.exists()
+
+
+def test_check_tme_refutes_a_weighted_sum_beyond_float_range(tmp_path, capsys):
+    # the exact test's sum overflows to inf, which refutes although no grid margin is finite
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"magnitudes": [1e308]}))
+    code, out, err = run(capsys, ["check", "--class", "tme", "--alpha", "1", "--series", str(path)])
+    assert (code, err) == (1, "")
+    payload = _strict_json(out)
+    assert payload["status"] == "NonMember"
+    assert payload["min_margin"] is None and payload["exact_margin"] is None
 
 
 def test_me_at_alpha_zero_is_decided_by_re_g_where_zg_prime_overflows(tmp_path, capsys):

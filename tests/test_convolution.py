@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merostar.classes import Status, check_me
+from merostar.classes import Status, _verdict_from_margins, check_me
 from merostar.convolution import (
     KernelSpec,
-    check_thm31,
     check_thm32,
     convolve_with_kernel,
     kernel,
@@ -111,31 +110,41 @@ def test_sampled_gamma_gap_within_quadratic_bound():
 
 
 def test_check_thm31_agrees_with_direct_check():
+    # the kernel family at the default 256 phases decides as the direct check does
     rng = np.random.default_rng(16)
     for i in range(30):
         if i % 2:
             f = sample_wild_function(rng)
         else:
             f = sample_certified_member(0.7, rng)
-        a = check_thm31(f, 0.7, GRID)
-        b = check_me(f, 0.7, GRID)
-        assert a.status is b.status
-        assert a.min_margin == pytest.approx(b.min_margin, abs=1e-12)
+        _, sampled = thm31_margins(f, 0.7, GRID, 256)
+        assert _verdict_from_margins(sampled, GRID.points).status is check_me(f, 0.7, GRID).status
 
 
 def test_check_thm31_pole_and_arguments():
-    v = check_thm31(POLE, 1.0, GRID, gamma_samples=64)
-    assert v.status is Status.SAMPLED_MEMBER
-    assert v.min_margin == 1.0
-    assert v.samples_checked == len(GRID) * 64
+    exact, sampled = thm31_margins(POLE, 1.0, GRID, gamma_samples=64)
+    assert np.all(exact == 1.0) and np.all(sampled == 1.0)
+    for gamma_samples in (3, 0):
+        with pytest.raises(ValueError):
+            thm31_margins(POLE, 1.0, GRID, gamma_samples)
     with pytest.raises(ValueError):
-        check_thm31(POLE, 1.0, GRID, gamma_samples=3)
-    with pytest.raises(ValueError):
-        check_thm31(POLE, -1.0, GRID)
+        thm31_margins(POLE, -1.0, GRID, 256)
+
+
+def test_thm31_margins_at_alpha_zero_are_re_g_where_zg_prime_overflows():
+    # no phase term at alpha = 0, so an overflowing z g' leaves both margins at Re g
+    f = from_coeffs([0.1, 1e308])
+    exact, sampled = thm31_margins(f, 0.0, GRID, 256)
+    re_g = np.real(eval_g(f, GRID.points))
+    finite = np.isfinite(re_g)
+    assert finite.any()
+    assert np.array_equal(sampled[finite], exact[finite])
+    assert np.array_equal(exact[finite], re_g[finite])
 
 
 def test_exp_witness_rejected_by_kernel_check():
-    assert check_thm31(mf_not_me_witness(), 1.0, GRID).status is Status.NON_MEMBER
+    _, sampled = thm31_margins(mf_not_me_witness(), 1.0, GRID, 256)
+    assert _verdict_from_margins(sampled, GRID.points).status is Status.NON_MEMBER
 
 
 def test_kernel_identity_against_hadamard():
