@@ -19,6 +19,7 @@ from .classes import (
     coeff_sufficient_me,
     class_margins,
     coeff_weight,
+    grid_margins,
     me_margins,
 )
 from .convolution import (
@@ -90,6 +91,7 @@ __all__ = [
     "coeff_sufficient_me",
     "class_margins",
     "coeff_weight",
+    "grid_margins",
     "me_margins",
     "KernelSpec",
     "check_thm32",

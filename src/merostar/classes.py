@@ -6,20 +6,26 @@ The classes, all over the punctured unit disc E with g = z*f:
     MF(alpha):       |z g'(z)/g(z)| < 1 - alpha             (0 <= alpha < 1)
     STARLIKE(alpha): Re(z g'(z)/g(z)) < 1 - alpha           (0 <= alpha < 1)
 
-One table maps each family to its margin, which the checks evaluate on a
-finite grid. A negative
-margin is a proof of non-membership (the witness point is returned);
-nonnegative margins everywhere are evidence, not proof, so the best sampled
-verdict is SampledMember. CertifiedMember is reserved for the coefficient
-certificate, which is a genuine sufficient condition.
+One table maps each family to its margin. g is a polynomial, so each margin
+extends continuously to the closed disc and is superharmonic there (for MF
+and STARLIKE once g has no zero in it): its minimum over the disc lies on
+|z| = 1. The checks therefore sample the unit circle first. A sampled
+minimum that clears a Lipschitz bound on the gaps between samples plus a
+rounding bound proves membership; a sample that is negative beyond the
+rounding bound refutes it, with a witness inside the disc. Anything else
+(ties, a |g| near 0, zeros of g, non-finite values) is sampled on the grid
+as before, where a negative margin refutes and nonnegative margins are
+evidence, not proof. MembershipVerdict.proof says which path decided.
+CertifiedMember is reserved for the coefficient certificate, which is a
+genuine sufficient condition.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,6 +38,7 @@ __all__ = [
     "Status",
     "MembershipVerdict",
     "class_margins",
+    "grid_margins",
     "me_margins",
     "check_class",
     "check_me",
@@ -81,10 +88,16 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """status with the least margin evaluated and its point (witness), the
+    number of points evaluated, and what decided the status: "circle" (a
+    bound on the unit circle), "coefficients" (a coefficient sum) or None
+    (sampled on the grid)."""
+
     status: Status
     min_margin: float
     witness: Optional[complex]
     samples_checked: int
+    proof: Optional[str] = None
 
     @property
     def is_member(self) -> bool:
@@ -120,29 +133,148 @@ def _verdict_from_margins(
     return MembershipVerdict(Status.SAMPLED_MEMBER, min_margin, witness, n)
 
 
-# Family -> (margin of the class condition from g, zg' and alpha; whether it
-# divides by g, so that points with |g| < ZERO_TOL are degenerate). The
-# negative-coefficient class TME is a subclass of ME and shares its margin.
-# At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would be NaN wherever
-# z g' overflows, although Re g decides there.
+class _Rule(NamedTuple):
+    """A class margin of g, z g' and alpha; whether it divides by g (points
+    with |g| < ZERO_TOL are then degenerate); if not, the weight of z g' in
+    its Lipschitz bound on the circle."""
+
+    margin: Callable
+    divides: bool
+    weight: Optional[Callable] = None
+
+
+# Family -> rule. The negative-coefficient class TME is a subclass of ME and
+# shares its rule. At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would
+# be NaN wherever z g' overflows, although Re g decides there.
 _MARGINS = {
-    Family.ME: (lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0), False),
-    Family.MF: (lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
-    Family.STARLIKE: (lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
+    Family.ME: _Rule(
+        lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0),
+        False,
+        lambda alpha: alpha,
+    ),
+    Family.MF: _Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
+    Family.STARLIKE: _Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
 }
 _MARGINS[Family.TME] = _MARGINS[Family.ME]
 # Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own
-_REMARK2 = (lambda g, zgp, alpha: np.real(g) - np.real(zgp), False)
+_REMARK2 = _Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda alpha: 1.0)
 
 
-def _margins(rule, alpha: float, g, zgp):
-    margin, divides = rule
+def _margins(rule: _Rule, alpha: float, g, zgp):
     degenerate = None
-    if divides:
+    if rule.divides:
         degenerate = np.abs(g) < ZERO_TOL
         g = np.where(degenerate, np.nan, g)  # NaN margins where |g| ~ 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        return margin(g, zgp, alpha), degenerate
+        return rule.margin(g, zgp, alpha), degenerate
+
+
+_U = 2.0**-53  # unit roundoff of binary64
+
+
+def _gamma(n: float) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+def _value_error(n: int, m: int) -> float:
+    """Bound on the error of one ring value of a polynomial with n
+    coefficients c_k on the unit circle with m samples, per unit of
+    sum (1 + k)|c_k|.
+
+    It covers either branch of ring_values: Horner's rule (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., eq. (5.3), doubled for
+    complex arithmetic) and the fold plus an FFT of length m (Higham
+    Thm 24.2 with twiddle factors correct to the unit roundoff; the 2-norm
+    bound holds for each entry, and ||y||_2 <= sqrt(m) sum |c_k|). The weight
+    1 + k covers sample points that miss the circle by an ulp.
+    """
+    lg = math.log2(m)
+    eta = _U + _gamma(4) * (math.sqrt(2.0) + _U)
+    fft = math.sqrt(m) * lg * eta / (1.0 - lg * eta)
+    return 2.0 * (_gamma(4 * n + 8) + fft + _gamma(n // m + 2))
+
+
+def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
+    """(Lipschitz constant in theta, rounding bound) of the rule's margin on
+    the unit circle sampled at m points, or None when no bound holds.
+
+    With c the coefficients of g and S_p = sum k^p |c_k|: g moves by at most
+    S_1 and z g' by at most S_2 per unit of theta. A rule that does not
+    divide by g gets L = S_1 + w S_2 for its weight w. Otherwise the least
+    |g| on the circle must clear the farthest an arc between samples can
+    move g, which also makes the winding number of the samples exact; with
+    no zero of g inside, z g'/g is holomorphic on the closed disc and
+    moves by at most (S_2 S_0 + S_1^2)/min|g|^2.
+    """
+    c = np.abs(f.g_coeffs)
+    k = np.arange(len(c), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
+        s0, s1, s2 = (float(np.sum(c * k**p)) for p in (0, 1, 2))
+        w0, w1 = float(np.sum((1.0 + k) * c)), float(np.sum((1.0 + k) * k * c))
+    rho = _value_error(len(c), m)
+    if not rule.divides:
+        w = rule.weight(alpha)
+        return s1 + w * s2, rho * (w0 + w * w1) + _gamma(8) * (s0 + w * s1)
+    if not np.isfinite(g).all():
+        return None
+    least = float(np.min(np.abs(g))) - rho * w0
+    if not least > 2.0 * math.pi / m * s1:  # |g| near 0
+        return None
+    if round(float(np.sum(np.angle(np.roll(g, -1) / g))) / (2.0 * math.pi)) != 0:
+        return None  # a zero of g inside: z g'/g has a pole there
+    low = least - math.pi / m * s1
+    h = s1 / low  # bounds |z g'/g| on the circle
+    return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
+
+
+def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margins_on=None):
+    """Verdict of a rule for f, and the margins it folded last.
+
+    margins_on(at) gives (margins, degenerate mask or None, g) on a grid;
+    by default it evaluates f with ring_values. The unit circle with
+    M = grid.angular_samples points decides where a bound proves the verdict
+    (proof "circle"): a member when the sampled minimum exceeds L pi/M plus
+    rounding, a non-member when a sample is below -MARGIN_TOL - rounding and
+    a ring inside the disc gives a NonMember witness. A positive but
+    unproved minimum refines the circle to 4M points once. Everything else
+    is sampled on the grid. samples_checked counts every point evaluated.
+    """
+    if margins_on is None:
+
+        def margins_on(at):
+            g, zgp = ring_values(f, at)
+            return (*_margins(rule, alpha, g, zgp), g)
+
+    evaluated = 0
+    for m in (grid.angular_samples, 4 * grid.angular_samples):
+        circle = DiscGrid.circle(m)
+        margins, _, g = margins_on(circle)
+        evaluated += m
+        if not np.isfinite(margins).all():
+            break
+        bound = _circle_bound(rule, alpha, f, g, m)
+        if bound is None or not all(map(math.isfinite, bound)):
+            break
+        lipschitz, rounding = bound
+        low = _verdict_from_margins(margins, circle.points, samples=evaluated)
+        if low.min_margin - lipschitz * math.pi / m - rounding > 0:
+            return replace(low, status=Status.SAMPLED_MEMBER, proof="circle"), margins
+        if low.min_margin < -MARGIN_TOL - rounding:
+            # step inward: the outermost grid radius, then 1 - 10^-k nearer the circle
+            outer = grid.radii[-1]
+            nearer = [1.0 - 10.0**-k for k in range(1, 16)]
+            for r in [outer] + [x for x in nearer if x > outer]:
+                ring = DiscGrid((r,), m)
+                margins, degenerate, _ = margins_on(ring)
+                evaluated += m
+                v = _verdict_from_margins(margins, ring.points, degenerate, evaluated)
+                if v.status is Status.NON_MEMBER:
+                    return replace(v, proof="circle"), margins
+            break
+        if not low.min_margin > 0:
+            break
+    margins, degenerate, _ = margins_on(grid)
+    return _verdict_from_margins(margins, grid.points, degenerate, evaluated + len(grid)), margins
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
@@ -162,27 +294,35 @@ def me_margins(f: LaurentFunction, alpha: float, points):
     return class_margins(ClassSpec(Family.ME, alpha), f, points)[0]
 
 
+def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
+    """Class margins at every grid point in grid.points order, plus the mask
+    of points where |g| ~ 0 leaves them undefined and NaN (None for classes
+    whose margin never divides by g)."""
+    return _margins(_MARGINS[spec.family], spec.alpha, *ring_values(f, grid))
+
+
 def check_class(
     spec: ClassSpec, f: LaurentFunction, grid: DiscGrid
 ) -> tuple[MembershipVerdict, np.ndarray]:
-    """Sample the class margin on the grid: the verdict, and the margins it
-    folds in grid.points order (NaN where |g| ~ 0 leaves them undefined)."""
-    margins, degenerate = _margins(_MARGINS[spec.family], spec.alpha, *ring_values(f, grid))
-    return _verdict_from_margins(margins, grid.points, degenerate), margins
+    """Decide the class on the unit circle where a bound proves it, else
+    sample the grid: the verdict, and the margins of the last evaluation it
+    folded (the grid's in grid.points order when proof is None; NaN where
+    |g| ~ 0 leaves them undefined)."""
+    return _decide(_MARGINS[spec.family], spec.alpha, f, grid)
 
 
 def check_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
-    """Sample the ME(alpha) margin on the grid."""
+    """Decide the ME(alpha) margin Re g - alpha |z g'| (see check_class)."""
     return check_class(ClassSpec(Family.ME, alpha), f, grid)[0]
 
 
 def check_mf(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
-    """Sample the MF(alpha) margin (1 - alpha) - |z g'/g| on the grid."""
+    """Decide the MF(alpha) margin (1 - alpha) - |z g'/g| (see check_class)."""
     return check_class(ClassSpec(Family.MF, alpha), f, grid)[0]
 
 
 def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
-    """Sample the starlikeness margin (1 - alpha) - Re(z g'/g).
+    """Decide the starlikeness margin (1 - alpha) - Re(z g'/g) (see check_class).
 
     Re(zf'/f) < -alpha rewrites to Re(zg'/g) < 1 - alpha via zf'/f + 1 = zg'/g.
     """
@@ -228,11 +368,10 @@ def coeff_bound(alpha: float, n: int) -> float:
 
 
 def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
-    """Sample the margin -Re(z^2 f'(z)) = Re g - Re(z g').
+    """Decide the margin -Re(z^2 f'(z)) = Re g - Re(z g') (see check_class).
 
     Negative real part of z^2 f' everywhere is implied by membership in
     ME(alpha) for alpha >= 1; this check is the sampled form of that
     implication (it carries no alpha of its own).
     """
-    margins, _ = _margins(_REMARK2, 0.0, *ring_values(f, grid))
-    return _verdict_from_margins(margins, grid.points)
+    return _decide(_REMARK2, 0.0, f, grid)[0]

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import extremal, harness, tme
-from .classes import ClassSpec, Family, check_class
+from .classes import ClassSpec, Family, check_class, grid_margins
 from .series import DiscGrid, serialize_coeffs
 
 
@@ -54,12 +54,13 @@ def _cmd_check(args) -> int:
         verdict = harness._tme_verdict(f, alpha, exact)
         payload["exact_margin"] = exact[1]
         if args.csv:  # the TME verdict is exact and never sampled the grid
-            margins = check_class(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)[1]
+            margins = grid_margins(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)[0]
     else:
         lf = harness.load_series(args.series)
         spec = ClassSpec(Family(args.klass), alpha)
-        # one grid evaluation feeds both the verdict and the CSV
         verdict, margins = check_class(spec, lf, grid)
+        if args.csv and verdict.proof is not None:  # decided on the unit circle, not the grid
+            margins = grid_margins(spec, lf, grid)[0]
         if spec.family is Family.ME:
             verdict = harness._me_verdict(lf, alpha, verdict)
     payload.update(
@@ -67,6 +68,7 @@ def _cmd_check(args) -> int:
         min_margin=verdict.min_margin,
         witness=None if verdict.witness is None else [verdict.witness.real, verdict.witness.imag],
         samples_checked=verdict.samples_checked,
+        proof=verdict.proof,
     )
     for key in ("min_margin", "exact_margin"):  # JSON has no infinity or NaN: write null
         if not math.isfinite(payload.get(key, 0.0)):

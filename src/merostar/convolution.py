@@ -22,6 +22,7 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
+    _decide,
     _margins,
     check_me,
     coeff_weight,
@@ -33,6 +34,7 @@ __all__ = [
     "KernelSpec",
     "kernel",
     "thm31_margins",
+    "thm31_verdicts",
     "stability_premise",
     "neighborhood_sample",
     "check_thm32",
@@ -85,7 +87,11 @@ def thm31_margins(
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
     alpha = ClassSpec(Family.ME, alpha).alpha
-    g, zgp = ring_values(f, grid)
+    return _phase_margins(alpha, *ring_values(f, grid), gamma_samples)
+
+
+def _phase_margins(alpha: float, g, zgp, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """thm31_margins from the values of g and z g'."""
     exact, _ = _margins(_MARGINS[Family.ME], alpha, g, zgp)
     if not alpha:
         return exact, exact
@@ -99,6 +105,31 @@ def thm31_margins(
         residue = np.mod(math.pi - np.angle(w), step)
         dist = np.minimum(residue, step - residue)
         return exact, exact + np.abs(w) * 2.0 * np.sin(dist / 2.0) ** 2
+
+
+def thm31_verdicts(
+    f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int
+) -> tuple[MembershipVerdict, MembershipVerdict]:
+    """The ME verdict of f and the verdict of the kernel family at
+    gamma_samples phases, both from one thm31_margins evaluation on the unit
+    circle where a bound decides them (see classes.check_class), else on the
+    grid.
+
+    The sampled margin is the least of gamma_samples margins
+    Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's
+    Lipschitz bound, so the ME bound on the circle decides it as well.
+    """
+    circle = DiscGrid.circle(grid.angular_samples)
+    first = thm31_margins(f, alpha, circle, gamma_samples)
+
+    def margins_on(which):
+        def at(points):
+            pair = first if points == circle else thm31_margins(f, alpha, points, gamma_samples)
+            return pair[which], None, None
+
+        return at
+
+    return tuple(_decide(_MARGINS[Family.ME], alpha, f, grid, margins_on(i))[0] for i in (0, 1))
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classes, convolution, extremal, partial_sums, tme
+from . import convolution, extremal, partial_sums, tme
 from .classes import (
     ClassSpec,
     Family,
@@ -32,7 +32,7 @@ from .classes import (
     coeff_weight,
     me_margins,
 )
-from .convolution import KernelSpec, kernel, neighborhood_sample, thm31_margins
+from .convolution import KernelSpec, _phase_margins, kernel, neighborhood_sample, thm31_verdicts
 from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
 from .series import (
     DiscGrid,
@@ -41,7 +41,6 @@ from .series import (
     eval_g,
     hadamard,
     random_support,
-    refinement_grid,
     ring_values,
     serialize_coeffs,
 )
@@ -135,9 +134,7 @@ def _me_verdict(f: LaurentFunction, alpha: float, verdict: MembershipVerdict):
     """classify_me given the sampled verdict of check_me."""
     certified, _ = coeff_sufficient_me(f, alpha)
     if certified and verdict.status is not Status.NON_MEMBER:
-        return MembershipVerdict(
-            Status.CERTIFIED_MEMBER, verdict.min_margin, verdict.witness, verdict.samples_checked
-        )
+        return replace(verdict, status=Status.CERTIFIED_MEMBER, proof="coefficients")
     return verdict
 
 
@@ -155,12 +152,14 @@ def _tme_verdict(f: tme.TmeFunction, alpha: float, exact: tuple[bool, float]):
     """classify_tme given the result of check_tme_exact."""
     member, margin = exact
     if member:
-        return MembershipVerdict(Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes))
+        return MembershipVerdict(
+            Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes), "coefficients"
+        )
     if margin == -math.inf:  # the weighted sum overflows: refuted, though no axis margin is finite
-        return MembershipVerdict(Status.NON_MEMBER, margin, None, len(f.magnitudes))
+        return MembershipVerdict(Status.NON_MEMBER, margin, None, len(f.magnitudes), "coefficients")
     axis = tme.refute_on_axis(f, alpha)
     if axis.status is Status.NON_MEMBER:
-        return axis
+        return replace(axis, proof="coefficients")
     return MembershipVerdict(Status.INDETERMINATE, margin, axis.witness, axis.samples_checked)
 
 
@@ -373,9 +372,6 @@ def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
             ),
         ]
     st = check_starlike(w, alpha, grid)
-    if st.status is not Status.NON_MEMBER:
-        # violations barely below the boundary need radii closer to 1
-        st = check_starlike(w, alpha, refinement_grid(512))
     return [in_me, _verdict("witness_not_starlike", st, False, f"n={n} > threshold {threshold}")]
 
 
@@ -420,9 +416,7 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
             f = LaurentFunction(tuple(3.0 * c for c in base.coeffs))
         else:
             f = sample_wild_function(rng)
-        exact, sampled = thm31_margins(f, alpha, grid, gamma_samples)
-        me = classes._verdict_from_margins(exact, grid.points)
-        kernels = classes._verdict_from_margins(sampled, grid.points)
+        me, kernels = thm31_verdicts(f, alpha, grid, gamma_samples)
         agree += me.status is kernels.status
 
     worst = 0.0
@@ -450,9 +444,9 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
         rhs = convolution.convolve_with_kernel(f, alpha, gam, z)
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
-    exact, sampled = thm31_margins(f, alpha, grid, gamma_samples)
-    zgp = np.abs(ring_values(f, grid)[1])
-    bound = 2.0 * np.pi**2 * alpha * zgp / gamma_samples**2
+    g, zgp = ring_values(f, grid)
+    exact, sampled = _phase_margins(alpha, g, zgp, gamma_samples)
+    bound = 2.0 * np.pi**2 * alpha * np.abs(zgp) / gamma_samples**2
     slack = float(np.min(bound - (sampled - exact)))
     nonneg = float(np.min(sampled - exact))
     return [
@@ -604,6 +598,18 @@ def _suite_cor2(p: dict, grid: DiscGrid) -> list[CheckResult]:
     ]
 
 
+def _ratio_grid(f: LaurentFunction, grid: DiscGrid) -> DiscGrid:
+    """The unit circle with grid's angles when sum |a_k| < 1, else grid.
+
+    The sum keeps g_f and g_{S_n} (whose coefficients are a subset) zero-free
+    on the closed disc, so Re(f/S_n) and Re(S_n/f) are harmonic there and
+    take their minima on |z| = 1.
+    """
+    if math.fsum(abs(c) for c in f.coeffs) < 1.0:
+        return DiscGrid.circle(grid.angular_samples)
+    return grid
+
+
 def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, n, count, seed = p["alpha"], p["n"], p["count"], p["seed"]
     rng = np.random.default_rng(seed + 42)
@@ -611,7 +617,8 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     reports = []
     for _ in range(count):
         f = sample_hypothesis_member(alpha, rng)
-        reports.append(partial_sums.check_ratio_bounds(f, alpha, int(rng.integers(1, 9)), grid))
+        n_f = int(rng.integers(1, 9))
+        reports.append(partial_sums.check_ratio_bounds(f, alpha, n_f, _ratio_grid(f, grid)))
     applicable = all(r.applicable for r in reports)
     worst = min((min(r.margins) for r in reports), default=math.inf)
 
@@ -631,7 +638,8 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     for _ in range(20):
         f = sample_hypothesis_member(alpha, rng)
         witha0 = LaurentFunction((0.3 + 0j,) + f.coeffs[1:])
-        rep = partial_sums.check_ratio_bounds(witha0, alpha, int(rng.integers(1, 9)), grid)
+        n_f = int(rng.integers(1, 9))
+        rep = partial_sums.check_ratio_bounds(witha0, alpha, n_f, _ratio_grid(witha0, grid))
         a0_margins.append(min(rep.margins))
     violated = sum(m < -MARGIN_TOL for m in a0_margins)
     return [

@@ -9,7 +9,9 @@ hold on the whole disc, with equality approached by 1/z - z^n/d_n along the
 positive real axis. Ratios are evaluated through g, so f/S_n = g_f/g_{S_n}
 never sees the pole; the hypothesis keeps both denominators zero-free in
 exact arithmetic (tail mass < 1), so degenerate grid points indicate noise
-and are excluded but counted.
+and are excluded but counted. Where both denominators are zero-free on the
+closed disc, both ratios are harmonic and DiscGrid.circle samples their
+minima.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import coeff_sufficient_me, coeff_weight
-from .series import DiscGrid, LaurentFunction, partial_sum, ring_values
+from .series import DiscGrid, LaurentFunction, partial_sum, ring_transform
 from .tme import sharp_function
 from .tolerances import ZERO_TOL
 
@@ -75,8 +77,7 @@ def check_ratio_bounds(
     d_n = coeff_weight(alpha, n)
     # the hypothesis is the coefficient certificate with a_0 left out
     holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
-    gf = ring_values(f, grid)[0]
-    gs = ring_values(partial_sum(f, n), grid)[0]
+    gf, gs = ring_transform([f.g_coeffs, partial_sum(f, n).g_coeffs], grid)
     degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
     excluded = int(np.count_nonzero(degenerate))
     if excluded == len(grid):

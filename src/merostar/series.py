@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "eval_g",
     "eval_g_prime",
     "ring_values",
+    "ring_transform",
     "hadamard",
     "partial_sum",
     "delta_distance",
@@ -108,33 +109,44 @@ def eval_g_prime(f: LaurentFunction, z: complex):
 
 
 def ring_values(f: LaurentFunction, grid: DiscGrid) -> tuple[np.ndarray, np.ndarray]:
-    """g and z g' at every grid point, as flat arrays in grid.points order.
+    """g and z g' at every grid point, as flat arrays in grid.points order."""
+    c = f.g_coeffs
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN count as degenerate
+        kc = np.arange(len(c)) * c
+    g, zgp = ring_transform([c, kc], grid)
+    return g, zgp
 
-    On the ring |z| = r with M equispaced angles, g(r e^{2 pi i j/M}) =
+
+def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
+    """Values at every grid point of the polynomials whose ascending
+    coefficients are the rows, one row each in grid.points order.
+
+    On the ring |z| = r with M equispaced angles, p(r e^{2 pi i j/M}) =
     sum_k c_k r^k e^{2 pi i jk/M} is one inverse DFT of length M, and the
     coefficients with k >= M fold onto index k mod M exactly (aliasing).
-    The fold takes M coefficients at a time, so memory stays O(N + R*M) for
-    N coefficients on R rings. Series of at most log2(M) coefficients take
-    Horner's rule on grid.points instead: its cost grows with the length and
-    the transform's does not, so it is the cheaper one on the shortest series.
+    The whole stack shares one transform per ring. The fold takes M
+    coefficients at a time, so memory stays O(N + R*M) per row for N
+    coefficients on R rings. Stacks whose longest row has at most log2(M)
+    coefficients take Horner's rule on grid.points instead: its cost grows
+    with the length and the transform's does not, so it is the cheaper one
+    on the shortest series.
     """
-    c = f.g_coeffs
     m = grid.angular_samples
+    longest = max(len(row) for row in rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        if len(c) <= math.log2(m):
-            pts = grid.points
-            return eval_g(f, pts), pts * eval_g_prime(f, pts)
+        if longest <= math.log2(m):
+            return np.stack([npoly.polyval(grid.points, row) for row in rows])
+        coeffs = np.zeros((len(rows), longest), dtype=complex)
+        for padded, row in zip(coeffs, rows):
+            padded[: len(row)] = row
         radii = np.asarray(grid.radii)[:, None]
-        spectra = np.zeros((2, len(grid.radii), m), dtype=complex)
+        spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
         # one block of M coefficients at a time, on every ring at once
-        for start in range(0, len(c), m):
-            stop = min(start + m, len(c))
-            k = np.arange(start, stop)
-            a = c[start:stop] * radii**k
-            spectra[0, :, : len(k)] += a
-            spectra[1, :, : len(k)] += k * a
+        for start in range(0, longest, m):
+            stop = min(start + m, longest)
+            spectra[:, :, : stop - start] += coeffs[:, None, start:stop] * radii ** np.arange(start, stop)
         values = np.fft.ifft(spectra, axis=-1, norm="forward")
-    return values[0].ravel(), values[1].ravel()
+    return values.reshape(len(rows), -1)
 
 
 def hadamard(f: LaurentFunction, g: LaurentFunction) -> LaurentFunction:
@@ -185,6 +197,7 @@ class DiscGrid:
     Radii must lie strictly inside (0,1) and increase; the default schedule
     piles radii toward the boundary because the class conditions are open
     inequalities whose failures concentrate there. z = 0 never appears.
+    DiscGrid.circle is the one grid on |z| = 1 itself.
     """
 
     radii: tuple[float, ...] = DEFAULT_RADII
@@ -205,6 +218,15 @@ class DiscGrid:
     @classmethod
     def default(cls) -> "DiscGrid":
         return cls()
+
+    @classmethod
+    @cache  # one instance per M, so its points are computed once
+    def circle(cls, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":
+        """M equispaced points of the unit circle, where the margins of a
+        truncated series take their minimum over the closed disc."""
+        grid = cls((0.5,), angular_samples)  # validates angular_samples
+        object.__setattr__(grid, "radii", (1.0,))
+        return grid
 
     @classmethod
     def with_rmax(cls, rmax: float, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":

@@ -25,7 +25,7 @@ from .classes import (
     coeff_weight,
     me_margins,
 )
-from .series import DiscGrid, LaurentFunction, refinement_grid, ring_values
+from .series import DiscGrid, LaurentFunction, refinement_grid, ring_transform
 
 __all__ = [
     "TmeFunction",
@@ -154,7 +154,7 @@ def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> Membership
     if not member:
         raise ValueError("distortion bounds only apply to members")
     pts = grid.points
-    absf = np.abs(ring_values(f.to_laurent(), grid)[0]) / np.abs(pts)
+    absf = np.abs(ring_transform([f.to_laurent().g_coeffs], grid)[0]) / np.abs(pts)
     bounds = [distortion_bounds(alpha, r) for r in grid.radii]
     lower, upper = np.repeat(np.asarray(bounds), grid.angular_samples, axis=0).T
     margins = np.minimum(absf - lower, upper - absf)

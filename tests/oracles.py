@@ -11,6 +11,7 @@ import math
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, from_man_exp, libmpi, mpf_ge
 
 
 def naive_eval_g(coeffs, z: complex) -> complex:
@@ -92,3 +93,73 @@ def mp_me_margin(coeffs, alpha: float, z: complex, dps: int = 50) -> float:
             zgp += (n + 1) * term
             power *= zz
         return float(g.real - alpha * abs(zgp))
+
+
+def mp_class_margin(coeffs, family: str, alpha: float, z: complex, dps: int = 50) -> float:
+    """The margin of class "me", "mf" or "starlike" at z in dps-digit
+    arithmetic, skipping zero coefficients (so sparse series of high degree
+    stay cheap); z and the coefficients are taken exactly as given."""
+    with mpmath.workdps(dps):
+        zz = mpmath.mpc(z)
+        g, zgp = mpmath.mpc(1), mpmath.mpc(0)
+        for n, a in enumerate(coeffs):
+            if a:
+                term = mpmath.mpc(a) * zz ** (n + 1)  # a_n z^{n+1}
+                g += term
+                zgp += (n + 1) * term
+        if family == "me":
+            return float(g.real - alpha * abs(zgp))
+        ratio = zgp / g
+        return float((1 - alpha) - (abs(ratio) if family == "mf" else ratio.real))
+
+
+def _iv_margin(terms, family: str, alpha, z, prec: int = 53):
+    """Interval enclosure (lo, hi) of the class margin over the complex
+    interval z, from the intervals (a_n, (n+1) a_n) of the coefficients;
+    mpmath.iv's own primitives on raw intervals, without its object layer."""
+    mul, add = libmpi.mpci_mul, libmpi.mpci_add
+    zero = (libmpi.mpi_zero, libmpi.mpi_zero)
+    g, zgp, power = (libmpi.mpi_one, libmpi.mpi_zero), zero, z
+    for a, na in terms:
+        g = add(g, mul(a, power, prec), prec)  # a_n z^{n+1}
+        zgp = add(zgp, mul(na, power, prec), prec)
+        power = mul(power, z, prec)
+    if family == "me":
+        return libmpi.mpi_sub(g[0], libmpi.mpi_mul(alpha, libmpi.mpci_abs(zgp, prec), prec), prec)
+    ratio = libmpi.mpci_div(zgp, g, prec)  # raises ZeroDivisionError when g's enclosure holds 0
+    part = libmpi.mpci_abs(ratio, prec) if family == "mf" else ratio[0]
+    return libmpi.mpi_sub(libmpi.mpi_sub(libmpi.mpi_one, alpha, prec), part, prec)
+
+
+def iv_circle_min_at_least(coeffs, family: str, alpha: float, bound: float, depth: int = 14) -> bool:
+    """True when interval arithmetic (mpmath.iv's primitives) proves the
+    class margin >= bound on all of |z| = 1: the circle is split into arcs,
+    and an arc whose enclosure does not clear the bound is halved, down to
+    2^-depth of the circle."""
+    prec = 53
+
+    def point(x):
+        return (from_float(float(x)), from_float(float(x)))
+
+    terms = []
+    for n, a in enumerate(coeffs):
+        a = complex(a)
+        a_iv = (point(a.real), point(a.imag))
+        terms.append((a_iv, libmpi.mpci_mul((point(n + 1), libmpi.mpi_zero), a_iv, prec)))
+    alpha_iv, bound = point(alpha), from_float(float(bound))
+    two_pi = libmpi.mpi_shift(libmpi.mpi_pi(prec), 1)
+    arcs = [(j, j + 1, 4) for j in range(16)]  # [lo, hi] / 2^level of the circle
+    while arcs:
+        lo, hi, level = arcs.pop()
+        turn = (from_man_exp(lo, -level), from_man_exp(hi, -level))
+        cos, sin = libmpi.mpi_cos_sin(libmpi.mpi_mul(two_pi, turn, prec), prec)
+        try:
+            enclosure = _iv_margin(terms, family, alpha_iv, (cos, sin), prec)
+            if mpf_ge(enclosure[0], bound):
+                continue
+        except ZeroDivisionError:
+            pass
+        if level >= depth:
+            return False
+        arcs += [(2 * lo, 2 * lo + 1, level + 1), (2 * lo + 1, 2 * hi, level + 1)]
+    return True

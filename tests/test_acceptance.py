@@ -17,7 +17,6 @@ import numpy as np
 from merostar import cli
 from merostar.classes import (
     Status,
-    _verdict_from_margins,
     check_me,
     check_mf,
     check_starlike,
@@ -25,7 +24,7 @@ from merostar.classes import (
     coeff_sufficient_me,
     coeff_weight,
 )
-from merostar.convolution import KernelSpec, kernel, neighborhood_sample, thm31_margins
+from merostar.convolution import KernelSpec, kernel, neighborhood_sample, thm31_verdicts
 from merostar.extremal import (
     mf_not_me_witness,
     remark1_witness,
@@ -196,8 +195,8 @@ def test_criterion_05_convolution_equivalence(capsys):
                 f = LaurentFunction(tuple(3.0 * c for c in base.coeffs))
             else:
                 f = sample_wild_function(rng)
-            _, sampled = thm31_margins(f, alpha, GRID, 64)
-            kernels = _verdict_from_margins(sampled, GRID.points)
+            # the kernel family at 64 phases, decided on the unit circle like the direct check
+            _, kernels = thm31_verdicts(f, alpha, GRID, 64)
             agree += kernels.status is check_me(f, alpha, GRID).status
         worst = 0.0
         for _ in range(20):

@@ -1,0 +1,255 @@
+"""The unit-circle decision: the circle grid, the stacked kernel, and the
+bound behind a "circle" verdict, checked against interval arithmetic and
+50-digit evaluation inside the disc."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from merostar import cli, convolution, harness
+from merostar.classes import (
+    _MARGINS,
+    ClassSpec,
+    Family,
+    Status,
+    _circle_bound,
+    check_class,
+    check_me,
+    check_mf,
+    check_starlike,
+)
+from merostar.convolution import thm31_verdicts
+from merostar.extremal import remark1_witness, starlike_not_mf_witness, theorem21_extremal
+from merostar.harness import (
+    _ratio_grid,
+    sample_certified_member,
+    sample_hypothesis_member,
+    sample_wild_function,
+)
+from merostar.partial_sums import check_ratio_bounds
+from merostar.series import DiscGrid, LaurentFunction, from_coeffs, ring_transform, ring_values
+from merostar.tme import sharp_function
+from merostar.tolerances import MARGIN_TOL
+
+import hostile
+import oracles
+
+GRID = DiscGrid.default()
+FAMILIES = (Family.ME, Family.MF, Family.STARLIKE)
+
+
+def test_circle_is_the_only_grid_with_radius_one(tmp_path, capsys):
+    circle = DiscGrid.circle(64)
+    assert circle.radii == (1.0,) and len(circle) == 64
+    assert np.array_equal(circle.points, np.exp(1j * circle.thetas))
+    for build in (lambda: DiscGrid((0.5, 1.0)), lambda: DiscGrid.with_rmax(1.0), lambda: DiscGrid.circle(4)):
+        with pytest.raises(ValueError):
+            build()
+    series = tmp_path / "f.json"
+    series.write_text(json.dumps({"coeffs": []}))
+    argv = ["check", "--class", "me", "--alpha", "1", "--series", str(series), "--grid-rmax", "1"]
+    assert cli.main(argv) == 2
+    assert "rmax" in capsys.readouterr().err
+
+
+def test_ring_values_on_the_circle_match_direct_sums():
+    f = sample_wild_function(np.random.default_rng(1), 40)
+    circle = DiscGrid.circle(64)
+    g, zgp = ring_values(f, circle)
+    for j in range(0, 64, 7):
+        z = circle.points[j]
+        assert g[j] == pytest.approx(oracles.naive_eval_g(f.coeffs, z), abs=1e-12)
+        assert zgp[j] == pytest.approx(z * oracles.naive_eval_g_prime(f.coeffs, z), abs=1e-12)
+
+
+def test_ring_transform_stacks_rows_without_changing_their_bits():
+    rng = np.random.default_rng(2)
+    long, short = sample_wild_function(rng, 60).g_coeffs, np.array([1.0, 0.3, -0.1j])
+    for grid in (GRID, DiscGrid.circle(2048), DiscGrid.with_rmax(0.9, 256)):
+        stacked = ring_transform([long, short], grid)
+        assert np.array_equal(stacked[0], ring_transform([long], grid)[0])
+        assert np.array_equal(stacked[0], ring_values(LaurentFunction(tuple(long[1:])), grid)[0])
+        # the short row joins the long row's transform instead of Horner's rule
+        assert np.allclose(stacked[1], ring_transform([short], grid)[0], atol=1e-14)
+
+
+def test_interval_oracle_confirms_the_circle_lower_bound():
+    # 64 angles, so the bound is loose enough for interval arithmetic to
+    # reach it on arcs of modest length
+    rng = np.random.default_rng(5)
+    grid = DiscGrid(angular_samples=64)
+    proved = {family: 0 for family in FAMILIES}
+    for i in range(1500):
+        family = FAMILIES[i % 3]
+        if proved[family] == 70:
+            continue
+        base = sample_wild_function(rng, 4)
+        f = LaurentFunction(tuple(float(rng.uniform(0.05, 0.6)) * c for c in base.coeffs))
+        alpha = float(rng.uniform(0.0, 0.9))
+        verdict, margins = check_class(ClassSpec(family, alpha), f, grid)
+        if not (verdict.is_member and verdict.proof == "circle"):
+            continue
+        m = len(margins)
+        g = ring_values(f, DiscGrid.circle(m))[0]
+        lipschitz, rounding = _circle_bound(_MARGINS[family], alpha, f, g, m)
+        bound = verdict.min_margin - lipschitz * math.pi / m - rounding
+        assert bound > 0
+        assert oracles.iv_circle_min_at_least(f.coeffs, family.value, alpha, bound), (f, family, alpha)
+        proved[family] += 1
+    assert all(count == 70 for count in proved.values()), proved
+
+
+coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(coefficient, max_size=12),
+    st.floats(0.01, 1.0),
+    st.sampled_from(FAMILIES),
+    st.floats(0.0, 0.95),
+    st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_no_circle_proved_member_is_refuted_inside(raw, scale, family, alpha, polar):
+    f = LaurentFunction(tuple(scale * c / (n + 1) for n, c in enumerate(raw)))
+    verdict, _ = check_class(ClassSpec(family, alpha), f, GRID)
+    if not (verdict.is_member and verdict.proof == "circle"):
+        return
+    points = [r * complex(math.cos(t), math.sin(t)) for r, t in polar]
+    points += [(1.0 - 10.0**-k) * verdict.witness for k in (3, 6, 9)]
+    for z in points:
+        assert oracles.mp_class_margin(f.coeffs, family.value, alpha, z) > 0, z
+
+
+@given(hostile.coeffs, st.sampled_from(FAMILIES), st.floats(0.0, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_hostile_series_get_a_circle_verdict_only_from_finite_values(coeffs, family, alpha):
+    try:
+        f = from_coeffs(coeffs)
+    except ValueError:
+        return  # not finite or beyond float range: refused on construction
+    with np.errstate(all="ignore"):
+        try:
+            verdict, margins = check_class(ClassSpec(family, alpha), f, GRID)
+        except ValueError:
+            return  # no grid point has a defined margin
+        values = ring_values(f, DiscGrid.circle(GRID.angular_samples))
+    if not np.isfinite(values).all():
+        assert verdict.proof is None
+    if verdict.proof == "circle":
+        assert np.isfinite(margins).all()
+        mp = oracles.mp_class_margin(f.coeffs, family.value, alpha, verdict.witness)
+        if verdict.is_member:
+            assert mp > 0
+        else:
+            assert abs(verdict.witness) < 1.0 and mp < 0
+
+
+def test_overflow_and_huge_degree_fall_back_to_the_grid():
+    overflow = from_coeffs([0.0] * 5 + [1e307])  # z g' overflows on the circle
+    v = check_me(overflow, 0.5, GRID)
+    assert v.proof is None and v.status is Status.NON_MEMBER
+    assert v.samples_checked == GRID.angular_samples + len(GRID)
+    # degree 10^5: the Lipschitz bound is far beyond what 4 x 2048 angles resolve
+    huge = LaurentFunction((0j,) * 100_000 + (1e-6 + 0j,))
+    for family, alpha in ((Family.ME, 1.0), (Family.MF, 0.5), (Family.STARLIKE, 0.5)):
+        v, _ = check_class(ClassSpec(family, alpha), huge, GRID)
+        assert v.proof is None
+
+
+def test_ties_and_zeros_of_g_fall_back_to_the_grid():
+    # sharp extremals touch 0 on the circle
+    assert check_me(theorem21_extremal(2.0), 2.0, GRID).proof is None
+    tme_sharp = sharp_function(1.0, 3).to_laurent()
+    assert check_me(tme_sharp, 1.0, GRID).proof is None
+    # (1 - z)^2 / z: g vanishes at z = 1 on the circle
+    v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
+    assert v.status is Status.SAMPLED_MEMBER and v.proof is None
+    # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole
+    assert check_mf(from_coeffs([-2.0]), 0.0, GRID).proof is None
+
+
+def test_circle_refutation_has_an_interior_witness():
+    # rem1's witness violates STARLIKE(0.1) by 0.003126 at a point inside
+    f = remark1_witness(18)
+    v = check_starlike(f, 0.1, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert abs(v.witness) < 1.0
+    assert v.min_margin == pytest.approx(-0.003126, abs=1e-6)
+    assert oracles.mp_class_margin(f.coeffs, "starlike", 0.1, v.witness) < -MARGIN_TOL
+    assert v.samples_checked == 2 * GRID.angular_samples  # the circle, then one ring inside
+
+
+def test_circle_proved_member_reports_its_circle_minimum():
+    f = sample_certified_member(1.0, np.random.default_rng(3))
+    v = check_me(f, 1.0, GRID)
+    assert v.status is Status.SAMPLED_MEMBER and v.proof == "circle"
+    assert abs(v.witness) == pytest.approx(1.0, abs=1e-15)
+    assert v.samples_checked == GRID.angular_samples
+    assert v.min_margin == pytest.approx(oracles.mp_me_margin(f.coeffs, 1.0, v.witness), abs=1e-12)
+
+
+def test_thm31_verdicts_evaluate_the_circle_once(monkeypatch):
+    calls = []
+    original = convolution.ring_values
+
+    def counting(f, grid):
+        calls.append(len(grid))
+        return original(f, grid)
+
+    monkeypatch.setattr(convolution, "ring_values", counting)
+    f = sample_certified_member(1.0, np.random.default_rng(4))
+    me, kernels = thm31_verdicts(f, 1.0, GRID, 256)
+    assert calls == [GRID.angular_samples]
+    assert me.proof == kernels.proof == "circle"
+    assert me.is_member and kernels.is_member
+
+
+def test_thm31_suite_evaluates_its_gap_member_once(monkeypatch):
+    calls = []
+    original = harness.ring_values
+
+    def counting(f, grid):
+        calls.append(len(grid))
+        return original(f, grid)
+
+    monkeypatch.setattr(harness, "ring_values", counting)
+    report = harness.run_suite("thm3.1", {"count": 3})
+    assert calls == [len(GRID)]
+    assert all(c.status.value == "pass" for c in report.checks)
+
+
+def test_ratio_bounds_take_the_circle_where_both_denominators_are_zero_free():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        f = sample_hypothesis_member(1.0, rng)
+        assert _ratio_grid(f, GRID) == DiscGrid.circle(GRID.angular_samples)
+        on_circle = check_ratio_bounds(f, 1.0, 3, _ratio_grid(f, GRID))
+        on_grid = check_ratio_bounds(f, 1.0, 3, GRID)
+        # both ratios are harmonic: the circle holds their least values
+        assert on_circle.observed_min_f_over_s <= on_grid.observed_min_f_over_s + 1e-12
+        assert on_circle.observed_min_s_over_f <= on_grid.observed_min_s_over_f + 1e-12
+    heavy = from_coeffs([0.6, 0.5])  # sum |a_k| >= 1: g may vanish in the disc
+    assert _ratio_grid(heavy, GRID) is GRID
+
+
+def test_check_payload_names_the_proof(tmp_path, capsys):
+    def check(coeffs, alpha):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs]}))
+        code = cli.main(["check", "--class", "me", "--alpha", str(alpha), "--series", str(path)])
+        return code, json.loads(capsys.readouterr().out)
+
+    # fails the coefficient certificate (sum 1.15), proved on the circle
+    code, payload = check([0.5 + 0j, 0.2 + 0j], 0.5)
+    assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", "circle")
+    code, payload = check([0.1 + 0j], 1.0)
+    assert (payload["status"], payload["proof"]) == ("CertifiedMember", "coefficients")
+    # a tie on the circle, outside the certificate: sampled on the grid
+    code, payload = check(theorem21_extremal(2.0).coeffs, 2.0)
+    assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", None)
+    assert payload["samples_checked"] > 12 * 2048  # the circle, then the grid

@@ -19,6 +19,7 @@ from merostar.classes import (
     coeff_bound,
     coeff_sufficient_me,
     coeff_weight,
+    grid_margins,
     me_margins,
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
@@ -68,7 +69,8 @@ def test_check_me_pole():
     v = check_me(from_coeffs([]), 3.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER
     assert v.min_margin == 1.0
-    assert v.samples_checked == len(GRID)
+    assert v.samples_checked == GRID.angular_samples  # the unit circle proves it
+    assert v.proof == "circle"
 
 
 def test_check_me_rejects_exp_witness_near_imaginary_boundary():
@@ -81,11 +83,36 @@ def test_check_me_rejects_exp_witness_near_imaginary_boundary():
 
 
 def test_check_me_boundary_exact_margin_is_indeterminate():
-    # margin at z = -0.9999 is 1 - 2*a0*0.9999 = 0 up to roundoff
+    # the margin 1 - 2*a0*r at z = -r is 0 at r = 0.9999, the outermost grid
+    # radius, but -1.0e-4 on the circle: a non-member, refuted inside
     f = from_coeffs([1.0 / (2.0 * 0.9999)])
     v = check_me(f, 1.0, GRID)
-    assert v.status is Status.INDETERMINATE
-    assert abs(v.min_margin) < MARGIN_TOL
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert abs(v.witness) < 1.0
+    assert oracles.mp_me_margin(f.coeffs, 1.0, v.witness) < -MARGIN_TOL
+    # a0 = 1/2 touches 0 only on the circle (a tie): the grid decides, as before
+    tie = check_me(from_coeffs([0.5]), 1.0, GRID)
+    assert tie.status is Status.SAMPLED_MEMBER and tie.proof is None
+    assert tie.min_margin == pytest.approx(1.0 - 0.9999, rel=1e-9)
+
+
+def test_scaled_member_with_a_violation_beyond_the_grid_is_refuted():
+    # draw 319 of acceptance criterion 5: a 3x-scaled certified member whose
+    # ME margin is positive on every grid ring (least 5.9e-5 at r = 0.9999)
+    # but -0.0027 at |z| = 0.99999
+    rng = np.random.default_rng(105)
+    for i in range(320):
+        if i % 3 == 0:
+            f = sample_certified_member(1.0, rng)
+        elif i % 3 == 1:
+            f = LaurentFunction(tuple(3.0 * c for c in sample_certified_member(1.0, rng).coeffs))
+        else:
+            f = sample_wild_function(rng)
+    assert f.truncation_degree == 30
+    v = check_me(f, 1.0, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert abs(v.witness) < 1.0
+    assert oracles.mp_me_margin(f.coeffs, 1.0, v.witness) < -1e-3
 
 
 def test_check_me_rejects_negative_alpha():
@@ -347,12 +374,13 @@ OUTER = DiscGrid(DEFAULT_RADII[-2:], DEFAULT_ANGULAR_SAMPLES)
 )
 def test_near_boundary_me_margins_match_mpmath(f, alpha, horner):
     assert (len(f.g_coeffs) <= math.log2(OUTER.angular_samples)) is horner
-    verdict, margins = check_class(ClassSpec(Family.ME, alpha), f, OUTER)
-    assert abs(verdict.min_margin) < 1e-2
     c = np.abs(f.g_coeffs)
     k = np.arange(len(c))
-    pts = OUTER.points
-    for i in sorted({*range(0, len(OUTER), 61), int(np.argmin(margins))}):
-        r = OUTER.point_label(i)[0]
-        tol = 1e-12 * (1.0 + float(np.sum((k + 1) * c * r**k)))
-        assert abs(margins[i] - oracles.mp_me_margin(f.coeffs, alpha, pts[i])) <= tol
+    for grid in (OUTER, DiscGrid.circle(DEFAULT_ANGULAR_SAMPLES)):
+        margins = grid_margins(ClassSpec(Family.ME, alpha), f, grid)[0]
+        assert abs(float(np.min(margins))) < 1e-2
+        pts = grid.points
+        for i in sorted({*range(0, len(grid), 61), int(np.argmin(margins))}):
+            r = grid.point_label(i)[0]
+            tol = 1e-12 * (1.0 + float(np.sum((k + 1) * c * r**k)))
+            assert abs(margins[i] - oracles.mp_me_margin(f.coeffs, alpha, pts[i])) <= tol

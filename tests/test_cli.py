@@ -31,7 +31,8 @@ def test_check_pole_is_certified(tmp_path, capsys):
     assert payload["class"] == "me"
     assert payload["status"] == "CertifiedMember"
     assert payload["min_margin"] == 1.0
-    assert payload["samples_checked"] == 12 * 2048
+    assert payload["samples_checked"] == 2048  # the unit circle proves it
+    assert payload["proof"] == "coefficients"
 
 
 def test_check_refutation_exits_one(tmp_path, capsys):
@@ -66,7 +67,7 @@ def test_check_grid_flags_shrink_the_grid(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["samples_checked"] == 9 * 64
+    assert payload["samples_checked"] == 64  # the unit circle at --grid-theta points
 
 
 def test_check_margin_csv(tmp_path, capsys):
@@ -111,12 +112,27 @@ def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass,
          "--csv", str(csv_path)],
     )
     assert code == 0
-    assert calls == [12 * 2048]
+    # the grid once, for the CSV or as the fallback; the unit circle before it
+    assert calls.count(12 * 2048) == 1
+    assert set(calls) - {12 * 2048} <= {2048, 4 * 2048}
     with open(csv_path, newline="") as fh:
         margins = [float(row[4]) for row in list(csv.reader(fh))[1:]]
     assert len(margins) == 12 * 2048
-    if klass != "tme":  # the TME verdict is the exact test, not a grid minimum
-        assert min(margins) == json.loads(out)["min_margin"]
+    payload = json.loads(out)
+    if payload["proof"] is None:  # a verdict sampled on the grid folds the CSV's margins
+        assert min(margins) == payload["min_margin"]
+
+
+def test_check_tme_csv_of_an_overflowing_sum_is_the_non_member_verdict(tmp_path, capsys):
+    # the CSV takes the grid margins alone, so no margin needs to be finite
+    series = tmp_path / "f.json"
+    series.write_text(json.dumps({"magnitudes": [1e308]}))
+    csv_path = tmp_path / "margins.csv"
+    argv = ["check", "--class", "tme", "--alpha", "1", "--series", str(series), "--csv", str(csv_path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and json.loads(out)["status"] == "NonMember"
+    with open(csv_path, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 12 * 2048
 
 
 @pytest.mark.parametrize("name", ["thm21", "thm23", "rem1", "expz", "onemz2"])
