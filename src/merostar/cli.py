@@ -19,29 +19,35 @@ import numpy as np
 
 from . import extremal, harness, tme
 from .classes import ClassSpec, Family, check_class, grid_margins
-from .series import DiscGrid, serialize_coeffs
+from .series import DEFAULT_ANGULAR_SAMPLES, DiscGrid, serialize_coeffs
 
 
 def _build_grid(args) -> DiscGrid:
     rmax = getattr(args, "grid_rmax", None)
     theta = getattr(args, "grid_theta", None)
-    if rmax is None and theta is None:
-        return DiscGrid.default()
+    theta = DEFAULT_ANGULAR_SAMPLES if theta is None else int(theta)
     if rmax is None:
-        return DiscGrid(angular_samples=int(theta))
-    return DiscGrid.with_rmax(float(rmax), int(theta) if theta else 2048)
+        return DiscGrid(angular_samples=theta)
+    return DiscGrid.with_rmax(float(rmax), theta)
 
 
 def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
+    """One CRLF row per grid point, radius-major; every number is its float repr.
+
+    Written one ring at a time: each theta and radius is formatted once, and
+    memory stays O(angular_samples). A float repr holds no comma, quote or
+    newline, so no field needs CSV quoting.
+    """
+    m = grid.angular_samples
+    thetas = [repr(th) for th in grid.thetas.tolist()]
     pts = grid.points
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "theta", "re", "im", "margin"])
-        for i, (z, m) in enumerate(zip(pts, margins)):
-            r, th = grid.point_label(i)
-            writer.writerow(
-                [repr(r), repr(th), repr(float(z.real)), repr(float(z.imag)), repr(float(m))]
-            )
+        fh.write("radius,theta,re,im,margin\r\n")
+        for k, r in enumerate(grid.radii):
+            ring = slice(k * m, (k + 1) * m)
+            z = pts[ring]
+            row = f"{r!r},{{}},{{!r}},{{!r}},{{!r}}\r\n".format
+            fh.writelines(map(row, thetas, z.real.tolist(), z.imag.tolist(), margins[ring].tolist()))
 
 
 def _cmd_check(args) -> int:
@@ -73,9 +79,9 @@ def _cmd_check(args) -> int:
     for key in ("min_margin", "exact_margin"):  # JSON has no infinity or NaN: write null
         if not math.isfinite(payload.get(key, 0.0)):
             payload[key] = None
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    if args.csv:
+    if args.csv:  # before the verdict, so an unwritable path exits 2 with nothing printed
         _dump_margin_csv(args.csv, grid, margins)
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0 if verdict.is_member else 1
 
 

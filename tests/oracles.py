@@ -7,6 +7,8 @@ discrete Fourier inversion. Slow and obvious beats fast and shared-fate.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 
 import mpmath
@@ -49,6 +51,18 @@ def brute_gamma_min(g: complex, w: complex, m: int) -> float:
         val = (g + w * cmath.exp(1j * gam)).real
         best = min(best, val)
     return best
+
+
+def margin_csv_bytes(grid, margins) -> bytes:
+    """The `check --csv` file as csv.writer writes it: a header, then one row
+    per point of grid.points of repr'd point_label, re, im and margin."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["radius", "theta", "re", "im", "margin"])
+    for i, (z, m) in enumerate(zip(grid.points, margins)):
+        r, th = grid.point_label(i)
+        writer.writerow([repr(r), repr(th), repr(float(z.real)), repr(float(z.imag)), repr(float(m))])
+    return buf.getvalue().encode("utf-8")
 
 
 def naive_certificate_sum(coeffs, alpha: float) -> float:

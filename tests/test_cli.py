@@ -1,14 +1,17 @@
 import csv
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from merostar import classes, cli, extremal, harness
-from merostar.series import serialize_coeffs
+from merostar.series import DiscGrid, serialize_coeffs
 
 import hostile
+import oracles
 
 
 def write_series(tmp_path, coeffs, name="series.json"):
@@ -89,7 +92,21 @@ def test_check_margin_csv(tmp_path, capsys):
         assert float(row[4]) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("klass, alpha", [("me", 2.0), ("mf", 0.3), ("starlike", 0.3), ("tme", 1.0)])
+CSV_CASES = [("me", 2.0), ("mf", 0.3), ("starlike", 0.3), ("tme", 1.0)]
+
+
+def degree64_series(tmp_path, klass):
+    """A degree-64 series file for the class: the thm2.1 extremal, or for tme
+    one negative coefficient at index 63."""
+    if klass == "tme":
+        series = tmp_path / "f.json"
+        series.write_text(json.dumps({"magnitudes": [0.0] * 63 + [0.01]}))
+        return str(series)
+    f = extremal.theorem21_extremal(2.0, 64)
+    return write_series(tmp_path, serialize_coeffs(f)["coeffs"])
+
+
+@pytest.mark.parametrize("klass, alpha", CSV_CASES)
 def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass, alpha):
     calls = []
     original = classes.ring_values
@@ -99,16 +116,11 @@ def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass,
         return original(f, grid)
 
     monkeypatch.setattr(classes, "ring_values", counting)
-    if klass == "tme":
-        series = tmp_path / "f.json"
-        series.write_text(json.dumps({"magnitudes": [0.0] * 63 + [0.01]}))
-    else:
-        f = extremal.theorem21_extremal(2.0, 64)
-        series = write_series(tmp_path, serialize_coeffs(f)["coeffs"])
+    series = degree64_series(tmp_path, klass)
     csv_path = tmp_path / "margins.csv"
     code, out, _ = run(
         capsys,
-        ["check", "--class", klass, "--alpha", str(alpha), "--series", str(series),
+        ["check", "--class", klass, "--alpha", str(alpha), "--series", series,
          "--csv", str(csv_path)],
     )
     assert code == 0
@@ -121,6 +133,46 @@ def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass,
     payload = json.loads(out)
     if payload["proof"] is None:  # a verdict sampled on the grid folds the CSV's margins
         assert min(margins) == payload["min_margin"]
+
+
+@pytest.mark.parametrize("klass, alpha", CSV_CASES)
+def test_check_csv_bytes_match_the_csv_writer_oracle(tmp_path, capsys, klass, alpha):
+    series = degree64_series(tmp_path, klass)
+    csv_path = tmp_path / "margins.csv"
+    argv = ["check", "--class", klass, "--alpha", str(alpha), "--series", series, "--csv", str(csv_path)]
+    assert run(capsys, argv)[0] == 0
+    f = harness.load_tme(series).to_laurent() if klass == "tme" else harness.load_series(series)
+    grid = DiscGrid.default()
+    margins = classes.grid_margins(classes.ClassSpec(classes.Family(klass), alpha), f, grid)[0]
+    assert csv_path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
+
+
+ORACLE_GRIDS = [DiscGrid.default(), DiscGrid.with_rmax(0.95, 64), DiscGrid((0.3,), 8)]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["default", "rmax-0.95-theta-64", "one-ring-8"])
+def test_margin_csv_matches_the_csv_writer_oracle(tmp_path, grid):
+    rng = np.random.default_rng(len(grid))
+    margins = rng.standard_normal(len(grid)) * 10.0 ** rng.uniform(-300.0, 300.0, len(grid))
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.0]
+    margins[:6] = special
+    margins[-6:] = special[::-1]
+    path = tmp_path / "margins.csv"
+    cli._dump_margin_csv(str(path), grid, margins)
+    assert path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
+
+
+def test_margin_csv_writer_holds_one_ring_at_a_time(tmp_path):
+    grid = DiscGrid.default()
+    margins = np.zeros(len(grid))
+    grid.points  # the grid's cached array, not the writer's memory
+    tracemalloc.start()
+    try:
+        cli._dump_margin_csv(str(tmp_path / "margins.csv"), grid, margins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the file is 2 MB; writing it a ring at a time peaks near 0.4 MB
 
 
 def test_check_tme_csv_of_an_overflowing_sum_is_the_non_member_verdict(tmp_path, capsys):
@@ -211,6 +263,26 @@ def test_decompose_non_member_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, ["decompose", "--series", str(path), "--alpha", "1.0"])
     assert code == 1
     assert err.startswith("error: not a member")
+
+
+@pytest.mark.parametrize("rmax", [[], ["--grid-rmax", "0.9"]], ids=["theta-alone", "with-rmax"])
+def test_check_zero_grid_theta_exits_two(tmp_path, capsys, rmax):
+    series = write_series(tmp_path, [])
+    argv = ["check", "--class", "me", "--alpha", "1", "--series", series, *rmax, "--grid-theta", "0"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: angular_samples must be >= 8\n"
+
+
+@pytest.mark.parametrize("klass, data", [("me", {"coeffs": []}), ("tme", {"magnitudes": [0.2]})])
+def test_check_unwritable_csv_exits_two_before_printing(tmp_path, capsys, klass, data):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    csv_path = tmp_path / "missing" / "margins.csv"
+    argv = ["check", "--class", klass, "--alpha", "1", "--series", str(path), "--csv", str(csv_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
