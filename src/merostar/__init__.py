@@ -3,139 +3,26 @@
 Truncated Laurent series with a simple pole at the origin, membership
 checks for four related classes, the catalog of sharpness functions, and
 seedable verification suites over the numbered results.
+
+Each library module's `__all__` is its public API; the package exports the
+union of them, so a public name is declared in exactly one place.
 """
 
-from .classes import (
-    ClassSpec,
-    Family,
-    MembershipVerdict,
-    Status,
-    check_class,
-    check_me,
-    check_mf,
-    check_remark2,
-    check_starlike,
-    coeff_bound,
-    coeff_sufficient_me,
-    class_margins,
-    coeff_weight,
-    grid_margins,
-    me_margins,
-)
-from .convolution import (
-    KernelSpec,
-    check_thm32,
-    convolve_with_kernel,
-    kernel,
-    neighborhood_sample,
-    stability_premise,
-)
-from .extremal import (
-    mf_not_me_witness,
-    remark1_witness,
-    starlike_not_mf_witness,
-    theorem21_extremal,
-    theorem21_tail_bound,
-    theorem23_extremal,
-    theorem23_tail_bound,
-)
-from .harness import (
-    SUITE_IDS,
-    classify_me,
-    classify_tme,
-    load_series,
-    load_tme,
-    run_suite,
-    save_report,
-    save_series,
-)
-from .partial_sums import (
-    RatioBoundReport,
-    check_ratio_bounds,
-    eq16_function,
-)
-from .reporting import CheckResult, CheckStatus, VerificationReport
-from .series import (
-    DiscGrid,
-    LaurentFunction,
-    deserialize_coeffs,
-    from_coeffs,
-    refinement_grid,
-    serialize_coeffs,
-)
-from .tme import (
-    TmeFunction,
-    check_distortion,
-    check_tme_exact,
-    decompose,
-    distortion_bounds,
-    recompose,
-    refute_on_axis,
-    sharp_function,
-)
-from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
+from . import classes, convolution, extremal, harness, partial_sums, reporting, series, tme, tolerances
+from .classes import *  # noqa: F403
+from .convolution import *  # noqa: F403
+from .extremal import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .partial_sums import *  # noqa: F403
+from .reporting import *  # noqa: F403
+from .series import *  # noqa: F403
+from .tme import *  # noqa: F403
+from .tolerances import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassSpec",
-    "Family",
-    "MembershipVerdict",
-    "Status",
-    "check_class",
-    "check_me",
-    "check_mf",
-    "check_remark2",
-    "check_starlike",
-    "coeff_bound",
-    "coeff_sufficient_me",
-    "class_margins",
-    "coeff_weight",
-    "grid_margins",
-    "me_margins",
-    "KernelSpec",
-    "check_thm32",
-    "convolve_with_kernel",
-    "kernel",
-    "neighborhood_sample",
-    "stability_premise",
-    "mf_not_me_witness",
-    "remark1_witness",
-    "starlike_not_mf_witness",
-    "theorem21_extremal",
-    "theorem21_tail_bound",
-    "theorem23_extremal",
-    "theorem23_tail_bound",
-    "SUITE_IDS",
-    "classify_me",
-    "classify_tme",
-    "load_series",
-    "load_tme",
-    "run_suite",
-    "save_report",
-    "save_series",
-    "RatioBoundReport",
-    "check_ratio_bounds",
-    "eq16_function",
-    "CheckResult",
-    "CheckStatus",
-    "VerificationReport",
-    "DiscGrid",
-    "LaurentFunction",
-    "deserialize_coeffs",
-    "from_coeffs",
-    "refinement_grid",
-    "serialize_coeffs",
-    "TmeFunction",
-    "check_distortion",
-    "check_tme_exact",
-    "decompose",
-    "distortion_bounds",
-    "recompose",
-    "refute_on_axis",
-    "sharp_function",
-    "EXACT_TOL",
-    "MARGIN_TOL",
-    "ZERO_TOL",
-    "__version__",
-]
+    name
+    for module in (classes, convolution, extremal, harness, partial_sums, reporting, series, tme, tolerances)
+    for name in module.__all__
+] + ["__version__"]

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -119,11 +120,15 @@ def _cmd_suite(args) -> int:
     report = harness.run_suite(args.name, params)
     harness.save_report(report, args.out)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "status", "margin"])
-            for c in report.checks:
-                writer.writerow([c.name, c.status.value, "" if c.margin is None else repr(c.margin)])
+        try:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["check", "status", "margin"])
+                for c in report.checks:
+                    writer.writerow([c.name, c.status.value, "" if c.margin is None else repr(c.margin)])
+        except OSError:  # exit 2 leaves no report behind, as on every other error path
+            os.remove(args.out)
+            raise
     n_checks = len(report.checks)
     verdict = "pass" if report.passed else "FAIL"
     print(f"suite {report.suite}: {verdict} ({n_checks} checks, {report.runtime_ms} ms) -> {args.out}")

@@ -33,6 +33,7 @@ from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_supp
 __all__ = [
     "KernelSpec",
     "kernel",
+    "convolve_with_kernel",
     "thm31_margins",
     "thm31_verdicts",
     "stability_premise",

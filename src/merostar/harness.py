@@ -50,6 +50,8 @@ __all__ = [
     "SUITE_IDS",
     "run_suite",
     "load_series",
+    "load_tme",
+    "save_series",
     "save_report",
     "sample_certified_member",
     "sample_hypothesis_member",
@@ -61,11 +63,9 @@ __all__ = [
 
 # ---------------------------------------------------------------- samplers
 
-def _sample_weighted(
-    alpha: float, rng: np.random.Generator, lowest: int, max_index: int
-) -> LaurentFunction:
+def _sample_weighted(alpha: float, rng: np.random.Generator, lowest: int) -> LaurentFunction:
     alpha = ClassSpec(Family.ME, alpha).alpha  # before coeff_weight, which is 0 at alpha = -0.5
-    indices, weights = random_support(rng, lowest, max_index, 13)
+    indices, weights = random_support(rng, lowest, 40, 13)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(indices)))
     u = float(rng.uniform(0.0, 1.0))
     coeffs = [0j] * (int(indices.max()) + 1)
@@ -74,34 +74,30 @@ def _sample_weighted(
     return LaurentFunction(tuple(coeffs))
 
 
-def sample_certified_member(
-    alpha: float, rng: np.random.Generator, max_index: int = 40
-) -> LaurentFunction:
+def sample_certified_member(alpha: float, rng: np.random.Generator) -> LaurentFunction:
     """Random function with sum (1 + alpha(n+1))|a_n| = u <= 1.
 
     Mass u ~ U(0,1) is spread over a random index set by a Dirichlet draw
     with uniform phases, covering both the interior and the near-boundary
     of the certificate.
     """
-    return _sample_weighted(alpha, rng, 0, max_index)
+    return _sample_weighted(alpha, rng, 0)
 
 
-def sample_hypothesis_member(
-    alpha: float, rng: np.random.Generator, max_index: int = 40
-) -> LaurentFunction:
+def sample_hypothesis_member(alpha: float, rng: np.random.Generator) -> LaurentFunction:
     """Random function with sum_{k>=1} d_k |a_k| = u <= 1 (index 0 empty)."""
-    return _sample_weighted(alpha, rng, 1, max_index)
+    return _sample_weighted(alpha, rng, 1)
 
 
 def sample_tme_member(
-    alpha: float, rng: np.random.Generator, max_index: int = 30, boundary: bool = False
+    alpha: float, rng: np.random.Generator, boundary: bool = False
 ) -> tme.TmeFunction:
     """Random convex combination of the extreme points.
 
     boundary=True omits the pole weight so the weighted sum is exactly 1.
     """
     alpha = ClassSpec(Family.TME, alpha).alpha
-    indices, lam = random_support(rng, 1, max_index, 9, 0 if boundary else 1)
+    indices, lam = random_support(rng, 1, 30, 9, 0 if boundary else 1)
     tail = lam if boundary else lam[1:]
     mags = [0.0] * int(indices.max())
     for idx, l in zip(indices, tail):

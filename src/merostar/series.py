@@ -35,6 +35,8 @@ __all__ = [
     "partial_sum",
     "delta_distance",
     "random_support",
+    "serialize_coeffs",
+    "deserialize_coeffs",
 ]
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.9999)
@@ -269,13 +271,6 @@ def random_support(
     n_active = int(rng.integers(1, max_active))
     indices = rng.choice(np.arange(lowest, highest + 1), size=n_active, replace=False)
     return indices, rng.dirichlet(np.ones(n_active + extra))
-
-
-def refinement_grid(angular_samples: int = 64) -> DiscGrid:
-    """Radii 1 - 10^-k, k = 1..8: a boundary-chasing grid for refutation
-    searches whose violations only appear extremely close to |z| = 1."""
-    radii = tuple(1.0 - 10.0 ** (-k) for k in range(1, 9))
-    return DiscGrid(radii, angular_samples)
 
 
 def serialize_coeffs(f: LaurentFunction) -> dict:

@@ -25,7 +25,7 @@ from .classes import (
     coeff_weight,
     me_margins,
 )
-from .series import DiscGrid, LaurentFunction, refinement_grid, ring_transform
+from .series import DiscGrid, LaurentFunction, ring_transform
 
 __all__ = [
     "TmeFunction",
@@ -35,6 +35,7 @@ __all__ = [
     "distortion_bounds",
     "check_distortion",
     "sharp_function",
+    "refute_on_axis",
 ]
 
 
@@ -165,10 +166,10 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     """Targeted non-membership search for the negative-coefficient form.
 
     The exact test fails exactly when the margin goes negative as r -> 1 on
-    the positive real axis, so scan radii 1 - 10^-k there. Returns the
-    verdict of that one-dimensional scan.
+    the positive real axis, so scan radii 1 - 10^-k, k = 1..8, there.
+    Returns the verdict of that one-dimensional scan.
     """
     lf = f.to_laurent()
-    pts = np.asarray(refinement_grid().radii, dtype=complex)
+    pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
     margins = me_margins(lf, alpha, pts)
     return _verdict_from_margins(margins, pts)

@@ -11,6 +11,8 @@ EXACT_TOL is the slack for identities that hold exactly in real arithmetic
 but pick up a unit of dust in floating point, e.g. (n+2) * (1/(n+2)).
 """
 
+__all__ = ["MARGIN_TOL", "ZERO_TOL", "EXACT_TOL"]
+
 MARGIN_TOL = 1e-9
 ZERO_TOL = 1e-12
 EXACT_TOL = 1e-12

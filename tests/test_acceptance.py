@@ -45,7 +45,6 @@ from merostar.series import (
     eval_g,
     eval_g_prime,
     partial_sum,
-    refinement_grid,
 )
 from merostar.tme import (
     TmeFunction,
@@ -250,7 +249,6 @@ def test_criterion_07_exact_characterization(capsys):
         worst = 0.0
         flips_ok = True
         witness_ok = True
-        grid = refinement_grid(64)
         for alpha in (0.5, 1.0, 2.0):
             for n in range(1, 21):
                 f = sharp_function(alpha, n)
@@ -261,7 +259,7 @@ def test_criterion_07_exact_characterization(capsys):
                 bad = TmeFunction(tuple(1.01 * m for m in f.magnitudes))
                 bad_member, _ = check_tme_exact(bad, alpha)
                 flips_ok = flips_ok and not bad_member
-                v = check_me(bad.to_laurent(), alpha, grid)
+                v = check_me(bad.to_laurent(), alpha, GRID)
                 axis = refute_on_axis(bad, alpha)
                 witness_ok = witness_ok and (
                     v.status is Status.NON_MEMBER

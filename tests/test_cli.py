@@ -365,6 +365,17 @@ def test_suite_parameters_it_cannot_use_exit_two(tmp_path, capsys, args, message
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("unwritable", ["csv", "out"])
+def test_suite_with_an_unwritable_path_writes_neither_file(tmp_path, capsys, unwritable):
+    paths = {"out": tmp_path / "r.json", "csv": tmp_path / "c.csv"}
+    paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
+    argv = ["suite", "--name", "rem1", "--out", str(paths["out"]), "--csv", str(paths["csv"])]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("alpha", ["nan", "-0.5", "inf"])
 @pytest.mark.parametrize("name", harness.SUITE_IDS[:-1])
 def test_suite_with_a_bad_order_names_alpha_and_exits_two(tmp_path, capsys, name, alpha):

@@ -1,5 +1,8 @@
 """The README's Python example runs as written and does what its comments say."""
 
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -26,6 +29,40 @@ def test_library_example_runs_and_matches_its_comments():
     assert namespace["report"].passed
 
 
+# What the package exported while `__init__.py` kept its own copy of the list
+# (less `refinement_grid`, which is deleted); every one of them must stay.
+EARLIER_EXPORTS = """
+    ClassSpec Family MembershipVerdict Status check_class check_me check_mf
+    check_remark2 check_starlike coeff_bound coeff_sufficient_me class_margins
+    coeff_weight grid_margins me_margins KernelSpec check_thm32
+    convolve_with_kernel kernel neighborhood_sample stability_premise
+    mf_not_me_witness remark1_witness starlike_not_mf_witness theorem21_extremal
+    theorem21_tail_bound theorem23_extremal theorem23_tail_bound SUITE_IDS
+    classify_me classify_tme load_series load_tme run_suite save_report
+    save_series RatioBoundReport check_ratio_bounds eq16_function CheckResult
+    CheckStatus VerificationReport DiscGrid LaurentFunction deserialize_coeffs
+    from_coeffs serialize_coeffs TmeFunction check_distortion check_tme_exact
+    decompose distortion_bounds recompose refute_on_axis sharp_function EXACT_TOL
+    MARGIN_TOL ZERO_TOL __version__
+""".split()
+
+
+def _library_modules():
+    """Every submodule but the command line, in name order."""
+    names = sorted(m.name for m in pkgutil.iter_modules(merostar.__path__) if m.name != "cli")
+    return [importlib.import_module(f"merostar.{name}") for name in names]
+
+
 def test_every_exported_name_resolves():
-    missing = [name for name in merostar.__all__ if not hasattr(merostar, name)]
-    assert missing == []
+    modules = _library_modules()
+    declared = [name for module in modules for name in module.__all__]
+    assert merostar.__all__ == declared + ["__version__"]
+    assert len(set(merostar.__all__)) == len(merostar.__all__)
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert [name for name in merostar.__all__ if not hasattr(merostar, name)] == []
+    assert [name for name in EARLIER_EXPORTS if not hasattr(merostar, name)] == []
+    # the module `__all__`s are the only lists: __init__.py spells out no name
+    init = ast.parse(Path(merostar.__file__).read_text(encoding="utf-8"))
+    strings = [n.value for n in ast.walk(init) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert strings == [ast.get_docstring(init, clean=False), "0.1.0", "__version__"]

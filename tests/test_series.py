@@ -19,7 +19,6 @@ from merostar.series import (
     from_coeffs,
     hadamard,
     partial_sum,
-    refinement_grid,
     ring_values,
     serialize_coeffs,
 )
@@ -188,12 +187,6 @@ def test_grid_point_label_agrees_with_points():
     for i in range(len(grid)):
         r, theta = grid.point_label(i)
         assert pts[i] == pytest.approx(r * np.exp(1j * theta), abs=1e-15)
-
-
-def test_refinement_grid_hugs_boundary():
-    grid = refinement_grid(64)
-    assert grid.angular_samples == 64
-    assert grid.radii == tuple(1.0 - 10.0**-k for k in range(1, 9))
 
 
 @given(coeff_lists)
