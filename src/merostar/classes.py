@@ -39,7 +39,6 @@ __all__ = [
     "MembershipVerdict",
     "class_margins",
     "grid_margins",
-    "me_margins",
     "check_class",
     "check_me",
     "check_mf",
@@ -286,12 +285,6 @@ def class_margins(spec: ClassSpec, f: LaurentFunction, points):
         return _margins(
             _MARGINS[spec.family], spec.alpha, eval_g(f, points), points * eval_g_prime(f, points)
         )
-
-
-def me_margins(f: LaurentFunction, alpha: float, points):
-    """Margin of the ME(alpha) condition, Re g - alpha*|z g'|, at a scalar
-    point or an array of points. Positive on all of E means f in ME(alpha)."""
-    return class_margins(ClassSpec(Family.ME, alpha), f, points)[0]
 
 
 def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):

@@ -24,12 +24,10 @@ from .series import DEFAULT_ANGULAR_SAMPLES, DiscGrid, serialize_coeffs
 
 
 def _build_grid(args) -> DiscGrid:
-    rmax = getattr(args, "grid_rmax", None)
-    theta = getattr(args, "grid_theta", None)
-    theta = DEFAULT_ANGULAR_SAMPLES if theta is None else int(theta)
-    if rmax is None:
+    theta = DEFAULT_ANGULAR_SAMPLES if args.grid_theta is None else args.grid_theta
+    if args.grid_rmax is None:
         return DiscGrid(angular_samples=theta)
-    return DiscGrid.with_rmax(float(rmax), theta)
+    return DiscGrid.with_rmax(args.grid_rmax, theta)
 
 
 def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
@@ -57,9 +55,8 @@ def _cmd_check(args) -> int:
     payload = {"class": args.klass, "alpha": alpha}
     if args.klass == "tme":
         f = harness.load_tme(args.series)
-        exact = tme.check_tme_exact(f, alpha)
-        verdict = harness._tme_verdict(f, alpha, exact)
-        payload["exact_margin"] = exact[1]
+        verdict = harness.classify_tme(f, alpha)
+        payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
         if args.csv:  # the TME verdict is exact and never sampled the grid
             margins = grid_margins(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)[0]
     else:
@@ -69,7 +66,7 @@ def _cmd_check(args) -> int:
         if args.csv and verdict.proof is not None:  # decided on the unit circle, not the grid
             margins = grid_margins(spec, lf, grid)[0]
         if spec.family is Family.ME:
-            verdict = harness._me_verdict(lf, alpha, verdict)
+            verdict = harness.classify_me(lf, alpha, verdict)
     payload.update(
         status=verdict.status.value,
         min_margin=verdict.min_margin,

@@ -30,7 +30,6 @@ from .classes import (
     coeff_bound,
     coeff_sufficient_me,
     coeff_weight,
-    me_margins,
 )
 from .convolution import KernelSpec, _phase_margins, kernel, neighborhood_sample, thm31_verdicts
 from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
@@ -42,7 +41,6 @@ from .series import (
     hadamard,
     random_support,
     ring_values,
-    serialize_coeffs,
 )
 from .tolerances import EXACT_TOL, MARGIN_TOL
 
@@ -51,7 +49,6 @@ __all__ = [
     "run_suite",
     "load_series",
     "load_tme",
-    "save_series",
     "save_report",
     "sample_certified_member",
     "sample_hypothesis_member",
@@ -117,17 +114,10 @@ def sample_wild_function(rng: np.random.Generator, max_index: int = 25) -> Laure
 
 # ------------------------------------------------------------ CLI verdicts
 
-def classify_me(f: LaurentFunction, alpha: float, grid: DiscGrid):
-    """Verdict for the CLI: certificate first, then the sampled check.
-
-    A passing certificate upgrades the verdict to CertifiedMember unless the
-    grid found a strict violation (which would contradict it and wins).
-    """
-    return _me_verdict(f, alpha, check_me(f, alpha, grid))
-
-
-def _me_verdict(f: LaurentFunction, alpha: float, verdict: MembershipVerdict):
-    """classify_me given the sampled verdict of check_me."""
+def classify_me(f: LaurentFunction, alpha: float, verdict: MembershipVerdict):
+    """check_me's verdict for f, upgraded to CertifiedMember when the
+    coefficient certificate passes, unless the check found a strict
+    violation (which would contradict it and wins)."""
     certified, _ = coeff_sufficient_me(f, alpha)
     if certified and verdict.status is not Status.NON_MEMBER:
         return replace(verdict, status=Status.CERTIFIED_MEMBER, proof="coefficients")
@@ -141,12 +131,7 @@ def classify_tme(f: tme.TmeFunction, alpha: float):
     its witness from the real-axis scan when the violation is large enough
     to sample, otherwise the verdict stays Indeterminate.
     """
-    return _tme_verdict(f, alpha, tme.check_tme_exact(f, alpha))
-
-
-def _tme_verdict(f: tme.TmeFunction, alpha: float, exact: tuple[bool, float]):
-    """classify_tme given the result of check_tme_exact."""
-    member, margin = exact
+    member, margin = tme.check_tme_exact(f, alpha)
     if member:
         return MembershipVerdict(
             Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes), "coefficients"
@@ -209,7 +194,7 @@ def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
     me_v = check_me(f21, alpha, grid)
 
     neg_axis = -np.asarray(grid.radii, dtype=complex)
-    axis_margins = me_margins(f21, alpha, neg_axis)
+    axis_margins = class_margins(ClassSpec(Family.ME, alpha), f21, neg_axis)[0]
     decreasing = bool(np.all(np.diff(axis_margins) < 0))
     vanishing = 0 <= axis_margins[-1] < 1e-3
 
@@ -720,18 +705,24 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
 
 # -------------------------------------------------------------------- IO
 
+def _read_json(path: str | Path):
+    """The JSON value in path; nesting too deep to parse is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def load_series(path: str | Path) -> LaurentFunction:
     """Read the series JSON ({"coeffs": [[re, im], ...]}); unknown keys are
     ignored, malformed entries are rejected with their index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return deserialize_coeffs(data)
+    return deserialize_coeffs(_read_json(path))
 
 
 def load_tme(path: str | Path) -> tme.TmeFunction:
     """Read either {"magnitudes": [a1, ...]} or a convertible series file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict) and "magnitudes" in data:
         raw = data["magnitudes"]
         if not isinstance(raw, list) or not all(
@@ -740,12 +731,6 @@ def load_tme(path: str | Path) -> tme.TmeFunction:
             raise ValueError('"magnitudes" must be a list of numbers')
         return tme.TmeFunction(tuple(raw))
     return tme.TmeFunction.from_laurent(deserialize_coeffs(data))
-
-
-def save_series(f: LaurentFunction, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_coeffs(f), fh)
-        fh.write("\n")
 
 
 def save_report(report: VerificationReport, path: str | Path) -> None:

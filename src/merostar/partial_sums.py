@@ -61,11 +61,6 @@ class RatioBoundReport:
             self.observed_min_s_over_f - self.bound_s_over_f,
         )
 
-    @property
-    def holds(self) -> bool:
-        m1, m2 = self.margins
-        return m1 >= 0 and m2 >= 0
-
 
 def check_ratio_bounds(
     f: LaurentFunction, alpha: float, n: int, grid: DiscGrid

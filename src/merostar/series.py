@@ -26,14 +26,12 @@ from numpy.polynomial import polynomial as npoly
 __all__ = [
     "LaurentFunction",
     "DiscGrid",
-    "from_coeffs",
     "eval_g",
     "eval_g_prime",
     "ring_values",
     "ring_transform",
     "hadamard",
     "partial_sum",
-    "delta_distance",
     "random_support",
     "serialize_coeffs",
     "deserialize_coeffs",
@@ -85,14 +83,6 @@ class LaurentFunction:
 
     def __repr__(self) -> str:
         return f"LaurentFunction(degree={self.truncation_degree})"
-
-
-def from_coeffs(coeffs: Sequence[complex]) -> LaurentFunction:
-    """Build the series 1/z + sum coeffs[n] * z^n.
-
-    An empty sequence gives the bare pole. Non-finite entries are rejected.
-    """
-    return LaurentFunction(tuple(coeffs))
 
 
 def eval_g(f: LaurentFunction, z: complex):
@@ -164,7 +154,7 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     """Return S_n = 1/z + sum_{k=1}^{n-1} a_k z^k.
 
     Index 0 is dropped by definition. n = 1 gives the bare pole. Trailing
-    zeros of the result are stripped, so S_1 compares equal to from_coeffs([]).
+    zeros of the result are stripped, so S_1 compares equal to LaurentFunction(()).
     """
     if n < 1:
         raise ValueError(f"partial sum index must be >= 1, got {n}")
@@ -174,22 +164,6 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     while kept and kept[-1] == 0:
         kept.pop()
     return LaurentFunction(tuple(kept))
-
-
-def delta_distance(f: LaurentFunction, g: LaurentFunction) -> float:
-    """Weighted tail distance sum_{k>=1} k * |a_k - b_k|.
-
-    Index 0 carries no weight; shorter series are padded with zeros. This is
-    a pseudometric (it ignores a_0).
-    """
-    terms = []
-    longest = max(len(f.coeffs), len(g.coeffs))
-    for k in range(1, longest):
-        a = f.coeffs[k] if k < len(f.coeffs) else 0j
-        b = g.coeffs[k] if k < len(g.coeffs) else 0j
-        if a != b:
-            terms.append(k * abs(a - b))
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -251,12 +225,6 @@ class DiscGrid:
 
     def __len__(self) -> int:
         return len(self.radii) * self.angular_samples
-
-    def point_label(self, index: int) -> tuple[float, float]:
-        """(radius, theta) of the flat point index, for reporting."""
-        r = self.radii[index // self.angular_samples]
-        th = float(self.thetas[index % self.angular_samples])
-        return r, th
 
 
 def random_support(

@@ -21,9 +21,9 @@ from .classes import (
     Family,
     MembershipVerdict,
     _verdict_from_margins,
+    class_margins,
     coeff_sufficient_me,
     coeff_weight,
-    me_margins,
 )
 from .series import DiscGrid, LaurentFunction, ring_transform
 
@@ -171,5 +171,5 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     """
     lf = f.to_laurent()
     pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
-    margins = me_margins(lf, alpha, pts)
+    margins = class_margins(ClassSpec(Family.ME, alpha), lf, pts)[0]
     return _verdict_from_margins(margins, pts)

@@ -55,12 +55,13 @@ def brute_gamma_min(g: complex, w: complex, m: int) -> float:
 
 def margin_csv_bytes(grid, margins) -> bytes:
     """The `check --csv` file as csv.writer writes it: a header, then one row
-    per point of grid.points of repr'd point_label, re, im and margin."""
+    per point of grid.points of repr'd radius, theta, re, im and margin."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["radius", "theta", "re", "im", "margin"])
     for i, (z, m) in enumerate(zip(grid.points, margins)):
-        r, th = grid.point_label(i)
+        r = grid.radii[i // grid.angular_samples]
+        th = float(grid.thetas[i % grid.angular_samples])
         writer.writerow([repr(r), repr(th), repr(float(z.real)), repr(float(z.imag)), repr(float(m))])
     return buf.getvalue().encode("utf-8")
 
@@ -80,6 +81,16 @@ def naive_hypothesis_sum(coeffs, alpha: float) -> float:
         if k >= 1:
             total += (1.0 + alpha * (k + 1)) * abs(complex(a))
     return total
+
+
+def delta_distance(f, g) -> float:
+    """Weighted tail distance sum_{k>=1} k |a_k - b_k| of two series, the
+    shorter one padded with zeros. Index 0 carries no weight, so this is a
+    pseudometric (it ignores a_0)."""
+    longest = max(len(f.coeffs), len(g.coeffs))
+    a = list(f.coeffs) + [0j] * (longest - len(f.coeffs))
+    b = list(g.coeffs) + [0j] * (longest - len(g.coeffs))
+    return math.fsum(k * abs(a[k] - b[k]) for k in range(1, longest))
 
 
 def rational_g_thm21(alpha: float):

@@ -31,7 +31,7 @@ from merostar.harness import (
     sample_wild_function,
 )
 from merostar.partial_sums import check_ratio_bounds
-from merostar.series import DiscGrid, LaurentFunction, from_coeffs, ring_transform, ring_values
+from merostar.series import DiscGrid, LaurentFunction, ring_transform, ring_values
 from merostar.tme import sharp_function
 from merostar.tolerances import MARGIN_TOL
 
@@ -129,7 +129,7 @@ def test_no_circle_proved_member_is_refuted_inside(raw, scale, family, alpha, po
 @settings(max_examples=30, deadline=None)
 def test_hostile_series_get_a_circle_verdict_only_from_finite_values(coeffs, family, alpha):
     try:
-        f = from_coeffs(coeffs)
+        f = LaurentFunction(coeffs)
     except ValueError:
         return  # not finite or beyond float range: refused on construction
     with np.errstate(all="ignore"):
@@ -150,7 +150,7 @@ def test_hostile_series_get_a_circle_verdict_only_from_finite_values(coeffs, fam
 
 
 def test_overflow_and_huge_degree_fall_back_to_the_grid():
-    overflow = from_coeffs([0.0] * 5 + [1e307])  # z g' overflows on the circle
+    overflow = LaurentFunction([0.0] * 5 + [1e307])  # z g' overflows on the circle
     v = check_me(overflow, 0.5, GRID)
     assert v.proof is None and v.status is Status.NON_MEMBER
     assert v.samples_checked == GRID.angular_samples + len(GRID)
@@ -170,7 +170,7 @@ def test_ties_and_zeros_of_g_fall_back_to_the_grid():
     v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER and v.proof is None
     # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole
-    assert check_mf(from_coeffs([-2.0]), 0.0, GRID).proof is None
+    assert check_mf(LaurentFunction([-2.0]), 0.0, GRID).proof is None
 
 
 def test_circle_refutation_has_an_interior_witness():
@@ -233,7 +233,7 @@ def test_ratio_bounds_take_the_circle_where_both_denominators_are_zero_free():
         # both ratios are harmonic: the circle holds their least values
         assert on_circle.observed_min_f_over_s <= on_grid.observed_min_f_over_s + 1e-12
         assert on_circle.observed_min_s_over_f <= on_grid.observed_min_s_over_f + 1e-12
-    heavy = from_coeffs([0.6, 0.5])  # sum |a_k| >= 1: g may vanish in the disc
+    heavy = LaurentFunction([0.6, 0.5])  # sum |a_k| >= 1: g may vanish in the disc
     assert _ratio_grid(heavy, GRID) is GRID
 
 

@@ -19,8 +19,8 @@ from merostar.classes import (
     coeff_bound,
     coeff_sufficient_me,
     coeff_weight,
+    class_margins,
     grid_margins,
-    me_margins,
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
 from merostar.harness import classify_me, sample_certified_member, sample_wild_function
@@ -32,7 +32,6 @@ from merostar.series import (
     LaurentFunction,
     eval_g,
     eval_g_prime,
-    from_coeffs,
 )
 from merostar.tolerances import MARGIN_TOL
 
@@ -43,10 +42,10 @@ GRID = DiscGrid.default()
 
 
 def test_me_functional_of_pole_is_one():
-    f = from_coeffs([])
+    f = LaurentFunction([])
     for alpha in (0.0, 1.0, 7.5):
         for z in (0.2, -0.9j, 0.6 + 0.3j):
-            assert me_margins(f, alpha, z) == 1.0
+            assert class_margins(ClassSpec(Family.ME, alpha), f, z)[0] == 1.0
 
 
 def test_me_functional_alpha_zero_is_re_g():
@@ -54,19 +53,19 @@ def test_me_functional_alpha_zero_is_re_g():
     for _ in range(25):
         f = sample_wild_function(rng)
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        assert me_margins(f, 0.0, z) == pytest.approx(eval_g(f, z).real, abs=1e-15)
+        assert class_margins(ClassSpec(Family.ME, 0.0), f, z)[0] == pytest.approx(eval_g(f, z).real, abs=1e-15)
 
 
 def test_me_functional_accepts_arrays():
-    f = from_coeffs([0.5])
+    f = LaurentFunction([0.5])
     pts = GRID.points[:100]
-    vals = me_margins(f, 1.0, pts)
+    vals = class_margins(ClassSpec(Family.ME, 1.0), f, pts)[0]
     assert vals.shape == pts.shape
-    assert np.allclose(vals, [me_margins(f, 1.0, z) for z in pts])
+    assert np.allclose(vals, [class_margins(ClassSpec(Family.ME, 1.0), f, z)[0] for z in pts])
 
 
 def test_check_me_pole():
-    v = check_me(from_coeffs([]), 3.0, GRID)
+    v = check_me(LaurentFunction([]), 3.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER
     assert v.min_margin == 1.0
     assert v.samples_checked == GRID.angular_samples  # the unit circle proves it
@@ -85,13 +84,13 @@ def test_check_me_rejects_exp_witness_near_imaginary_boundary():
 def test_check_me_boundary_exact_margin_is_indeterminate():
     # the margin 1 - 2*a0*r at z = -r is 0 at r = 0.9999, the outermost grid
     # radius, but -1.0e-4 on the circle: a non-member, refuted inside
-    f = from_coeffs([1.0 / (2.0 * 0.9999)])
+    f = LaurentFunction([1.0 / (2.0 * 0.9999)])
     v = check_me(f, 1.0, GRID)
     assert v.status is Status.NON_MEMBER and v.proof == "circle"
     assert abs(v.witness) < 1.0
     assert oracles.mp_me_margin(f.coeffs, 1.0, v.witness) < -MARGIN_TOL
     # a0 = 1/2 touches 0 only on the circle (a tie): the grid decides, as before
-    tie = check_me(from_coeffs([0.5]), 1.0, GRID)
+    tie = check_me(LaurentFunction([0.5]), 1.0, GRID)
     assert tie.status is Status.SAMPLED_MEMBER and tie.proof is None
     assert tie.min_margin == pytest.approx(1.0 - 0.9999, rel=1e-9)
 
@@ -117,11 +116,11 @@ def test_scaled_member_with_a_violation_beyond_the_grid_is_refuted():
 
 def test_check_me_rejects_negative_alpha():
     with pytest.raises(ValueError):
-        check_me(from_coeffs([]), -0.5, GRID)
+        check_me(LaurentFunction([]), -0.5, GRID)
 
 
 def test_check_mf_pole_margin_is_one_minus_alpha():
-    v = check_mf(from_coeffs([]), 0.25, GRID)
+    v = check_mf(LaurentFunction([]), 0.25, GRID)
     assert v.status is Status.SAMPLED_MEMBER
     assert v.min_margin == pytest.approx(0.75, abs=1e-15)
 
@@ -142,9 +141,9 @@ def test_check_mf_rejects_square_witness_near_one():
 def test_check_mf_order_range_enforced():
     for alpha in (-0.1, 1.0, 2.0):
         with pytest.raises(ValueError):
-            check_mf(from_coeffs([]), alpha, GRID)
+            check_mf(LaurentFunction([]), alpha, GRID)
         with pytest.raises(ValueError):
-            check_starlike(from_coeffs([]), alpha, GRID)
+            check_starlike(LaurentFunction([]), alpha, GRID)
 
 
 def test_check_starlike_accepts_square_witness():
@@ -154,14 +153,14 @@ def test_check_starlike_accepts_square_witness():
 
 def test_check_starlike_pole():
     # zf'/f = -1 for the pole, so every order alpha < 1 admits it
-    v = check_starlike(from_coeffs([]), 0.9, GRID)
+    v = check_starlike(LaurentFunction([]), 0.9, GRID)
     assert v.status is Status.SAMPLED_MEMBER
     assert v.min_margin == pytest.approx(0.1, abs=1e-12)
 
 
 def test_degenerate_point_with_violation_elsewhere_is_refuted():
     # g = 1 - 2z vanishes exactly at the grid point z = 0.5
-    v = check_mf(from_coeffs([-2.0]), 0.0, DiscGrid(radii=(0.4, 0.5), angular_samples=8))
+    v = check_mf(LaurentFunction([-2.0]), 0.0, DiscGrid(radii=(0.4, 0.5), angular_samples=8))
     assert v.status is Status.NON_MEMBER
 
 
@@ -188,10 +187,10 @@ def test_verdict_statuses_reflect_margins():
 
 
 def test_coeff_sufficient_me_examples():
-    ok, margin = coeff_sufficient_me(from_coeffs([]), 2.0)
+    ok, margin = coeff_sufficient_me(LaurentFunction([]), 2.0)
     assert ok and margin == 1.0
     # a_0 = 0.9 at alpha = 1 SUMS to 1.8: not certified, not refuted
-    ok, margin = coeff_sufficient_me(from_coeffs([0.9]), 1.0)
+    ok, margin = coeff_sufficient_me(LaurentFunction([0.9]), 1.0)
     assert not ok
     assert margin == pytest.approx(-0.8, abs=1e-12)
 
@@ -214,7 +213,7 @@ def test_certificate_implies_grid_margins():
         f = sample_certified_member(alpha, rng)
         ok, _ = coeff_sufficient_me(f, alpha)
         assert ok
-        assert float(np.min(me_margins(f, alpha, GRID.points))) >= -MARGIN_TOL
+        assert float(np.min(class_margins(ClassSpec(Family.ME, alpha), f, GRID.points)[0])) >= -MARGIN_TOL
 
 
 def test_certified_members_respect_coefficient_bounds():
@@ -246,7 +245,7 @@ def test_positive_me_margin_bounds_the_derivative():
     for _ in range(25):
         f = sample_wild_function(rng)
         alpha = float(rng.uniform(0.5, 3.0))
-        margins = me_margins(f, alpha, pts)
+        margins = class_margins(ClassSpec(Family.ME, alpha), f, pts)[0]
         g = eval_g(f, pts)
         zgp = pts * eval_g_prime(f, pts)
         mask = margins > 0
@@ -289,18 +288,18 @@ def test_coeff_weight_is_shared_form():
 
 
 def test_remark2_pole_and_simple_members():
-    v = check_remark2(from_coeffs([]), GRID)
+    v = check_remark2(LaurentFunction([]), GRID)
     assert v.status is Status.SAMPLED_MEMBER
     assert v.min_margin == 1.0
-    assert check_remark2(from_coeffs([0.0, 1.0]), GRID).min_margin >= -MARGIN_TOL
+    assert check_remark2(LaurentFunction([0.0, 1.0]), GRID).min_margin >= -MARGIN_TOL
     assert check_remark2(theorem21_extremal(1.0), GRID).min_margin >= -MARGIN_TOL
 
 
 def test_remark2_violation_at_large_coefficient():
     # margin is Re(1 - 3z^2), which is -1.43 at z = 0.9
-    v = check_remark2(from_coeffs([0.0, 3.0]), GRID)
+    v = check_remark2(LaurentFunction([0.0, 3.0]), GRID)
     assert v.status is Status.NON_MEMBER
-    assert me_margins(from_coeffs([0.0, 3.0]), 0.0, 0.9) > 0  # not an ME failure
+    assert class_margins(ClassSpec(Family.ME, 0.0), LaurentFunction([0.0, 3.0]), 0.9)[0] > 0  # not an ME failure
 
 
 def test_class_spec_validation():
@@ -317,7 +316,7 @@ def test_class_spec_validation():
 def test_nonfinite_margins_count_as_degenerate():
     # g' overflows on part of the grid; those margins are not evidence of
     # anything, and the finite ones refute
-    v = check_me(from_coeffs([1.7e308, 0.8e308]), 1.0, GRID)
+    v = check_me(LaurentFunction([1.7e308, 0.8e308]), 1.0, GRID)
     assert v.status is Status.NON_MEMBER
     assert math.isfinite(v.min_margin)
     pts = np.array([0.5 + 0j, 0.5j, -0.5 + 0j])
@@ -328,7 +327,7 @@ def test_nonfinite_margins_count_as_degenerate():
         _verdict_from_margins(np.array([np.nan, -np.inf, np.inf]), pts)
     # g' has an infinite coefficient, so every ME margin is non-finite
     with pytest.raises(ValueError, match="degenerate"):
-        check_me(from_coeffs([0] * 5 + [1e308]), 1.0, GRID)
+        check_me(LaurentFunction([0] * 5 + [1e308]), 1.0, GRID)
 
 
 def test_verdict_fold_degenerate_rules():
@@ -344,7 +343,7 @@ def test_verdict_fold_degenerate_rules():
 @settings(max_examples=30, deadline=None)
 def test_hostile_series_never_give_a_member_with_a_nonfinite_margin(coeffs, family, alpha):
     try:
-        f = from_coeffs(coeffs)
+        f = LaurentFunction(coeffs)
     except ValueError:
         return  # not finite or beyond float range: refused on construction
     with np.errstate(all="ignore"):
@@ -356,7 +355,7 @@ def test_hostile_series_never_give_a_member_with_a_nonfinite_margin(coeffs, fami
         if verdict.is_member:
             assert np.isfinite(margins).all()
         if family is Family.ME:
-            assert math.isfinite(classify_me(f, alpha, GRID).min_margin)
+            assert math.isfinite(classify_me(f, alpha, verdict).min_margin)
 
 
 # the default grid's outer rings, where both extremals approach the boundary
@@ -381,6 +380,6 @@ def test_near_boundary_me_margins_match_mpmath(f, alpha, horner):
         assert abs(float(np.min(margins))) < 1e-2
         pts = grid.points
         for i in sorted({*range(0, len(grid), 61), int(np.argmin(margins))}):
-            r = grid.point_label(i)[0]
+            r = grid.radii[i // grid.angular_samples]
             tol = 1e-12 * (1.0 + float(np.sum((k + 1) * c * r**k)))
             assert abs(margins[i] - oracles.mp_me_margin(f.coeffs, alpha, pts[i])) <= tol

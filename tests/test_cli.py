@@ -336,6 +336,16 @@ def test_check_hostile_series_exits_two(tmp_path, capsys, klass, data):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["check", "--class", "me"], ["check", "--class", "tme"], ["decompose"]])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)  # beyond the parser's recursion limit
+    code, out, err = run(capsys, [*command, "--alpha", "1.0", "--series", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_bad_suite_parameter_exits_two(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from merostar.classes import Status, check_me, check_mf, check_starlike, coeff_bound, coeff_sufficient_me, me_margins
+from merostar.classes import (
+    ClassSpec,
+    Family,
+    Status,
+    check_me,
+    check_mf,
+    check_starlike,
+    class_margins,
+    coeff_bound,
+    coeff_sufficient_me,
+)
 from merostar.extremal import (
     DEFAULT_EXTREMAL_DEGREE,
     mf_not_me_tail_bound,
@@ -61,12 +71,12 @@ def test_order_sharp_margin_formula_on_negative_axis():
     for r in (0.3, 0.7, 0.95):
         z = -r
         want = (1.0 - c * c * r * r - 2.0 * alpha * c * r) / abs(1.0 - c * z) ** 2
-        assert me_margins(f, alpha, z) == pytest.approx(want, abs=1e-12)
+        assert class_margins(ClassSpec(Family.ME, alpha), f, z)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_order_sharp_margins_shrink_along_negative_axis():
     f = theorem21_extremal(2.0)
-    margins = [me_margins(f, 2.0, -r) for r in (0.5, 0.9, 0.99, 0.999, 0.9999)]
+    margins = [class_margins(ClassSpec(Family.ME, 2.0), f, -r)[0] for r in (0.5, 0.9, 0.99, 0.999, 0.9999)]
     assert all(m >= 0 for m in margins)
     assert all(b < a for a, b in zip(margins, margins[1:]))
     v = check_me(f, 2.0, GRID)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from merostar import harness
-from merostar.classes import Status, coeff_sufficient_me
+from merostar.classes import Status, check_me, coeff_sufficient_me
 from merostar.extremal import remark1_witness, theorem21_extremal
 from merostar.harness import (
     SUITE_IDS,
@@ -20,10 +20,9 @@ from merostar.harness import (
     sample_tme_member,
     sample_wild_function,
     save_report,
-    save_series,
 )
 from merostar.reporting import CheckResult, CheckStatus, VerificationReport
-from merostar.series import DiscGrid, from_coeffs
+from merostar.series import DiscGrid, LaurentFunction, serialize_coeffs
 from merostar.tme import TmeFunction, check_tme_exact
 from merostar.tolerances import EXACT_TOL
 
@@ -85,7 +84,8 @@ def test_wild_sampler_is_reproducible():
 # ------------------------------------------------------------- classifiers
 
 def test_classify_me_certificate_upgrade():
-    v = classify_me(remark1_witness(3), 1.0, GRID)
+    f = remark1_witness(3)
+    v = classify_me(f, 1.0, check_me(f, 1.0, GRID))
     assert v.status is Status.CERTIFIED_MEMBER
     assert v.min_margin > 0
 
@@ -96,12 +96,13 @@ def test_classify_me_sampled_when_certificate_fails():
     f = theorem21_extremal(2.0)
     certified, _ = coeff_sufficient_me(f, 2.0)
     assert not certified
-    v = classify_me(f, 2.0, GRID)
+    v = classify_me(f, 2.0, check_me(f, 2.0, GRID))
     assert v.status is Status.SAMPLED_MEMBER
 
 
 def test_classify_me_non_member():
-    v = classify_me(from_coeffs([0.0, 3.0]), 1.0, GRID)
+    f = LaurentFunction([0.0, 3.0])
+    v = classify_me(f, 1.0, check_me(f, 1.0, GRID))
     assert v.status is Status.NON_MEMBER
 
 
@@ -342,9 +343,9 @@ def test_rem1_suite_rejects_alpha_out_of_range():
 # ---------------------------------------------------------------------- IO
 
 def test_series_roundtrip(tmp_path):
-    f = from_coeffs([0.1, 0.2 - 0.3j])
+    f = LaurentFunction([0.1, 0.2 - 0.3j])
     path = tmp_path / "series.json"
-    save_series(f, path)
+    path.write_text(json.dumps(serialize_coeffs(f)))
     assert load_series(path).coeffs == f.coeffs
 
 

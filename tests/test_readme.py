@@ -29,19 +29,21 @@ def test_library_example_runs_and_matches_its_comments():
     assert namespace["report"].passed
 
 
-# What the package exported while `__init__.py` kept its own copy of the list
-# (less `refinement_grid`, which is deleted); every one of them must stay.
+# What the package exported while `__init__.py` kept its own copy of the list,
+# less the deleted `refinement_grid`, `me_margins` (`class_margins` with
+# `Family.ME`), `from_coeffs` (`LaurentFunction(coeffs)`) and `save_series`;
+# every one of them must stay.
 EARLIER_EXPORTS = """
     ClassSpec Family MembershipVerdict Status check_class check_me check_mf
     check_remark2 check_starlike coeff_bound coeff_sufficient_me class_margins
-    coeff_weight grid_margins me_margins KernelSpec check_thm32
+    coeff_weight grid_margins KernelSpec check_thm32
     convolve_with_kernel kernel neighborhood_sample stability_premise
     mf_not_me_witness remark1_witness starlike_not_mf_witness theorem21_extremal
     theorem21_tail_bound theorem23_extremal theorem23_tail_bound SUITE_IDS
     classify_me classify_tme load_series load_tme run_suite save_report
-    save_series RatioBoundReport check_ratio_bounds eq16_function CheckResult
+    RatioBoundReport check_ratio_bounds eq16_function CheckResult
     CheckStatus VerificationReport DiscGrid LaurentFunction deserialize_coeffs
-    from_coeffs serialize_coeffs TmeFunction check_distortion check_tme_exact
+    serialize_coeffs TmeFunction check_distortion check_tme_exact
     decompose distortion_bounds recompose refute_on_axis sharp_function EXACT_TOL
     MARGIN_TOL ZERO_TOL __version__
 """.split()
@@ -66,3 +68,24 @@ def test_every_exported_name_resolves():
     init = ast.parse(Path(merostar.__file__).read_text(encoding="utf-8"))
     strings = [n.value for n in ast.walk(init) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     assert strings == [ast.get_docstring(init, clean=False), "0.1.0", "__version__"]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """The command line goes through the library's public API only."""
+    tree = ast.parse(Path(merostar.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("merostar")):
+            if node.module in (None, "merostar"):  # `from . import harness`
+                modules |= {alias.asname or alias.name for alias in node.names}
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert modules
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert private == []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merostar.classes import Status, coeff_weight, me_margins
+from merostar.classes import ClassSpec, Family, Status, class_margins, coeff_weight
 from merostar.harness import sample_tme_member
-from merostar.series import DiscGrid, eval_g, from_coeffs
+from merostar.series import DiscGrid, LaurentFunction, eval_g
 from merostar.tme import (
     TmeFunction,
     check_distortion,
@@ -41,16 +41,16 @@ def test_laurent_conversion_roundtrip():
     lf = f.to_laurent()
     assert lf.coeffs == (0j, -0.1 + 0j, 0j, -0.05 + 0j)
     assert TmeFunction.from_laurent(lf).magnitudes == f.magnitudes
-    assert TmeFunction.from_laurent(from_coeffs([])).magnitudes == ()
+    assert TmeFunction.from_laurent(LaurentFunction([])).magnitudes == ()
 
 
 def test_from_laurent_rejects_wrong_shape():
     with pytest.raises(ValueError, match="constant"):
-        TmeFunction.from_laurent(from_coeffs([0.5]))
+        TmeFunction.from_laurent(LaurentFunction([0.5]))
     with pytest.raises(ValueError, match="2"):
-        TmeFunction.from_laurent(from_coeffs([0.0, -0.1, 0.3]))
+        TmeFunction.from_laurent(LaurentFunction([0.0, -0.1, 0.3]))
     with pytest.raises(ValueError):
-        TmeFunction.from_laurent(from_coeffs([0.0, 0.1j]))
+        TmeFunction.from_laurent(LaurentFunction([0.0, 0.1j]))
 
 
 def test_exact_membership_examples():
@@ -103,7 +103,7 @@ def test_exact_test_consistent_with_grid_sampling():
         f = sample_tme_member(alpha, rng)
         member, _ = check_tme_exact(f, alpha)
         assert member
-        margins = me_margins(f.to_laurent(), alpha, GRID.points)
+        margins = class_margins(ClassSpec(Family.ME, alpha), f.to_laurent(), GRID.points)[0]
         assert float(np.min(margins)) >= -MARGIN_TOL
 
 
