@@ -188,9 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, on import: `main` may be called many times per process, and
+# each parse_args makes a fresh Namespace, so no call sees another's options.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -706,12 +706,15 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
 # -------------------------------------------------------------------- IO
 
 def _read_json(path: str | Path):
-    """The JSON value in path; nesting too deep to parse is a ValueError."""
+    """The JSON value in path; nesting too deep to parse is a ValueError, and
+    a syntax error stays a JSONDecodeError whose message starts with path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 def load_series(path: str | Path) -> LaurentFunction:

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,10 +301,12 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, ["check", "--class", "me", "--alpha", "1.0", "--series", str(path)])
-    assert code == 2
-    assert err.startswith("error:")
+    for text in ("{not json", "[[["):
+        path.write_text(text)
+        for command in (["check", "--class", "me"], ["check", "--class", "tme"], ["decompose"]):
+            code, out, err = run(capsys, [*command, "--alpha", "1.0", "--series", str(path)])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
@@ -426,6 +433,72 @@ def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
     capsys.readouterr()
+
+
+def _fresh_python(args, cwd):
+    """(exit code, stdout, stderr) of `python args` in a new interpreter that imports this merostar."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _zero_runtime(text):
+    """Text with the suite's wall-clock time, in a report or its summary line, set to 0."""
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', re.sub(r"\d+ ms\)", "0 ms)", text))
+
+
+def _take_outputs(cwd):
+    """{name: text} of the files a call left in cwd, which are then deleted."""
+    files = {}
+    for path in sorted(cwd.iterdir()):
+        files[path.name] = _zero_runtime(path.read_text())
+        path.unlink()
+    return files
+
+
+def test_one_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Calls in one process, in this order, give what each gives in a fresh process."""
+    series = write_series(tmp_path, [])
+    check = ["check", "--class", "mf", "--alpha", "0.5", "--series", series]
+    usage_error = ["check", "--class", "me", "--series", series]  # no --alpha
+    calls = [
+        [*check, "--csv", "a.csv"],
+        check,
+        usage_error,
+        [*check, "--grid-theta", "64"],
+        check,
+        ["suite", "--name", "rem1", "--alpha", "0.2", "--out", "r1.json"],
+        usage_error,
+        ["suite", "--name", "rem1", "--out", "r2.json"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    outputs = []
+    for argv in calls:
+        try:
+            code, out, err = run(capsys, argv)
+        except SystemExit as exc:
+            code, (out, err) = exc.code, capsys.readouterr()
+        outputs.append((code, _zero_runtime(out), err, _take_outputs(here)))
+
+    for argv, output in zip(calls, outputs):
+        code, out, err = _fresh_python(["-m", "merostar.cli", *argv], fresh)
+        assert output == (code, _zero_runtime(out), err, _take_outputs(fresh)), argv
+    assert [sorted(files) for *_, files in outputs] == [["a.csv"], [], [], [], [], ["r1.json"], [], ["r2.json"]]
+    assert [outputs[i][0] for i in (2, 6)] == [2, 2]
+    assert [json.loads(outputs[i][1])["samples_checked"] for i in (1, 3, 4)] == [2048, 64, 2048]
+    assert json.loads(outputs[5][3]["r1.json"])["inputs"]["alpha"] == 0.2
+    assert json.loads(outputs[7][3]["r2.json"])["inputs"]["alpha"] == 0.1
+
+
+def test_importing_the_library_leaves_the_cli_unloaded(tmp_path):
+    """`import merostar` builds no parser: the CLI and argparse load on first use."""
+    probe = "import sys, merostar; print(sorted({'merostar.cli', 'argparse'} & set(sys.modules)))"
+    assert _fresh_python(["-c", probe], tmp_path) == (0, "[]\n", "")
 
 
 def _strict_json(text):
