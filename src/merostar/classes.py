@@ -12,10 +12,14 @@ and STARLIKE once g has no zero in it): its minimum over the disc lies on
 |z| = 1. The checks therefore sample the unit circle first. A sampled
 minimum that clears a Lipschitz bound on the gaps between samples plus a
 rounding bound proves membership; a sample that is negative beyond the
-rounding bound refutes it, with a witness inside the disc. Anything else
-(ties, a |g| near 0, zeros of g, non-finite values) is sampled on the grid
-as before, where a negative margin refutes and nonnegative margins are
-evidence, not proof. MembershipVerdict.proof says which path decided.
+rounding bound refutes it, with a witness inside the disc. For MF and
+STARLIKE no bound holds when g has a zero inside (z g'/g has a pole there)
+or |g| comes near 0, but a negative sample on a finite circle still refutes
+once a witness inside clears its own rounding bound. Anything else (ties, a
+|g| near 0 without a negative sample, zeros of g on the circle, non-finite
+values) is sampled on the grid as before, where a negative margin refutes and
+nonnegative margins are evidence, not proof. MembershipVerdict.proof says
+which path decided.
 CertifiedMember is reserved for the coefficient certificate, which is a
 genuine sufficient condition.
 """
@@ -193,6 +197,34 @@ def _value_error(n: int, m: int) -> float:
     return 2.0 * (_gamma(4 * n + 8) + fft + _gamma(n // m + 2))
 
 
+def _coeff_sums(f: LaurentFunction) -> tuple[float, ...]:
+    """S_0, S_1, S_2 and W_0, W_1 of the coefficients c_k of g, with
+    S_p = sum k^p |c_k| and W_p = sum (1 + k) k^p |c_k| (inf on overflow)."""
+    c = np.abs(f.g_coeffs)
+    k = np.arange(len(c), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
+        s0, s1, s2 = (float(np.sum(c * k**p)) for p in (0, 1, 2))
+        w0, w1 = float(np.sum((1.0 + k) * c)), float(np.sum((1.0 + k) * k * c))
+    return s0, s1, s2, w0, w1
+
+
+def _quotient_error(f: LaurentFunction, m: int, g: complex) -> float:
+    """Rounding bound on the margin of a rule that divides by g, at a point
+    of the closed disc where ring_values with m angles gave g.
+
+    Values g, z g' off by at most e0 = rho W_0, e1 = rho W_1 put the computed
+    z g'/g within (e1 + |z g'/g| e0)/|g| of the true one, and |z g'| <= S_1
+    bounds |z g'/g| by S_1/(|g| - e0); inf when |g| does not clear e0.
+    """
+    _, s1, _, w0, w1 = _coeff_sums(f)
+    rho = _value_error(len(f.g_coeffs), m)
+    low = abs(g) - rho * w0
+    if not low > 0:
+        return math.inf
+    h = s1 / low
+    return rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
+
+
 def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
     """(Lipschitz constant in theta, rounding bound) of the rule's margin on
     the unit circle sampled at m points, or None when no bound holds.
@@ -205,12 +237,8 @@ def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
     no zero of g inside, z g'/g is holomorphic on the closed disc and
     moves by at most (S_2 S_0 + S_1^2)/min|g|^2.
     """
-    c = np.abs(f.g_coeffs)
-    k = np.arange(len(c), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
-        s0, s1, s2 = (float(np.sum(c * k**p)) for p in (0, 1, 2))
-        w0, w1 = float(np.sum((1.0 + k) * c)), float(np.sum((1.0 + k) * k * c))
-    rho = _value_error(len(c), m)
+    s0, s1, s2, w0, w1 = _coeff_sums(f)
+    rho = _value_error(len(f.g_coeffs), m)
     if not rule.divides:
         w = rule.weight(alpha)
         return s1 + w * s2, rho * (w0 + w * w1) + _gamma(8) * (s0 + w * s1)
@@ -234,9 +262,14 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margi
     M = grid.angular_samples points decides where a bound proves the verdict
     (proof "circle"): a member when the sampled minimum exceeds L pi/M plus
     rounding, a non-member when a sample is below -MARGIN_TOL - rounding and
-    a ring inside the disc gives a NonMember witness. A positive but
-    unproved minimum refines the circle to 4M points once. Everything else
-    is sampled on the grid. samples_checked counts every point evaluated.
+    a ring inside the disc gives a witness below -MARGIN_TOL - rounding. A
+    rule that divides by g gets no bound where g has a zero inside or |g|
+    comes near 0; if the circle values are finite, a sample below -MARGIN_TOL
+    still starts the rings, and a witness counts once it clears
+    _quotient_error at its point. A positive but unproved minimum refines the
+    circle to 4M points once. Everything else (ties, zeros of g on the
+    circle, non-finite values) is sampled on the grid. samples_checked counts
+    every point evaluated.
     """
     if margins_on is None:
 
@@ -251,26 +284,34 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margi
         evaluated += m
         if not np.isfinite(margins).all():
             break
-        bound = _circle_bound(rule, alpha, f, g, m)
-        if bound is None or not all(map(math.isfinite, bound)):
-            break
-        lipschitz, rounding = bound
         low = _verdict_from_margins(margins, circle.points, samples=evaluated)
-        if low.min_margin - lipschitz * math.pi / m - rounding > 0:
-            return replace(low, status=Status.SAMPLED_MEMBER, proof="circle"), margins
+        bound = _circle_bound(rule, alpha, f, g, m)
+        if bound is not None and all(map(math.isfinite, bound)):
+            lipschitz, rounding = bound
+            if low.min_margin - lipschitz * math.pi / m - rounding > 0:
+                return replace(low, status=Status.SAMPLED_MEMBER, proof="circle"), margins
+            error = lambda values, at: rounding
+        elif bound is None and rule.divides and np.isfinite(g).all():
+            # a zero of g inside, or |g| near 0: nothing proves a member, but a
+            # witness inside refutes once it clears its own rounding bound
+            rounding, error = 0.0, lambda values, at: _quotient_error(f, m, values[at].item())
+        else:
+            break
         if low.min_margin < -MARGIN_TOL - rounding:
             # step inward: the outermost grid radius, then 1 - 10^-k nearer the circle
             outer = grid.radii[-1]
             nearer = [1.0 - 10.0**-k for k in range(1, 16)]
             for r in [outer] + [x for x in nearer if x > outer]:
                 ring = DiscGrid((r,), m)
-                margins, degenerate, _ = margins_on(ring)
+                margins, degenerate, g = margins_on(ring)
                 evaluated += m
                 v = _verdict_from_margins(margins, ring.points, degenerate, evaluated)
-                if v.status is Status.NON_MEMBER:
+                if v.status is Status.NON_MEMBER and (
+                    v.min_margin < -MARGIN_TOL - error(g, ring.points == v.witness)
+                ):
                     return replace(v, proof="circle"), margins
             break
-        if not low.min_margin > 0:
+        if bound is None or not low.min_margin > 0:
             break
     margins, degenerate, _ = margins_on(grid)
     return _verdict_from_margins(margins, grid.points, degenerate, evaluated + len(grid)), margins

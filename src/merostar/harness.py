@@ -706,11 +706,14 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
 # -------------------------------------------------------------------- IO
 
 def _read_json(path: str | Path):
-    """The JSON value in path; nesting too deep to parse is a ValueError, and
-    a syntax error stays a JSONDecodeError whose message starts with path."""
+    """The JSON value in path; bytes that are not UTF-8 and nesting too deep
+    to parse are a ValueError, and a syntax error stays a JSONDecodeError;
+    each message starts with path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
         except json.JSONDecodeError as exc:

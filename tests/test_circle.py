@@ -149,6 +149,37 @@ def test_hostile_series_get_a_circle_verdict_only_from_finite_values(coeffs, fam
             assert abs(verdict.witness) < 1.0 and mp < 0
 
 
+def test_circle_refutations_of_a_zero_inside_are_sound():
+    on_circle = []
+
+    @given(
+        st.floats(0.05, 0.9),
+        st.floats(0.0, 2 * math.pi),
+        st.lists(coefficient, max_size=4),
+        st.floats(0.0, 1.0),
+        st.sampled_from((Family.MF, Family.STARLIKE)),
+        st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=80, deadline=None)
+    def refutation_has_a_witness_inside(radius, angle, raw, scale, family, alpha):
+        # g = (1 - z/z0) h with h(0) = 1: z g'/g has a pole at z0 inside the disc
+        z0 = radius * complex(math.cos(angle), math.sin(angle))
+        h = [1.0] + [scale * c / (n + 2) for n, c in enumerate(raw)]
+        f = LaurentFunction(tuple(np.convolve([1.0, -1.0 / z0], h)[1:]))
+        verdict, _ = check_class(ClassSpec(family, alpha), f, GRID)
+        on_circle.append(verdict.proof == "circle")
+        if verdict.proof != "circle":
+            return
+        assert verdict.status is Status.NON_MEMBER
+        assert abs(verdict.witness) < 1.0
+        assert oracles.mp_class_margin(f.coeffs, family.value, alpha, verdict.witness) < -MARGIN_TOL
+        assert verdict.samples_checked < len(GRID)  # the grid was not evaluated
+
+    refutation_has_a_witness_inside()
+    # the circle decides most draws, so the property cannot hold vacuously
+    assert sum(on_circle) > 0.9 * len(on_circle), (sum(on_circle), len(on_circle))
+
+
 def test_overflow_and_huge_degree_fall_back_to_the_grid():
     overflow = LaurentFunction([0.0] * 5 + [1e307])  # z g' overflows on the circle
     v = check_me(overflow, 0.5, GRID)
@@ -169,8 +200,18 @@ def test_ties_and_zeros_of_g_fall_back_to_the_grid():
     # (1 - z)^2 / z: g vanishes at z = 1 on the circle
     v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER and v.proof is None
-    # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole
-    assert check_mf(LaurentFunction([-2.0]), 0.0, GRID).proof is None
+
+
+def test_a_zero_of_g_inside_is_refuted_on_the_circle():
+    # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole: no bound
+    # holds on the circle, but its negative samples lead to a witness inside
+    f = LaurentFunction([-2.0])
+    for check, family in ((check_mf, "mf"), (check_starlike, "starlike")):
+        v = check(f, 0.0, GRID)
+        assert v.status is Status.NON_MEMBER and v.proof == "circle"
+        assert abs(v.witness) < 1.0
+        assert oracles.mp_class_margin(f.coeffs, family, 0.0, v.witness) < -MARGIN_TOL
+        assert v.samples_checked == 2 * GRID.angular_samples  # the circle, then one ring inside
 
 
 def test_circle_refutation_has_an_interior_witness():

@@ -301,8 +301,8 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for text in ("{not json", "[[["):
-        path.write_text(text)
+    for data in (b"{not json", b"[[[", b"\xff\xfe{}"):  # the last is not UTF-8
+        path.write_bytes(data)
         for command in (["check", "--class", "me"], ["check", "--class", "tme"], ["decompose"]):
             code, out, err = run(capsys, [*command, "--alpha", "1.0", "--series", str(path)])
             assert (code, out) == (2, "")
