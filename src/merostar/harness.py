@@ -684,6 +684,8 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
         if ignored:
             raise ValueError(f"suite all takes only seed, not {', '.join(ignored)}")
         seed = params.get("seed", 0)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         checks: list[CheckResult] = []
         inputs: dict = {"seed": seed}
         for sub, (_, defaults) in _SUITES.items():
@@ -696,8 +698,9 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
         for key in ("n", "count", "seed", "gamma_samples"):
             if key in inputs:
                 inputs[key] = int(inputs[key])
-        if inputs.get("count", 1) < 1:
-            raise ValueError(f"count must be >= 1, got {inputs['count']}")
+        for key, least in (("n", 1), ("count", 1), ("seed", 0)):
+            if inputs.get(key, least) < least:
+                raise ValueError(f"{key} must be >= {least}, got {inputs[key]}")
         checks = suite(inputs, DiscGrid.default())
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(name, inputs, tuple(checks), runtime_ms)
@@ -731,9 +734,7 @@ def load_tme(path: str | Path) -> tme.TmeFunction:
     data = _read_json(path)
     if isinstance(data, dict) and "magnitudes" in data:
         raw = data["magnitudes"]
-        if not isinstance(raw, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
+        if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
             raise ValueError('"magnitudes" must be a list of numbers')
         return tme.TmeFunction(tuple(raw))
     return tme.TmeFunction.from_laurent(deserialize_coeffs(data))

@@ -15,9 +15,12 @@ touches the pole. The identities used downstream:
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +45,11 @@ DEFAULT_ANGULAR_SAMPLES = 2048
 
 
 def _finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    values = tuple(values)
+    with suppress(TypeError, ValueError, OverflowError):  # in C; the loop below names the bad entry
+        out = tuple(map(complex, values))
+        if all(map(cmath.isfinite, out)):
+            return out
     out = []
     for i, v in enumerate(values):
         try:
@@ -196,12 +204,17 @@ class DiscGrid:
         return cls()
 
     @classmethod
-    @cache  # one instance per M, so its points are computed once
+    @cache  # one instance per M: every grid with M angles shares its read-only angles and roots
     def circle(cls, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":
         """M equispaced points of the unit circle, where the margins of a
         truncated series take their minimum over the closed disc."""
         grid = cls((0.5,), angular_samples)  # validates angular_samples
         object.__setattr__(grid, "radii", (1.0,))
+        thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+        roots = np.exp(1j * thetas)
+        for shared in (thetas, roots):
+            shared.setflags(write=False)
+        vars(grid).update(thetas=thetas, points=roots)  # the cached properties, filled in
         return grid
 
     @classmethod
@@ -215,13 +228,15 @@ class DiscGrid:
 
     @cached_property
     def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.angular_samples) / self.angular_samples
+        return DiscGrid.circle(self.angular_samples).thetas
 
     @cached_property
     def points(self) -> np.ndarray:
-        """All grid points as a flat complex array, radius-major order."""
-        ring = np.exp(1j * self.thetas)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        """All grid points as a flat read-only complex array, radius-major order."""
+        roots = DiscGrid.circle(self.angular_samples).points
+        points = (np.asarray(self.radii)[:, None] * roots).ravel()
+        points.setflags(write=False)
+        return points
 
     def __len__(self) -> int:
         return len(self.radii) * self.angular_samples
@@ -255,6 +270,10 @@ def deserialize_coeffs(data: dict) -> LaurentFunction:
     raw = data["coeffs"]
     if not isinstance(raw, list):
         raise ValueError('"coeffs" must be a list of [re, im] pairs')
+    if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+        if set(map(type, chain.from_iterable(raw))) <= {int, float}:
+            with suppress(OverflowError):  # in C; the loop below names the bad entry
+                return LaurentFunction(tuple(starmap(complex, raw)))
     out = []
     for i, entry in enumerate(raw):
         if (

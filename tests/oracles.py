@@ -188,3 +188,42 @@ def iv_circle_min_at_least(coeffs, family: str, alpha: float, bound: float, dept
             return False
         arcs += [(2 * lo, 2 * lo + 1, level + 1), (2 * lo + 1, 2 * hi, level + 1)]
     return True
+
+
+def entrywise_finite_complex(values, what: str) -> tuple[complex, ...]:
+    """LaurentFunction's coefficient check one entry at a time: complex(v)
+    for each, naming the first entry beyond float range or not finite."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            c = complex(v)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError(f"{what}[{i}] is beyond float range") from None
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"{what}[{i}] is not finite: {c!r}")
+        out.append(c)
+    return tuple(out)
+
+
+def entrywise_deserialize(data) -> tuple[complex, ...]:
+    """The coefficients of a series JSON value, read one entry at a time:
+    each [re, im] pair is checked and converted, then the whole tuple goes
+    through entrywise_finite_complex."""
+    if not isinstance(data, dict) or "coeffs" not in data:
+        raise ValueError('series JSON must be an object with a "coeffs" key')
+    raw = data["coeffs"]
+    if not isinstance(raw, list):
+        raise ValueError('"coeffs" must be a list of [re, im] pairs')
+    out = []
+    for i, entry in enumerate(raw):
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        ):
+            raise ValueError(f"coeffs[{i}] is not an [re, im] pair: {entry!r}")
+        try:
+            out.append(complex(entry[0], entry[1]))
+        except OverflowError:  # a JSON integer beyond float range
+            raise ValueError(f"coeffs[{i}] is beyond float range") from None
+    return entrywise_finite_complex(out, "coeffs")

@@ -382,6 +382,23 @@ def test_suite_parameters_it_cannot_use_exit_two(tmp_path, capsys, args, message
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("name", ["thm2.3", "rem1", "thm4.1", "thm4.2"])  # the suites that take n
+def test_suite_with_n_below_one_names_n_and_exits_two(tmp_path, capsys, name):
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, ["suite", "--name", name, "--n", "0", "--out", str(out_path)])
+    assert (code, out, err) == (2, "", "error: n must be >= 1, got 0\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", harness.SUITE_IDS)
+def test_suite_with_a_negative_seed_names_seed_and_exits_two(tmp_path, capsys, name):
+    # every suite rejects it, not only those whose rng offset leaves it negative
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, ["suite", "--name", name, "--seed", "-1", "--out", str(out_path)])
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("unwritable", ["csv", "out"])
 def test_suite_with_an_unwritable_path_writes_neither_file(tmp_path, capsys, unwritable):
     paths = {"out": tmp_path / "r.json", "csv": tmp_path / "c.csv"}

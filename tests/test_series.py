@@ -21,6 +21,7 @@ from merostar.series import (
     serialize_coeffs,
 )
 
+import hostile
 import oracles
 
 finite_component = st.floats(
@@ -212,6 +213,83 @@ def test_serialized_form_is_json_friendly():
     f = LaurentFunction([1.0 + 2.0j, -0.5])
     text = json.dumps(serialize_coeffs(f))
     assert deserialize_coeffs(json.loads(text)).coeffs == f.coeffs
+
+
+# what a JSON file or a careless caller puts where a number belongs, beyond
+# hostile.number: signed zeros, strings, numpy scalars, containers
+loose_number = st.one_of(
+    hostile.number,
+    st.just(-0.0),
+    st.text(max_size=4),
+    st.sampled_from(["1", "-0.0", "1e400", "nan", "1+2j"]),
+    st.builds(lambda re, im: np.complex128(complex(re, im)), st.floats(), st.floats()),
+    st.none(),
+)
+loose_entry = st.one_of(
+    st.lists(loose_number, min_size=2, max_size=2),
+    st.lists(loose_number, max_size=3),  # wrong lengths
+    st.tuples(hostile.number, hostile.number),
+    st.dictionaries(st.text(max_size=2), hostile.number, max_size=2),
+    loose_number,
+)
+loose_series = st.one_of(
+    hostile.series_file,
+    st.builds(lambda c: {"coeffs": c}, st.lists(loose_entry, max_size=8)),
+    st.builds(lambda c: {"coeffs": c}, loose_number),
+)
+
+
+def _same_outcome(fast, oracle, arg):
+    """fast(arg) gives oracle(arg) bit for bit, or raises its error."""
+    try:
+        expected = oracle(arg)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            fast(arg)
+        assert str(raised.value) == str(exc)
+        return
+    got = fast(arg)
+    assert all(type(c) is complex for c in got)
+    bits = lambda cs: [(c, math.copysign(1, c.real), math.copysign(1, c.imag)) for c in cs]
+    assert bits(got) == bits(expected)
+
+
+@given(loose_series)
+@settings(max_examples=300, deadline=None)
+def test_deserialize_is_the_entrywise_reading(data):
+    _same_outcome(lambda d: deserialize_coeffs(d).coeffs, oracles.entrywise_deserialize, data)
+
+
+@given(st.one_of(hostile.coeffs, st.lists(loose_number, max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_coefficient_check_is_the_entrywise_check(values):
+    oracle = lambda v: oracles.entrywise_finite_complex(v, "coeffs")
+    _same_outcome(lambda v: LaurentFunction(v).coeffs, oracle, values)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        DiscGrid.default(),
+        DiscGrid.with_rmax(0.95, 256),
+        DiscGrid((0.5,), 8),
+        DiscGrid((0.999,), 9),
+        DiscGrid((1.0 - 1e-15,), 2048),
+        DiscGrid.circle(2048),
+    ],
+    ids=["default", "rmax-0.95-256", "ring-8", "ring-9", "ring-2048", "circle-2048"],
+)
+def test_grid_points_are_the_outer_product_of_radii_and_roots(grid):
+    m = grid.angular_samples
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    points = (np.asarray(grid.radii)[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    assert grid.thetas.tobytes() == thetas.tobytes()
+    assert grid.points.tobytes() == points.tobytes()
+    # one table of roots per M, shared read-only by every grid with M angles
+    assert grid.thetas is DiscGrid.circle(m).thetas
+    for shared in (grid.thetas, grid.points, DiscGrid.circle(m).points):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
 
 
 def _ring_scale(f, grid):
