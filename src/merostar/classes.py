@@ -6,20 +6,22 @@ The classes, all over the punctured unit disc E with g = z*f:
     MF(alpha):       |z g'(z)/g(z)| < 1 - alpha             (0 <= alpha < 1)
     STARLIKE(alpha): Re(z g'(z)/g(z)) < 1 - alpha           (0 <= alpha < 1)
 
-One table maps each family to its margin. g is a polynomial, so each margin
-extends continuously to the closed disc and is superharmonic there (for MF
-and STARLIKE once g has no zero in it): its minimum over the disc lies on
-|z| = 1. The checks therefore sample the unit circle first. A sampled
-minimum that clears a Lipschitz bound on the gaps between samples plus a
-rounding bound proves membership; a sample that is negative beyond the
-rounding bound refutes it, with a witness inside the disc. For MF and
-STARLIKE no bound holds when g has a zero inside (z g'/g has a pole there)
-or |g| comes near 0, but a negative sample on a finite circle still refutes
-once a witness inside clears its own rounding bound. Anything else (ties, a
-|g| near 0 without a negative sample, zeros of g on the circle, non-finite
-values) is sampled on the grid as before, where a negative margin refutes and
-nonnegative margins are evidence, not proof. MembershipVerdict.proof says
-which path decided.
+One table maps each family to its margin, a _Rule; NaN alone marks a point
+where a margin is undefined (|g| < ZERO_TOL for a rule that divides by g),
+and the fold treats it like an overflow: no witness, no member. g is a
+polynomial, so each margin extends continuously to the closed disc and is
+superharmonic there (for MF and STARLIKE once g has no zero in it): its
+minimum over the disc lies on |z| = 1. The checks therefore sample the unit
+circle first. A sampled minimum that clears a Lipschitz bound on the gaps
+between samples plus a rounding bound proves membership; a sample that is
+negative beyond the rounding bound refutes it, with a witness inside the
+disc. For MF and STARLIKE no bound holds when g has a zero inside (z g'/g
+has a pole there) or |g| comes near 0, but a negative sample on a finite
+circle still refutes once a witness inside clears its own rounding bound.
+Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
+the circle, non-finite values) is sampled on the grid as before, where a
+negative margin refutes and nonnegative margins are evidence, not proof.
+MembershipVerdict.proof says which path decided.
 CertifiedMember is reserved for the coefficient certificate, which is a
 genuine sufficient condition.
 """
@@ -108,21 +110,16 @@ class MembershipVerdict:
 
 
 def _verdict_from_margins(
-    margins: np.ndarray,
-    points: np.ndarray,
-    degenerate: np.ndarray | None = None,
-    samples: int | None = None,
+    margins: np.ndarray, points: np.ndarray, samples: int | None = None
 ) -> MembershipVerdict:
     """Fold pointwise margins into a verdict.
 
-    degenerate marks points whose margin is meaningless (e.g. |g| ~ 0), and
-    non-finite margins (overflow) count the same way: they are never the
-    minimum or the witness, and they force Indeterminate unless a strict
+    A NaN or infinite margin marks a point where the margin is undefined
+    (|g| ~ 0 for a rule that divides by g, or overflow): it is never the
+    minimum or the witness, and it forces Indeterminate unless a strict
     violation exists elsewhere.
     """
     usable = np.isfinite(margins)
-    if degenerate is not None:
-        usable &= ~degenerate
     if not usable.any():
         raise ValueError("all grid points degenerate; margin undefined everywhere")
     idx = int(np.argmin(np.where(usable, margins, np.inf)))
@@ -137,8 +134,8 @@ def _verdict_from_margins(
 
 
 class _Rule(NamedTuple):
-    """A class margin of g, z g' and alpha; whether it divides by g (points
-    with |g| < ZERO_TOL are then degenerate); if not, the weight of z g' in
+    """A class margin of g, z g' and alpha; whether it divides by g (the
+    margin is then NaN where |g| < ZERO_TOL); if not, the weight of z g' in
     its Lipschitz bound on the circle."""
 
     margin: Callable
@@ -164,12 +161,10 @@ _REMARK2 = _Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda 
 
 
 def _margins(rule: _Rule, alpha: float, g, zgp):
-    degenerate = None
     if rule.divides:
-        degenerate = np.abs(g) < ZERO_TOL
-        g = np.where(degenerate, np.nan, g)  # NaN margins where |g| ~ 0
+        g = np.where(np.abs(g) < ZERO_TOL, np.nan, g)  # NaN margins where |g| ~ 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        return rule.margin(g, zgp, alpha), degenerate
+        return rule.margin(g, zgp, alpha)
 
 
 _U = 2.0**-53  # unit roundoff of binary64
@@ -254,47 +249,42 @@ def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
-def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margins_on=None):
+def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None):
     """Verdict of a rule for f, and the margins it folded last.
 
-    margins_on(at) gives (margins, degenerate mask or None, g) on a grid;
-    by default it evaluates f with ring_values. The unit circle with
-    M = grid.angular_samples points decides where a bound proves the verdict
-    (proof "circle"): a member when the sampled minimum exceeds L pi/M plus
-    rounding, a non-member when a sample is below -MARGIN_TOL - rounding and
-    a ring inside the disc gives a witness below -MARGIN_TOL - rounding. A
-    rule that divides by g gets no bound where g has a zero inside or |g|
-    comes near 0; if the circle values are finite, a sample below -MARGIN_TOL
-    still starts the rings, and a witness counts once it clears
-    _quotient_error at its point. A positive but unproved minimum refines the
-    circle to 4M points once. Everything else (ties, zeros of g on the
-    circle, non-finite values) is sampled on the grid. samples_checked counts
-    every point evaluated.
+    values(f, at) gives g and z g' on a grid; by default ring_values. The
+    unit circle with M = grid.angular_samples points decides where a bound
+    proves the verdict (proof "circle"): a member when the sampled minimum
+    exceeds L pi/M plus rounding, a non-member when a sample is below
+    -MARGIN_TOL - rounding and a ring inside the disc gives a witness below
+    -MARGIN_TOL - rounding. A rule that divides by g gets no bound where g has
+    a zero inside or |g| comes near 0; if the circle values are finite, a
+    sample below -MARGIN_TOL still starts the rings, and a witness counts once
+    it clears _quotient_error at its point. A positive but unproved minimum
+    refines the circle to 4M points once. Everything else (ties, zeros of g on
+    the circle, non-finite values) is sampled on the grid. samples_checked
+    counts every point evaluated.
     """
-    if margins_on is None:
-
-        def margins_on(at):
-            g, zgp = ring_values(f, at)
-            return (*_margins(rule, alpha, g, zgp), g)
-
+    values = ring_values if values is None else values
     evaluated = 0
     for m in (grid.angular_samples, 4 * grid.angular_samples):
         circle = DiscGrid.circle(m)
-        margins, _, g = margins_on(circle)
+        g, zgp = values(f, circle)
+        margins = _margins(rule, alpha, g, zgp)
         evaluated += m
         if not np.isfinite(margins).all():
             break
-        low = _verdict_from_margins(margins, circle.points, samples=evaluated)
+        low = _verdict_from_margins(margins, circle.points, evaluated)
         bound = _circle_bound(rule, alpha, f, g, m)
         if bound is not None and all(map(math.isfinite, bound)):
             lipschitz, rounding = bound
             if low.min_margin - lipschitz * math.pi / m - rounding > 0:
                 return replace(low, status=Status.SAMPLED_MEMBER, proof="circle"), margins
-            error = lambda values, at: rounding
+            error = lambda g, at: rounding
         elif bound is None and rule.divides and np.isfinite(g).all():
             # a zero of g inside, or |g| near 0: nothing proves a member, but a
             # witness inside refutes once it clears its own rounding bound
-            rounding, error = 0.0, lambda values, at: _quotient_error(f, m, values[at].item())
+            rounding, error = 0.0, lambda g, at: _quotient_error(f, m, g[at].item())
         else:
             break
         if low.min_margin < -MARGIN_TOL - rounding:
@@ -303,9 +293,10 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margi
             nearer = [1.0 - 10.0**-k for k in range(1, 16)]
             for r in [outer] + [x for x in nearer if x > outer]:
                 ring = DiscGrid((r,), m)
-                margins, degenerate, g = margins_on(ring)
+                g, zgp = values(f, ring)
+                margins = _margins(rule, alpha, g, zgp)
                 evaluated += m
-                v = _verdict_from_margins(margins, ring.points, degenerate, evaluated)
+                v = _verdict_from_margins(margins, ring.points, evaluated)
                 if v.status is Status.NON_MEMBER and (
                     v.min_margin < -MARGIN_TOL - error(g, ring.points == v.witness)
                 ):
@@ -313,14 +304,13 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, margi
             break
         if bound is None or not low.min_margin > 0:
             break
-    margins, degenerate, _ = margins_on(grid)
-    return _verdict_from_margins(margins, grid.points, degenerate, evaluated + len(grid)), margins
+    margins = _margins(rule, alpha, *values(f, grid))
+    return _verdict_from_margins(margins, grid.points, evaluated + len(grid)), margins
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
-    """Pointwise margins of the class condition at arbitrary points, plus
-    the mask of points where |g| ~ 0 makes them meaningless and NaN (None
-    for classes whose margin never divides by g). Positive everywhere on E
+    """Pointwise margins of the class condition at arbitrary points, NaN
+    where |g| ~ 0 or overflow leaves them undefined. Positive everywhere on E
     means membership. On a DiscGrid, check_class is the faster route."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
         return _margins(
@@ -329,9 +319,8 @@ def class_margins(spec: ClassSpec, f: LaurentFunction, points):
 
 
 def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
-    """Class margins at every grid point in grid.points order, plus the mask
-    of points where |g| ~ 0 leaves them undefined and NaN (None for classes
-    whose margin never divides by g)."""
+    """Class margins at every grid point in grid.points order, NaN where
+    |g| ~ 0 or overflow leaves them undefined."""
     return _margins(_MARGINS[spec.family], spec.alpha, *ring_values(f, grid))
 
 

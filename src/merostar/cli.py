@@ -58,13 +58,13 @@ def _cmd_check(args) -> int:
         verdict = harness.classify_tme(f, alpha)
         payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
         if args.csv:  # the TME verdict is exact and never sampled the grid
-            margins = grid_margins(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)[0]
+            margins = grid_margins(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)
     else:
         lf = harness.load_series(args.series)
         spec = ClassSpec(Family(args.klass), alpha)
         verdict, margins = check_class(spec, lf, grid)
         if args.csv and verdict.proof is not None:  # decided on the unit circle, not the grid
-            margins = grid_margins(spec, lf, grid)[0]
+            margins = grid_margins(spec, lf, grid)
         if spec.family is Family.ME:
             verdict = harness.classify_me(lf, alpha, verdict)
     payload.update(

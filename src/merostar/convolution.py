@@ -12,6 +12,7 @@ minimizing over gamma gives Re g - alpha |z g'|, the ME margin itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
+    _Rule,
     _decide,
     _margins,
     check_me,
@@ -85,15 +87,15 @@ def thm31_margins(
     (exact itself at alpha = 0). sampled never drops below exact, and the
     gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
+    return _phase_margins(*ring_values(f, grid), alpha, gamma_samples)
+
+
+def _phase_margins(g, zgp, alpha: float, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """thm31_margins from the values of g and z g'."""
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
     alpha = ClassSpec(Family.ME, alpha).alpha
-    return _phase_margins(alpha, *ring_values(f, grid), gamma_samples)
-
-
-def _phase_margins(alpha: float, g, zgp, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """thm31_margins from the values of g and z g'."""
-    exact, _ = _margins(_MARGINS[Family.ME], alpha, g, zgp)
+    exact = _margins(_MARGINS[Family.ME], alpha, g, zgp)
     if not alpha:
         return exact, exact
     with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN count as degenerate
@@ -112,25 +114,19 @@ def thm31_verdicts(
     f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int
 ) -> tuple[MembershipVerdict, MembershipVerdict]:
     """The ME verdict of f and the verdict of the kernel family at
-    gamma_samples phases, both from one thm31_margins evaluation on the unit
-    circle where a bound decides them (see classes.check_class), else on the
-    grid.
+    gamma_samples phases, each on the unit circle where a bound decides it
+    (see classes.check_class), else on the grid; both read one evaluation of
+    f per circle, ring or grid.
 
     The sampled margin is the least of gamma_samples margins
     Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's
-    Lipschitz bound, so the ME bound on the circle decides it as well.
+    Lipschitz bound, so its rule takes the ME weight alpha.
     """
-    circle = DiscGrid.circle(grid.angular_samples)
-    first = thm31_margins(f, alpha, circle, gamma_samples)
-
-    def margins_on(which):
-        def at(points):
-            pair = first if points == circle else thm31_margins(f, alpha, points, gamma_samples)
-            return pair[which], None, None
-
-        return at
-
-    return tuple(_decide(_MARGINS[Family.ME], alpha, f, grid, margins_on(i))[0] for i in (0, 1))
+    alpha = ClassSpec(Family.ME, alpha).alpha
+    kernels = _Rule(lambda g, zgp, a: _phase_margins(g, zgp, a, gamma_samples)[1], False, lambda a: a)
+    values = functools.cache(ring_values)  # shared by both rules, dropped on return
+    sampled = _decide(kernels, alpha, f, grid, values)[0]  # checks gamma_samples first
+    return _decide(_MARGINS[Family.ME], alpha, f, grid, values)[0], sampled
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):

@@ -194,7 +194,7 @@ def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
     me_v = check_me(f21, alpha, grid)
 
     neg_axis = -np.asarray(grid.radii, dtype=complex)
-    axis_margins = class_margins(ClassSpec(Family.ME, alpha), f21, neg_axis)[0]
+    axis_margins = class_margins(ClassSpec(Family.ME, alpha), f21, neg_axis)
     decreasing = bool(np.all(np.diff(axis_margins) < 0))
     vanishing = 0 <= axis_margins[-1] < 1e-3
 
@@ -209,8 +209,8 @@ def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
     # 1 + 1/alpha instead)
     radii = np.array((0.9, 0.99, 0.999))
     star0 = ClassSpec(Family.STARLIKE, 0.0)
-    vals = class_margins(star0, f21, radii)[0]
-    mirrored = class_margins(star0, f21, -radii)[0]
+    vals = class_margins(star0, f21, radii)
+    mirrored = class_margins(star0, f21, -radii)
     gaps = [abs(v - order) for v in vals]
     limit_ok = (
         gaps[0] > gaps[1] > gaps[2]
@@ -426,7 +426,7 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     g, zgp = ring_values(f, grid)
-    exact, sampled = _phase_margins(alpha, g, zgp, gamma_samples)
+    exact, sampled = _phase_margins(g, zgp, alpha, gamma_samples)
     bound = 2.0 * np.pi**2 * alpha * np.abs(zgp) / gamma_samples**2
     slack = float(np.min(bound - (sampled - exact)))
     nonneg = float(np.min(sampled - exact))

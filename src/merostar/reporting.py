@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .classes import MembershipVerdict, Status
@@ -97,8 +97,6 @@ class VerificationReport:
     inputs: dict
     checks: tuple[CheckResult, ...]
     runtime_ms: int
-    tolerances: dict = field(default_factory=lambda: dict(TOLERANCES))
-    deviations: tuple[str, ...] = DEVIATIONS
 
     @property
     def passed(self) -> bool:
@@ -109,8 +107,8 @@ class VerificationReport:
             "suite": self.suite,
             "inputs": self.inputs,
             "checks": [c.to_dict() for c in self.checks],
-            "tolerances": dict(self.tolerances),
-            "deviations": list(self.deviations),
+            "tolerances": dict(TOLERANCES),
+            "deviations": list(DEVIATIONS),
             "passed": self.passed,
             "runtime_ms": self.runtime_ms,
         }

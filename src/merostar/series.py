@@ -20,7 +20,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,13 +45,18 @@ DEFAULT_ANGULAR_SAMPLES = 2048
 
 
 def _finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    if isinstance(values, (str, bytes)):  # complex() would parse its characters or bytes
+        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
     values = tuple(values)
     with suppress(TypeError, ValueError, OverflowError):  # in C; the loop below names the bad entry
-        out = tuple(map(complex, values))
-        if all(map(cmath.isfinite, out)):
-            return out
+        if not any(map(isinstance, values, repeat((str, bytes)))):
+            out = tuple(map(complex, values))
+            if all(map(cmath.isfinite, out)):
+                return out
     out = []
     for i, v in enumerate(values):
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
         try:
             c = complex(v)
         except OverflowError:  # an integer beyond float range

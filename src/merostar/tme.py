@@ -39,6 +39,20 @@ __all__ = [
 ]
 
 
+def _nonnegative(values: Sequence[float], what: str) -> tuple[float, ...]:
+    """values as floats, each finite and >= 0; a bad entry is named what[i]."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            v = float(v)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError(f"{what}[{i}] is beyond float range") from None
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{what}[{i}] must be finite and >= 0, got {v}")
+        out.append(v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TmeFunction:
     """Magnitudes (a_1, ..., a_N) of f(z) = 1/z - sum a_n z^n; all >= 0.
@@ -50,16 +64,7 @@ class TmeFunction:
     magnitudes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        mags = []
-        for i, m in enumerate(self.magnitudes):
-            try:
-                m = float(m)
-            except OverflowError:  # an integer beyond float range
-                raise ValueError(f"magnitudes[{i}] is beyond float range") from None
-            if not math.isfinite(m) or m < 0:
-                raise ValueError(f"magnitudes[{i}] must be finite and >= 0, got {m}")
-            mags.append(m)
-        object.__setattr__(self, "magnitudes", tuple(mags))
+        object.__setattr__(self, "magnitudes", _nonnegative(self.magnitudes, "magnitudes"))
 
     def to_laurent(self) -> LaurentFunction:
         return LaurentFunction((0j,) + tuple(-m + 0j for m in self.magnitudes))
@@ -120,12 +125,9 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
     Weights must be nonnegative and sum to 1 within 1e-9. The output always
     passes the exact membership test.
     """
-    ws = [float(w) for w in weights]
+    ws = _nonnegative(weights, "weights")
     if not ws:
         raise ValueError("weights must be non-empty")
-    for i, w in enumerate(ws):
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(f"weights[{i}] must be finite and >= 0, got {w}")
     total = math.fsum(ws)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1 within 1e-9, got {total}")
@@ -171,5 +173,5 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     """
     lf = f.to_laurent()
     pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
-    margins = class_margins(ClassSpec(Family.ME, alpha), lf, pts)[0]
+    margins = class_margins(ClassSpec(Family.ME, alpha), lf, pts)
     return _verdict_from_margins(margins, pts)

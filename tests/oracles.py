@@ -191,10 +191,15 @@ def iv_circle_min_at_least(coeffs, family: str, alpha: float, bound: float, dept
 
 
 def entrywise_finite_complex(values, what: str) -> tuple[complex, ...]:
-    """LaurentFunction's coefficient check one entry at a time: complex(v)
-    for each, naming the first entry beyond float range or not finite."""
+    """LaurentFunction's coefficient check one entry at a time: a str or
+    bytes series is refused, then complex(v) for each entry, naming the first
+    that is text, beyond float range or not finite."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
     out = []
     for i, v in enumerate(values):
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
         try:
             c = complex(v)
         except OverflowError:  # an integer beyond float range

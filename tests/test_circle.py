@@ -23,7 +23,12 @@ from merostar.classes import (
     check_starlike,
 )
 from merostar.convolution import thm31_verdicts
-from merostar.extremal import remark1_witness, starlike_not_mf_witness, theorem21_extremal
+from merostar.extremal import (
+    mf_not_me_witness,
+    remark1_witness,
+    starlike_not_mf_witness,
+    theorem21_extremal,
+)
 from merostar.harness import (
     _ratio_grid,
     sample_certified_member,
@@ -248,6 +253,28 @@ def test_thm31_verdicts_evaluate_the_circle_once(monkeypatch):
     assert calls == [GRID.angular_samples]
     assert me.proof == kernels.proof == "circle"
     assert me.is_member and kernels.is_member
+
+
+@pytest.mark.parametrize(
+    "f, status, proof",
+    [
+        (mf_not_me_witness(), Status.NON_MEMBER, "circle"),  # both refuted on inward rings
+        (theorem21_extremal(1.0, 64), Status.SAMPLED_MEMBER, None),  # a tie: both sample the grid
+    ],
+)
+def test_thm31_verdicts_evaluate_each_grid_once(monkeypatch, f, status, proof):
+    grids = []
+    original = convolution.ring_values
+
+    def counting(f, grid):
+        grids.append(grid)
+        return original(f, grid)
+
+    monkeypatch.setattr(convolution, "ring_values", counting)
+    me, kernels = thm31_verdicts(f, 1.0, GRID, 256)
+    assert me.status is kernels.status is status
+    assert me.proof == kernels.proof == proof
+    assert len(grids) >= 2 and len(set(grids)) == len(grids)
 
 
 def test_thm31_suite_evaluates_its_gap_member_once(monkeypatch):

@@ -148,7 +148,7 @@ def test_check_csv_bytes_match_the_csv_writer_oracle(tmp_path, capsys, klass, al
     assert run(capsys, argv)[0] == 0
     f = harness.load_tme(series).to_laurent() if klass == "tme" else harness.load_series(series)
     grid = DiscGrid.default()
-    margins = classes.grid_margins(classes.ClassSpec(classes.Family(klass), alpha), f, grid)[0]
+    margins = classes.grid_margins(classes.ClassSpec(classes.Family(klass), alpha), f, grid)
     assert csv_path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
 
 

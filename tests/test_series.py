@@ -61,6 +61,21 @@ def test_nonfinite_coefficients_rejected(bad):
         LaurentFunction([1.0, bad])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("12", "coeffs must be a sequence of numbers, not str"),
+        (b"12", "coeffs must be a sequence of numbers, not bytes"),
+        (["1+2j"], r"coeffs\[0\] is text"),
+        ([0.5, b"1"], r"coeffs\[1\] is text"),
+    ],
+)
+def test_text_is_not_a_series(text, message):
+    # complex() parses strings, and bytes iterate as integers
+    with pytest.raises(ValueError, match=message):
+        LaurentFunction(text)
+
+
 def test_horner_matches_naive_power_sum():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -216,11 +231,12 @@ def test_serialized_form_is_json_friendly():
 
 
 # what a JSON file or a careless caller puts where a number belongs, beyond
-# hostile.number: signed zeros, strings, numpy scalars, containers
+# hostile.number: signed zeros, strings and bytes, numpy scalars, containers
 loose_number = st.one_of(
     hostile.number,
     st.just(-0.0),
     st.text(max_size=4),
+    st.binary(max_size=2),
     st.sampled_from(["1", "-0.0", "1e400", "nan", "1+2j"]),
     st.builds(lambda re, im: np.complex128(complex(re, im)), st.floats(), st.floats()),
     st.none(),
@@ -260,7 +276,7 @@ def test_deserialize_is_the_entrywise_reading(data):
     _same_outcome(lambda d: deserialize_coeffs(d).coeffs, oracles.entrywise_deserialize, data)
 
 
-@given(st.one_of(hostile.coeffs, st.lists(loose_number, max_size=8)))
+@given(st.one_of(hostile.coeffs, st.lists(loose_number, max_size=8), st.text(max_size=4), st.binary(max_size=4)))
 @settings(max_examples=300, deadline=None)
 def test_coefficient_check_is_the_entrywise_check(values):
     oracle = lambda v: oracles.entrywise_finite_complex(v, "coeffs")

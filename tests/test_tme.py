@@ -103,7 +103,7 @@ def test_exact_test_consistent_with_grid_sampling():
         f = sample_tme_member(alpha, rng)
         member, _ = check_tme_exact(f, alpha)
         assert member
-        margins = class_margins(ClassSpec(Family.ME, alpha), f.to_laurent(), GRID.points)[0]
+        margins = class_margins(ClassSpec(Family.ME, alpha), f.to_laurent(), GRID.points)
         assert float(np.min(margins)) >= -MARGIN_TOL
 
 
@@ -138,8 +138,10 @@ def test_recompose_examples_and_validation():
     member, margin = check_tme_exact(f, 1.0)
     assert member
     assert abs(margin) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weights\[1\] must be finite and >= 0, got -0.1"):
         recompose([0.5, -0.1, 0.6], 1.0)
+    with pytest.raises(ValueError, match=r"weights\[0\] is beyond float range"):
+        recompose([10**400], 1.0)  # an integer beyond float range, as in TmeFunction
     with pytest.raises(ValueError):
         recompose([0.5, 0.4], 1.0)  # sums to 0.9
     with pytest.raises(ValueError):
