@@ -323,17 +323,22 @@ def test_nonfinite_margins_count_as_degenerate():
     v = _verdict_from_margins(np.array([np.nan, 0.5, np.inf]), pts)
     assert v.status is Status.INDETERMINATE
     assert v.min_margin == 0.5 and v.witness == 0.5j
-    # a NaN (undefined) point forces Indeterminate on margins that would
-    # otherwise make a member, and a violation elsewhere still refutes
-    assert _verdict_from_margins(np.array([0.5, np.nan]), pts[:2]).status is Status.INDETERMINATE
-    bad = _verdict_from_margins(np.array([-1.0, np.nan]), pts[:2])
-    assert bad.status is Status.NON_MEMBER
-    assert bad.witness == 0.5 + 0j
     with pytest.raises(ValueError, match="degenerate"):
         _verdict_from_margins(np.array([np.nan, -np.inf, np.inf]), pts)
     # g' has an infinite coefficient, so every ME margin is non-finite
     with pytest.raises(ValueError, match="degenerate"):
         check_me(LaurentFunction([0] * 5 + [1e308]), 1.0, GRID)
+
+
+def test_verdict_fold_degenerate_rules():
+    # a NaN (undefined) point forces Indeterminate on margins that would
+    # otherwise make a member, and a violation elsewhere still refutes
+    pts = np.array([0.5 + 0j, 0.5j])
+    ok = _verdict_from_margins(np.array([0.5, np.nan]), pts)
+    assert ok.status is Status.INDETERMINATE
+    bad = _verdict_from_margins(np.array([-1.0, np.nan]), pts)
+    assert bad.status is Status.NON_MEMBER
+    assert bad.witness == 0.5 + 0j
 
 
 @given(hostile.coeffs, st.sampled_from([Family.ME, Family.MF, Family.STARLIKE]), st.floats(0.0, 0.99))
