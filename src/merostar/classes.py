@@ -6,9 +6,10 @@ The classes, all over the punctured unit disc E with g = z*f:
     MF(alpha):       |z g'(z)/g(z)| < 1 - alpha             (0 <= alpha < 1)
     STARLIKE(alpha): Re(z g'(z)/g(z)) < 1 - alpha           (0 <= alpha < 1)
 
-One table maps each family to its margin, a _Rule; NaN alone marks a point
-where a margin is undefined (|g| < ZERO_TOL for a rule that divides by g),
-and the fold treats it like an overflow: no witness, no member. g is a
+One table maps each family to its margin, a Rule (ClassSpec.rule), and
+decide folds a rule's margins into a verdict; NaN alone marks a point where
+a margin is undefined (|g| < ZERO_TOL for a rule that divides by g), and the
+fold treats it like an overflow: no witness, no member. g is a
 polynomial, so each margin extends continuously to the closed disc and is
 superharmonic there (for MF and STARLIKE once g has no zero in it): its
 minimum over the disc lies on |z| = 1. The checks therefore sample the unit
@@ -43,6 +44,9 @@ __all__ = [
     "ClassSpec",
     "Status",
     "MembershipVerdict",
+    "Rule",
+    "decide",
+    "verdict_from_margins",
     "class_margins",
     "grid_margins",
     "check_class",
@@ -83,6 +87,11 @@ class ClassSpec:
         if self.family in (Family.MF, Family.STARLIKE) and a >= 1:
             raise ValueError(f"{self.family.value} requires 0 <= alpha < 1, got {a}")
 
+    @property
+    def rule(self) -> Rule:
+        """The margin rule of the family."""
+        return _MARGINS[self.family]
+
 
 class Status(enum.Enum):
     CERTIFIED_MEMBER = "CertifiedMember"
@@ -109,7 +118,7 @@ class MembershipVerdict:
         return self.status in (Status.CERTIFIED_MEMBER, Status.SAMPLED_MEMBER)
 
 
-def _verdict_from_margins(
+def verdict_from_margins(
     margins: np.ndarray, points: np.ndarray, samples: int | None = None
 ) -> MembershipVerdict:
     """Fold pointwise margins into a verdict.
@@ -133,7 +142,7 @@ def _verdict_from_margins(
     return MembershipVerdict(Status.SAMPLED_MEMBER, min_margin, witness, n)
 
 
-class _Rule(NamedTuple):
+class Rule(NamedTuple):
     """A class margin of g, z g' and alpha; whether it divides by g (the
     margin is then NaN where |g| < ZERO_TOL); if not, the weight of z g' in
     its Lipschitz bound on the circle."""
@@ -142,29 +151,29 @@ class _Rule(NamedTuple):
     divides: bool
     weight: Optional[Callable] = None
 
+    def margins(self, alpha: float, g, zgp):
+        """The margin at each pair of values g, z g'; NaN or inf where undefined."""
+        if self.divides:
+            g = np.where(np.abs(g) < ZERO_TOL, np.nan, g)  # NaN margins where |g| ~ 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
+            return self.margin(g, zgp, alpha)
+
 
 # Family -> rule. The negative-coefficient class TME is a subclass of ME and
 # shares its rule. At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would
 # be NaN wherever z g' overflows, although Re g decides there.
 _MARGINS = {
-    Family.ME: _Rule(
+    Family.ME: Rule(
         lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0),
         False,
         lambda alpha: alpha,
     ),
-    Family.MF: _Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
-    Family.STARLIKE: _Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
+    Family.MF: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
+    Family.STARLIKE: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
 }
 _MARGINS[Family.TME] = _MARGINS[Family.ME]
 # Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own
-_REMARK2 = _Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda alpha: 1.0)
-
-
-def _margins(rule: _Rule, alpha: float, g, zgp):
-    if rule.divides:
-        g = np.where(np.abs(g) < ZERO_TOL, np.nan, g)  # NaN margins where |g| ~ 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        return rule.margin(g, zgp, alpha)
+_REMARK2 = Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda alpha: 1.0)
 
 
 _U = 2.0**-53  # unit roundoff of binary64
@@ -220,7 +229,7 @@ def _quotient_error(f: LaurentFunction, m: int, g: complex) -> float:
     return rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
 
 
-def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
+def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, g, m: int):
     """(Lipschitz constant in theta, rounding bound) of the rule's margin on
     the unit circle sampled at m points, or None when no bound holds.
 
@@ -249,7 +258,7 @@ def _circle_bound(rule: _Rule, alpha: float, f: LaurentFunction, g, m: int):
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
-def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None):
+def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None):
     """Verdict of a rule for f, and the margins it folded last.
 
     values(f, at) gives g and z g' on a grid; by default ring_values. The
@@ -270,11 +279,11 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, value
     for m in (grid.angular_samples, 4 * grid.angular_samples):
         circle = DiscGrid.circle(m)
         g, zgp = values(f, circle)
-        margins = _margins(rule, alpha, g, zgp)
+        margins = rule.margins(alpha, g, zgp)
         evaluated += m
         if not np.isfinite(margins).all():
             break
-        low = _verdict_from_margins(margins, circle.points, evaluated)
+        low = verdict_from_margins(margins, circle.points, evaluated)
         bound = _circle_bound(rule, alpha, f, g, m)
         if bound is not None and all(map(math.isfinite, bound)):
             lipschitz, rounding = bound
@@ -294,9 +303,9 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, value
             for r in [outer] + [x for x in nearer if x > outer]:
                 ring = DiscGrid((r,), m)
                 g, zgp = values(f, ring)
-                margins = _margins(rule, alpha, g, zgp)
+                margins = rule.margins(alpha, g, zgp)
                 evaluated += m
-                v = _verdict_from_margins(margins, ring.points, evaluated)
+                v = verdict_from_margins(margins, ring.points, evaluated)
                 if v.status is Status.NON_MEMBER and (
                     v.min_margin < -MARGIN_TOL - error(g, ring.points == v.witness)
                 ):
@@ -304,8 +313,8 @@ def _decide(rule: _Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, value
             break
         if bound is None or not low.min_margin > 0:
             break
-    margins = _margins(rule, alpha, *values(f, grid))
-    return _verdict_from_margins(margins, grid.points, evaluated + len(grid)), margins
+    margins = rule.margins(alpha, *values(f, grid))
+    return verdict_from_margins(margins, grid.points, evaluated + len(grid)), margins
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
@@ -313,15 +322,13 @@ def class_margins(spec: ClassSpec, f: LaurentFunction, points):
     where |g| ~ 0 or overflow leaves them undefined. Positive everywhere on E
     means membership. On a DiscGrid, check_class is the faster route."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        return _margins(
-            _MARGINS[spec.family], spec.alpha, eval_g(f, points), points * eval_g_prime(f, points)
-        )
+        return spec.rule.margins(spec.alpha, eval_g(f, points), points * eval_g_prime(f, points))
 
 
 def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
     """Class margins at every grid point in grid.points order, NaN where
     |g| ~ 0 or overflow leaves them undefined."""
-    return _margins(_MARGINS[spec.family], spec.alpha, *ring_values(f, grid))
+    return spec.rule.margins(spec.alpha, *ring_values(f, grid))
 
 
 def check_class(
@@ -331,7 +338,7 @@ def check_class(
     sample the grid: the verdict, and the margins of the last evaluation it
     folded (the grid's in grid.points order when proof is None; NaN where
     |g| ~ 0 leaves them undefined)."""
-    return _decide(_MARGINS[spec.family], spec.alpha, f, grid)
+    return decide(spec.rule, spec.alpha, f, grid)
 
 
 def check_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
@@ -397,4 +404,4 @@ def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     ME(alpha) for alpha >= 1; this check is the sampled form of that
     implication (it carries no alpha of its own).
     """
-    return _decide(_REMARK2, 0.0, f, grid)[0]
+    return decide(_REMARK2, 0.0, f, grid)[0]

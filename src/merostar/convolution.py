@@ -18,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import (
-    _MARGINS,
-    ClassSpec,
-    Family,
-    MembershipVerdict,
-    _Rule,
-    _decide,
-    _margins,
-    check_me,
-    coeff_weight,
-)
+from .classes import ClassSpec, Family, MembershipVerdict, Rule, check_me, coeff_weight, decide
 from .reporting import CheckResult, CheckStatus, fold_members
 from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values
 
@@ -36,10 +26,11 @@ __all__ = [
     "KernelSpec",
     "kernel",
     "convolve_with_kernel",
-    "thm31_margins",
+    "phase_margins",
     "thm31_verdicts",
     "stability_premise",
     "neighborhood_sample",
+    "delta_star",
     "check_thm32",
 ]
 
@@ -56,7 +47,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", ClassSpec(Family.ME, self.alpha).alpha)
         # normalize the phase into (-pi, pi]
-        g = math.remainder(float(self.gamma), TAU)
+        if not math.isfinite(g := float(self.gamma)):
+            raise ValueError(f"gamma must be finite, got {g}")
+        g = math.remainder(g, TAU)
         if g <= -math.pi:
             g += TAU
         object.__setattr__(self, "gamma", g)
@@ -76,26 +69,20 @@ def kernel(spec: KernelSpec, degree: int) -> LaurentFunction:
     )
 
 
-def thm31_margins(
-    f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Margins of Re[g + alpha e^{i gamma} z g'] over gamma at each grid
-    point, in grid.points order.
+def phase_margins(g, zgp, alpha: float, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Margins of Re[g + alpha e^{i gamma} z g'] over gamma at each of the
+    values g, z g' (for a grid, ring_values gives them in grid.points order).
 
     Returns (exact, sampled): the exact minimum over all phases, which is
     the ME margin, and the minimum over M = gamma_samples phases 2 pi j / M
     (exact itself at alpha = 0). sampled never drops below exact, and the
     gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
-    return _phase_margins(*ring_values(f, grid), alpha, gamma_samples)
-
-
-def _phase_margins(g, zgp, alpha: float, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """thm31_margins from the values of g and z g'."""
     if gamma_samples < 4:
         raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
-    alpha = ClassSpec(Family.ME, alpha).alpha
-    exact = _margins(_MARGINS[Family.ME], alpha, g, zgp)
+    spec = ClassSpec(Family.ME, alpha)
+    alpha = spec.alpha
+    exact = spec.rule.margins(alpha, g, zgp)
     if not alpha:
         return exact, exact
     with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN count as degenerate
@@ -122,11 +109,11 @@ def thm31_verdicts(
     Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's
     Lipschitz bound, so its rule takes the ME weight alpha.
     """
-    alpha = ClassSpec(Family.ME, alpha).alpha
-    kernels = _Rule(lambda g, zgp, a: _phase_margins(g, zgp, a, gamma_samples)[1], False, lambda a: a)
+    spec = ClassSpec(Family.ME, alpha)
+    kernels = Rule(lambda g, zgp, a: phase_margins(g, zgp, a, gamma_samples)[1], False, lambda a: a)
     values = functools.cache(ring_values)  # shared by both rules, dropped on return
-    sampled = _decide(kernels, alpha, f, grid, values)[0]  # checks gamma_samples first
-    return _decide(_MARGINS[Family.ME], alpha, f, grid, values)[0], sampled
+    sampled = decide(kernels, spec.alpha, f, grid, values)[0]  # checks gamma_samples first
+    return decide(spec.rule, spec.alpha, f, grid, values)[0], sampled
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):
@@ -185,7 +172,7 @@ def neighborhood_sample(
     return samples
 
 
-def _delta_star(alpha: float) -> float:
+def delta_star(alpha: float) -> float:
     """The neighborhood radius 1/(1 + 2 alpha) that Theorem 3.2 covers."""
     return 1.0 / coeff_weight(ClassSpec(Family.ME, alpha).alpha, 1)
 
@@ -208,7 +195,7 @@ def check_thm32(
     have any force. A premise failure makes both checks inapplicable rather
     than failed; neighborhood_sample validates count.
     """
-    radius = _delta_star(alpha)
+    radius = delta_star(alpha)
     if not 0.0 < delta <= radius:
         raise ValueError(f"delta must lie in (0, {radius}], got {delta}")
     if not delta < eps < 1.0:

@@ -31,7 +31,7 @@ from .classes import (
     coeff_sufficient_me,
     coeff_weight,
 )
-from .convolution import KernelSpec, _phase_margins, kernel, neighborhood_sample, thm31_verdicts
+from .convolution import KernelSpec, kernel, neighborhood_sample, phase_margins, thm31_verdicts
 from .reporting import CheckResult, CheckStatus, VerificationReport, fold_members
 from .series import (
     DiscGrid,
@@ -426,7 +426,7 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     g, zgp = ring_values(f, grid)
-    exact, sampled = _phase_margins(g, zgp, alpha, gamma_samples)
+    exact, sampled = phase_margins(g, zgp, alpha, gamma_samples)
     bound = 2.0 * np.pi**2 * alpha * np.abs(zgp) / gamma_samples**2
     slack = float(np.min(bound - (sampled - exact)))
     nonneg = float(np.min(sampled - exact))
@@ -453,7 +453,7 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
 def _suite_thm32(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, eps, count, seed = p["alpha"], p["eps"], p["count"], p["seed"]
     pole = LaurentFunction(())
-    delta = p.get("delta", convolution._delta_star(alpha))
+    delta = p.get("delta", convolution.delta_star(alpha))
     stability = convolution.check_thm32(pole, alpha, eps, delta, count, grid, seed)
 
     verdicts = [

@@ -20,10 +20,10 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
-    _verdict_from_margins,
     class_margins,
     coeff_sufficient_me,
     coeff_weight,
+    verdict_from_margins,
 )
 from .series import DiscGrid, LaurentFunction, ring_transform
 
@@ -41,8 +41,12 @@ __all__ = [
 
 def _nonnegative(values: Sequence[float], what: str) -> tuple[float, ...]:
     """values as floats, each finite and >= 0; a bad entry is named what[i]."""
+    if isinstance(values, (str, bytes)):  # float() would parse its characters or bytes
+        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
     out = []
     for i, v in enumerate(values):
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
         try:
             v = float(v)
         except OverflowError:  # an integer beyond float range
@@ -125,6 +129,7 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
     Weights must be nonnegative and sum to 1 within 1e-9. The output always
     passes the exact membership test.
     """
+    alpha = ClassSpec(Family.TME, alpha).alpha
     ws = _nonnegative(weights, "weights")
     if not ws:
         raise ValueError("weights must be non-empty")
@@ -161,7 +166,7 @@ def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> Membership
     bounds = [distortion_bounds(alpha, r) for r in grid.radii]
     lower, upper = np.repeat(np.asarray(bounds), grid.angular_samples, axis=0).T
     margins = np.minimum(absf - lower, upper - absf)
-    return _verdict_from_margins(margins, pts)
+    return verdict_from_margins(margins, pts)
 
 
 def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
@@ -174,4 +179,4 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     lf = f.to_laurent()
     pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
     margins = class_margins(ClassSpec(Family.ME, alpha), lf, pts)
-    return _verdict_from_margins(margins, pts)
+    return verdict_from_margins(margins, pts)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from merostar import cli, convolution, harness
 from merostar.classes import (
-    _MARGINS,
     ClassSpec,
     Family,
     Status,
@@ -100,7 +99,7 @@ def test_interval_oracle_confirms_the_circle_lower_bound():
             continue
         m = len(margins)
         g = ring_values(f, DiscGrid.circle(m))[0]
-        lipschitz, rounding = _circle_bound(_MARGINS[family], alpha, f, g, m)
+        lipschitz, rounding = _circle_bound(ClassSpec(family, alpha).rule, alpha, f, g, m)
         bound = verdict.min_margin - lipschitz * math.pi / m - rounding
         assert bound > 0
         assert oracles.iv_circle_min_at_least(f.coeffs, family.value, alpha, bound), (f, family, alpha)

@@ -10,7 +10,6 @@ from merostar.classes import (
     Family,
     MembershipVerdict,
     Status,
-    _verdict_from_margins,
     check_class,
     check_me,
     check_mf,
@@ -21,6 +20,7 @@ from merostar.classes import (
     coeff_weight,
     class_margins,
     grid_margins,
+    verdict_from_margins,
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
 from merostar.harness import classify_me, sample_certified_member, sample_wild_function
@@ -320,11 +320,11 @@ def test_nonfinite_margins_count_as_degenerate():
     assert v.status is Status.NON_MEMBER
     assert math.isfinite(v.min_margin)
     pts = np.array([0.5 + 0j, 0.5j, -0.5 + 0j])
-    v = _verdict_from_margins(np.array([np.nan, 0.5, np.inf]), pts)
+    v = verdict_from_margins(np.array([np.nan, 0.5, np.inf]), pts)
     assert v.status is Status.INDETERMINATE
     assert v.min_margin == 0.5 and v.witness == 0.5j
     with pytest.raises(ValueError, match="degenerate"):
-        _verdict_from_margins(np.array([np.nan, -np.inf, np.inf]), pts)
+        verdict_from_margins(np.array([np.nan, -np.inf, np.inf]), pts)
     # g' has an infinite coefficient, so every ME margin is non-finite
     with pytest.raises(ValueError, match="degenerate"):
         check_me(LaurentFunction([0] * 5 + [1e308]), 1.0, GRID)
@@ -334,9 +334,9 @@ def test_verdict_fold_degenerate_rules():
     # a NaN (undefined) point forces Indeterminate on margins that would
     # otherwise make a member, and a violation elsewhere still refutes
     pts = np.array([0.5 + 0j, 0.5j])
-    ok = _verdict_from_margins(np.array([0.5, np.nan]), pts)
+    ok = verdict_from_margins(np.array([0.5, np.nan]), pts)
     assert ok.status is Status.INDETERMINATE
-    bad = _verdict_from_margins(np.array([-1.0, np.nan]), pts)
+    bad = verdict_from_margins(np.array([-1.0, np.nan]), pts)
     assert bad.status is Status.NON_MEMBER
     assert bad.witness == 0.5 + 0j
 

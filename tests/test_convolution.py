@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merostar.classes import Status, _verdict_from_margins, check_me
+from merostar.classes import Status, check_me, verdict_from_margins
 from merostar.convolution import (
     KernelSpec,
     check_thm32,
     convolve_with_kernel,
     kernel,
     neighborhood_sample,
+    phase_margins,
     stability_premise,
-    thm31_margins,
 )
 from merostar.extremal import mf_not_me_witness, remark1_witness
 from merostar.harness import sample_certified_member, sample_wild_function
@@ -24,6 +24,7 @@ from merostar.series import (
     eval_g,
     eval_g_prime,
     hadamard,
+    ring_values,
 )
 
 import oracles
@@ -44,6 +45,12 @@ def test_kernel_phase_normalized(gamma):
 def test_kernel_spec_rejects_negative_alpha():
     with pytest.raises(ValueError):
         KernelSpec(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_kernel_spec_rejects_a_non_finite_phase(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        KernelSpec(1.0, gamma)
 
 
 def test_kernel_alpha_zero_is_hadamard_identity():
@@ -85,7 +92,7 @@ def test_closed_form_gamma_minimum_matches_brute_scan():
         z = complex(rng.uniform(-0.65, 0.65), rng.uniform(-0.65, 0.65)) or 0.3 + 0j
         m = int(rng.choice([8, 17, 256]))
         grid = DiscGrid((abs(z),), 8)
-        exact, sampled = thm31_margins(f, alpha, grid, m)
+        exact, sampled = phase_margins(*ring_values(f, grid), alpha, m)
         for j, p in enumerate(grid.points):
             g = complex(eval_g(f, p))
             w = alpha * p * complex(eval_g_prime(f, p))
@@ -99,7 +106,7 @@ def test_sampled_gamma_gap_within_quadratic_bound():
     rng = np.random.default_rng(14)
     f = sample_certified_member(1.0, rng)
     for m in (8, 64, 256):
-        exact, sampled = thm31_margins(f, 1.0, GRID, m)
+        exact, sampled = phase_margins(*ring_values(f, GRID), 1.0, m)
         gap = sampled - exact
         zgp = np.abs(GRID.points * eval_g_prime(f, GRID.points))
         bound = 2.0 * np.pi**2 * 1.0 * zgp / m**2
@@ -115,24 +122,24 @@ def test_check_thm31_agrees_with_direct_check():
             f = sample_wild_function(rng)
         else:
             f = sample_certified_member(0.7, rng)
-        _, sampled = thm31_margins(f, 0.7, GRID, 256)
-        assert _verdict_from_margins(sampled, GRID.points).status is check_me(f, 0.7, GRID).status
+        _, sampled = phase_margins(*ring_values(f, GRID), 0.7, 256)
+        assert verdict_from_margins(sampled, GRID.points).status is check_me(f, 0.7, GRID).status
 
 
 def test_check_thm31_pole_and_arguments():
-    exact, sampled = thm31_margins(POLE, 1.0, GRID, gamma_samples=64)
+    exact, sampled = phase_margins(*ring_values(POLE, GRID), 1.0, gamma_samples=64)
     assert np.all(exact == 1.0) and np.all(sampled == 1.0)
     for gamma_samples in (3, 0):
         with pytest.raises(ValueError):
-            thm31_margins(POLE, 1.0, GRID, gamma_samples)
+            phase_margins(*ring_values(POLE, GRID), 1.0, gamma_samples)
     with pytest.raises(ValueError):
-        thm31_margins(POLE, -1.0, GRID, 256)
+        phase_margins(*ring_values(POLE, GRID), -1.0, 256)
 
 
 def test_thm31_margins_at_alpha_zero_are_re_g_where_zg_prime_overflows():
     # no phase term at alpha = 0, so an overflowing z g' leaves both margins at Re g
     f = LaurentFunction([0.1, 1e308])
-    exact, sampled = thm31_margins(f, 0.0, GRID, 256)
+    exact, sampled = phase_margins(*ring_values(f, GRID), 0.0, 256)
     re_g = np.real(eval_g(f, GRID.points))
     finite = np.isfinite(re_g)
     assert finite.any()
@@ -141,8 +148,8 @@ def test_thm31_margins_at_alpha_zero_are_re_g_where_zg_prime_overflows():
 
 
 def test_exp_witness_rejected_by_kernel_check():
-    _, sampled = thm31_margins(mf_not_me_witness(), 1.0, GRID, 256)
-    assert _verdict_from_margins(sampled, GRID.points).status is Status.NON_MEMBER
+    _, sampled = phase_margins(*ring_values(mf_not_me_witness(), GRID), 1.0, 256)
+    assert verdict_from_margins(sampled, GRID.points).status is Status.NON_MEMBER
 
 
 def test_kernel_identity_against_hadamard():

@@ -70,22 +70,30 @@ def test_every_exported_name_resolves():
     assert strings == [ast.get_docstring(init, clean=False), "0.1.0", "__version__"]
 
 
-def test_cli_reads_no_private_name_of_another_module():
-    """The command line goes through the library's public API only."""
-    tree = ast.parse(Path(merostar.__file__).with_name("cli.py").read_text(encoding="utf-8"))
-    modules, private = set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("merostar")):
-            if node.module in (None, "merostar"):  # `from . import harness`
-                modules |= {alias.asname or alias.name for alias in node.names}
-            private += [alias.name for alias in node.names if alias.name.startswith("_")]
-    assert modules
-    private += [
-        f"{node.value.id}.{node.attr}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in modules
-        and node.attr.startswith("_")
-    ]
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_a_private_name_of_another_module():
+    """Each module reaches the others through their public names only."""
+    package = Path(merostar.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    assert {"cli.py", "__init__.py", "classes.py"} <= {p.name for p in paths}
+    private = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("merostar")):
+                if node.module in (None, "merostar"):  # `from . import harness`
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                private += [f"{path.name}: {alias.name}" for alias in node.names if _private(alias.name)]
+        private += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ]
     assert private == []

@@ -148,6 +148,30 @@ def test_recompose_examples_and_validation():
         recompose([], 1.0)
 
 
+def test_text_is_not_a_magnitude_or_a_weight():
+    # float() parses text, so a str would iterate into digits and '0.5' into 0.5
+    for bad in ("12", b"12"):
+        with pytest.raises(ValueError, match="magnitudes must be a sequence of numbers"):
+            TmeFunction(bad)
+        with pytest.raises(ValueError, match="weights must be a sequence of numbers"):
+            recompose(bad, 1.0)
+    with pytest.raises(ValueError, match=r"magnitudes\[1\] is text"):
+        TmeFunction((0.1, "0.2"))
+    with pytest.raises(ValueError, match=r"weights\[0\] is text"):
+        recompose(["0.5", "0.5"], 1.0)
+    with pytest.raises(ValueError, match=r"weights\[1\] is text"):
+        recompose([0.5, b"0.5"], 1.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -5.0, -1.0, float("nan"), float("inf")])
+def test_recompose_rejects_a_bad_order_by_name(alpha):
+    # at alpha = -0.5 the weight of a_1 is 0, and at -5 every tail weight is negative
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        recompose([0.0, 1.0], alpha)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        recompose([1.0], alpha)
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_random_convex_combinations_are_members(raw):
