@@ -80,6 +80,8 @@ class ClassSpec:
     alpha: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.alpha, (str, bytes)):  # float() would parse it
+            raise ValueError(f"alpha must be a number, not {type(self.alpha).__name__}: {self.alpha!r}")
         a = float(self.alpha)
         object.__setattr__(self, "alpha", a)
         if not math.isfinite(a) or a < 0:

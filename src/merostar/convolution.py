@@ -46,6 +46,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", ClassSpec(Family.ME, self.alpha).alpha)
+        if isinstance(self.gamma, (str, bytes)):  # float() would parse it
+            raise ValueError(f"gamma must be a number, not {type(self.gamma).__name__}: {self.gamma!r}")
         # normalize the phase into (-pi, pi]
         if not math.isfinite(g := float(self.gamma)):
             raise ValueError(f"gamma must be finite, got {g}")

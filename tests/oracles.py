@@ -232,3 +232,36 @@ def entrywise_deserialize(data) -> tuple[complex, ...]:
         except OverflowError:  # a JSON integer beyond float range
             raise ValueError(f"coeffs[{i}] is beyond float range") from None
     return entrywise_finite_complex(out, "coeffs")
+
+
+def entrywise_nonnegative(values, what: str) -> tuple[float, ...]:
+    """tme's magnitude and weight check one entry at a time: a str or bytes
+    sequence is refused, then float(v) for each entry, naming the first that
+    is text, beyond float range, not finite or negative."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
+    out = []
+    for i, v in enumerate(values):
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError(f"{what}[{i}] is beyond float range") from None
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{what}[{i}] must be finite and >= 0, got {v}")
+        out.append(v)
+    return tuple(out)
+
+
+def grid_distortion_margins(magnitudes, alpha: float, grid) -> np.ndarray:
+    """The distortion slack min(|f| - lower, upper - |f|) at every point of
+    grid.points, with lower, upper = 1/r -+ r/(1 + 2 alpha) on its ring and
+    f(z) = 1/z - sum a_n z^n evaluated there by Horner's rule: the sampled
+    reference for check_distortion's per-ring closed form."""
+    z = grid.points
+    g = np.polynomial.polynomial.polyval(z, [1.0, 0.0] + [-a for a in magnitudes])
+    r = np.repeat(np.asarray(grid.radii), grid.angular_samples)
+    spread = r / (1.0 + 2.0 * alpha)
+    absf = np.abs(g) / r  # the ring's |z|; the computed points miss it by rounding
+    return np.minimum(absf - (1.0 / r - spread), 1.0 / r + spread - absf)

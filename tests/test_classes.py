@@ -313,6 +313,15 @@ def test_class_spec_validation():
         ClassSpec(Family.ME, -0.1)
 
 
+@pytest.mark.parametrize("alpha", ["2", b"2", "nan", ""])
+def test_text_is_not_an_order(alpha):
+    # float() parses text, so '2' would be the order 2
+    with pytest.raises(ValueError, match="alpha must be a number, not"):
+        ClassSpec(Family.ME, alpha)
+    with pytest.raises(ValueError, match="alpha must be a number, not"):
+        check_me(LaurentFunction([0.1]), alpha, GRID)
+
+
 def test_nonfinite_margins_count_as_degenerate():
     # g' overflows on part of the grid; those margins are not evidence of
     # anything, and the finite ones refute

@@ -53,6 +53,13 @@ def test_kernel_spec_rejects_a_non_finite_phase(gamma):
         KernelSpec(1.0, gamma)
 
 
+@pytest.mark.parametrize("alpha, gamma, name", [("1", 7.0, "alpha"), (1.0, "7", "gamma"), (1.0, b"7", "gamma")])
+def test_kernel_spec_rejects_text(alpha, gamma, name):
+    # float() parses text, so KernelSpec('1', '7') would be a kernel
+    with pytest.raises(ValueError, match=f"{name} must be a number, not"):
+        KernelSpec(alpha, gamma)
+
+
 def test_kernel_alpha_zero_is_hadamard_identity():
     h = kernel(KernelSpec(0.0, 1.3), degree=12)
     assert all(c == 1.0 for c in h.coeffs)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from merostar import series
+from merostar import tme as tme_module
 from merostar.classes import ClassSpec, Family, Status, class_margins, coeff_weight
 from merostar.harness import sample_tme_member
 from merostar.series import DiscGrid, LaurentFunction, eval_g
@@ -20,6 +22,7 @@ from merostar.tme import (
 )
 from merostar.tolerances import MARGIN_TOL
 
+import hostile
 import oracles
 
 GRID = DiscGrid.default()
@@ -163,6 +166,35 @@ def test_text_is_not_a_magnitude_or_a_weight():
         recompose([0.5, b"0.5"], 1.0)
 
 
+# what a careless caller puts where a magnitude belongs, beyond hostile.number:
+# signed zeros, strings and bytes, numpy scalars and None
+loose_magnitude = st.one_of(
+    hostile.number,
+    st.just(-0.0),
+    st.text(max_size=3),
+    st.binary(max_size=2),
+    st.sampled_from(["0.5", "-0.0", "1e400", "nan"]),
+    st.builds(np.float64, st.floats()),
+    st.none(),
+)
+
+
+@given(st.one_of(hostile.coeffs, st.lists(loose_magnitude, max_size=8), st.text(max_size=4), st.binary(max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_magnitude_check_is_the_entrywise_check(values):
+    try:
+        expected = oracles.entrywise_nonnegative(values, "magnitudes")
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            TmeFunction(values)
+        assert str(raised.value) == str(exc)
+        return
+    got = TmeFunction(values).magnitudes
+    assert all(type(m) is float for m in got)
+    bits = lambda ms: [(m, math.copysign(1, m)) for m in ms]  # -0.0 stays -0.0
+    assert bits(got) == bits(expected)
+
+
 @pytest.mark.parametrize("alpha", [-0.5, -5.0, -1.0, float("nan"), float("inf")])
 def test_recompose_rejects_a_bad_order_by_name(alpha):
     # at alpha = -0.5 the weight of a_1 is 0, and at -5 every tail weight is negative
@@ -194,6 +226,8 @@ def test_distortion_bounds_formula():
         distortion_bounds(1.0, 1.0)
     with pytest.raises(ValueError):
         distortion_bounds(-1.0, 0.5)
+    with pytest.raises(ValueError, match="alpha must be a number, not str"):
+        distortion_bounds("1", 0.5)  # float() would parse it
 
 
 def test_pole_is_interior_to_distortion_bounds():
@@ -221,6 +255,47 @@ def test_random_members_satisfy_distortion_bounds():
         f = sample_tme_member(alpha, rng)
         v = check_distortion(f, alpha, GRID)
         assert v.min_margin >= -MARGIN_TOL
+
+
+@given(
+    st.floats(min_value=0.0, max_value=3.0),
+    st.sampled_from(["member", "boundary", "pole", "sharp"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_distortion_margin_is_the_least_slack_on_the_grid(alpha, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "pole":
+        f = POLE
+    elif kind == "sharp":
+        f = sharp_function(alpha, int(rng.integers(1, 31)))
+    else:
+        f = sample_tme_member(alpha, rng, boundary=kind == "boundary")
+    v = check_distortion(f, alpha, GRID)
+    sampled = oracles.grid_distortion_margins(f.magnitudes, alpha, GRID)
+    # no sample has less slack than its ring's closed form, which z = r attains,
+    # up to the samples' rounding: a slack is a difference of numbers up to
+    # 1/r + r <= 10.1, rounded to ulps of up to 1.8e-15 (alpha = 0 sharp
+    # functions round 3 ulps, 1.3e-15, below it at r = 0.9999)
+    assert v.min_margin <= float(np.min(sampled)) + 4 * math.ulp(10.1)
+    assert v.min_margin == pytest.approx(float(np.min(sampled)), abs=1e-14)
+    assert v.witness.imag == 0.0 and v.witness.real > 0.0
+    assert v.proof == "coefficients"
+    assert v.samples_checked == len(GRID.radii)
+
+
+def test_check_distortion_evaluates_no_series_on_a_grid(monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a series was evaluated on the grid")
+
+    # tme's own binding too: a by-name import would not see the patch of series
+    monkeypatch.setattr(tme_module, "ring_transform", no_evaluation, raising=False)
+    for name in ("ring_transform", "ring_values", "eval_g"):
+        monkeypatch.setattr(series, name, no_evaluation)
+    v = check_distortion(sharp_function(1.0, 2), 1.0, GRID)
+    assert v.status is Status.SAMPLED_MEMBER
+    assert v.witness == complex(GRID.radii[0])
+    assert v.proof == "coefficients"
 
 
 def test_check_distortion_rejects_nonmembers():
