@@ -130,16 +130,20 @@ def verdict_from_margins(
     minimum or the witness, and it forces Indeterminate unless a strict
     violation exists elsewhere.
     """
-    usable = np.isfinite(margins)
-    if not usable.any():
-        raise ValueError("all grid points degenerate; margin undefined everywhere")
-    idx = int(np.argmin(np.where(usable, margins, np.inf)))
+    # argmin lands on a NaN or -inf if there is one, and max on a NaN or +inf
+    idx = int(np.argmin(margins)) if margins.size else 0
+    finite = bool(margins.size) and math.isfinite(margins[idx]) and math.isfinite(margins.max())
+    if not finite:
+        usable = np.isfinite(margins)
+        if not usable.any():
+            raise ValueError("all grid points degenerate; margin undefined everywhere")
+        idx = int(np.argmin(np.where(usable, margins, np.inf)))
     min_margin = float(margins[idx])
     witness = complex(points[idx])
     n = int(margins.size if samples is None else samples)
     if min_margin < -MARGIN_TOL:
         return MembershipVerdict(Status.NON_MEMBER, min_margin, witness, n)
-    if not usable.all() or min_margin < MARGIN_TOL:
+    if not finite or min_margin < MARGIN_TOL:
         return MembershipVerdict(Status.INDETERMINATE, min_margin, witness, n)
     return MembershipVerdict(Status.SAMPLED_MEMBER, min_margin, witness, n)
 
@@ -209,20 +213,20 @@ def _coeff_sums(f: LaurentFunction) -> tuple[float, ...]:
     c = np.abs(f.g_coeffs)
     k = np.arange(len(c), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
-        s0, s1, s2 = (float(np.sum(c * k**p)) for p in (0, 1, 2))
-        w0, w1 = float(np.sum((1.0 + k) * c)), float(np.sum((1.0 + k) * k * c))
-    return s0, s1, s2, w0, w1
+        sums = np.stack((c, k * c, (k * k) * c, (1.0 + k) * c, ((1.0 + k) * k) * c)).sum(axis=1)
+    return tuple(sums.tolist())
 
 
-def _quotient_error(f: LaurentFunction, m: int, g: complex) -> float:
+def _quotient_error(f: LaurentFunction, sums: tuple[float, ...], m: int, g: complex) -> float:
     """Rounding bound on the margin of a rule that divides by g, at a point
     of the closed disc where ring_values with m angles gave g.
 
     Values g, z g' off by at most e0 = rho W_0, e1 = rho W_1 put the computed
     z g'/g within (e1 + |z g'/g| e0)/|g| of the true one, and |z g'| <= S_1
-    bounds |z g'/g| by S_1/(|g| - e0); inf when |g| does not clear e0.
+    bounds |z g'/g| by S_1/(|g| - e0); inf when |g| does not clear e0. sums
+    is _coeff_sums(f).
     """
-    _, s1, _, w0, w1 = _coeff_sums(f)
+    _, s1, _, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
     low = abs(g) - rho * w0
     if not low > 0:
@@ -231,7 +235,7 @@ def _quotient_error(f: LaurentFunction, m: int, g: complex) -> float:
     return rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
 
 
-def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, g, m: int):
+def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[float, ...], g, m: int):
     """(Lipschitz constant in theta, rounding bound) of the rule's margin on
     the unit circle sampled at m points, or None when no bound holds.
 
@@ -241,9 +245,9 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, g, m: int):
     |g| on the circle must clear the farthest an arc between samples can
     move g, which also makes the winding number of the samples exact; with
     no zero of g inside, z g'/g is holomorphic on the closed disc and
-    moves by at most (S_2 S_0 + S_1^2)/min|g|^2.
+    moves by at most (S_2 S_0 + S_1^2)/min|g|^2. sums is _coeff_sums(f).
     """
-    s0, s1, s2, w0, w1 = _coeff_sums(f)
+    s0, s1, s2, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
     if not rule.divides:
         w = rule.weight(alpha)
@@ -277,6 +281,7 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     counts every point evaluated.
     """
     values = ring_values if values is None else values
+    sums = _coeff_sums(f)
     evaluated = 0
     for m in (grid.angular_samples, 4 * grid.angular_samples):
         circle = DiscGrid.circle(m)
@@ -286,7 +291,7 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
         if not np.isfinite(margins).all():
             break
         low = verdict_from_margins(margins, circle.points, evaluated)
-        bound = _circle_bound(rule, alpha, f, g, m)
+        bound = _circle_bound(rule, alpha, f, sums, g, m)
         if bound is not None and all(map(math.isfinite, bound)):
             lipschitz, rounding = bound
             if low.min_margin - lipschitz * math.pi / m - rounding > 0:
@@ -295,7 +300,7 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
         elif bound is None and rule.divides and np.isfinite(g).all():
             # a zero of g inside, or |g| near 0: nothing proves a member, but a
             # witness inside refutes once it clears its own rounding bound
-            rounding, error = 0.0, lambda g, at: _quotient_error(f, m, g[at].item())
+            rounding, error = 0.0, lambda g, at: _quotient_error(f, sums, m, g[at].item())
         else:
             break
         if low.min_margin < -MARGIN_TOL - rounding:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -134,13 +135,23 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
     coefficients on R rings. Stacks whose longest row has at most log2(M)
     coefficients take Horner's rule on grid.points instead: its cost grows
     with the length and the transform's does not, so it is the cheaper one
-    on the shortest series.
+    on the shortest series. Either branch writes into the array it returns
+    and into no other array of its size.
     """
     m = grid.angular_samples
     longest = max(len(row) for row in rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
         if longest <= math.log2(m):
-            return np.stack([npoly.polyval(grid.points, row) for row in rows])
+            # npoly.polyval's recurrence c[-1] + x*0, then c_k + out*x, in place
+            x = grid.points
+            values = np.empty((len(rows), len(x)), dtype=complex)
+            for out, row in zip(values, rows):
+                np.multiply(x, 0, out=out)
+                out += row[-1]
+                for c in row[-2::-1]:
+                    out *= x
+                    out += c
+            return values
         coeffs = np.zeros((len(rows), longest), dtype=complex)
         for padded, row in zip(coeffs, rows):
             padded[: len(row)] = row
@@ -150,8 +161,8 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
         for start in range(0, longest, m):
             stop = min(start + m, longest)
             spectra[:, :, : stop - start] += coeffs[:, None, start:stop] * radii ** np.arange(start, stop)
-        values = np.fft.ifft(spectra, axis=-1, norm="forward")
-    return values.reshape(len(rows), -1)
+        np.fft.ifft(spectra, axis=-1, norm="forward", out=spectra)
+    return spectra.reshape(len(rows), -1)
 
 
 def hadamard(f: LaurentFunction, g: LaurentFunction) -> LaurentFunction:
@@ -201,7 +212,12 @@ class DiscGrid:
                 raise ValueError(f"radius {r} outside (0,1)")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if self.angular_samples < 8:
+        try:  # numpy integers pass; a float would evaluate one count and report another
+            m = operator.index(self.angular_samples)
+        except TypeError:
+            raise ValueError(f"angular_samples must be an integer, got {self.angular_samples!r}") from None
+        object.__setattr__(self, "angular_samples", m)
+        if m < 8:
             raise ValueError("angular_samples must be >= 8")
 
     @classmethod

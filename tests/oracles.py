@@ -14,6 +14,9 @@ import math
 import mpmath
 import numpy as np
 from mpmath.libmp import from_float, from_man_exp, libmpi, mpf_ge
+from numpy.polynomial import polynomial as npoly
+
+from merostar.tolerances import MARGIN_TOL
 
 
 def naive_eval_g(coeffs, z: complex) -> complex:
@@ -265,3 +268,67 @@ def grid_distortion_margins(magnitudes, alpha: float, grid) -> np.ndarray:
     spread = r / (1.0 + 2.0 * alpha)
     absf = np.abs(g) / r  # the ring's |z|; the computed points miss it by rounding
     return np.minimum(absf - (1.0 / r - spread), 1.0 / r + spread - absf)
+
+
+def allocating_ring_transform(rows, grid) -> np.ndarray:
+    """series.ring_transform with a new array for every step: npoly.polyval
+    per row on stacks of at most log2(M) coefficients, else the fold of each
+    block of M coefficients into zeroed spectra and an inverse FFT into a
+    fresh array. The in-place kernel must reproduce its bits."""
+    m = grid.angular_samples
+    longest = max(len(row) for row in rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if longest <= math.log2(m):
+            return np.stack([npoly.polyval(grid.points, row) for row in rows])
+        coeffs = np.zeros((len(rows), longest), dtype=complex)
+        for padded, row in zip(coeffs, rows):
+            padded[: len(row)] = row
+        radii = np.asarray(grid.radii)[:, None]
+        spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
+        for start in range(0, longest, m):
+            stop = min(start + m, longest)
+            spectra[:, :, : stop - start] += coeffs[:, None, start:stop] * radii ** np.arange(start, stop)
+        values = np.fft.ifft(spectra, axis=-1, norm="forward")
+    return values.reshape(len(rows), -1)
+
+
+def masked_verdict_fold(margins, points, samples=None):
+    """classes.verdict_from_margins with the isfinite mask on every call, as
+    (status value, least finite margin, its point, samples); the first least
+    margin wins a tie."""
+    usable = np.isfinite(margins)
+    if not usable.any():
+        raise ValueError("all grid points degenerate; margin undefined everywhere")
+    idx = int(np.argmin(np.where(usable, margins, np.inf)))
+    least = float(margins[idx])
+    n = int(margins.size if samples is None else samples)
+    if least < -MARGIN_TOL:
+        status = "NonMember"
+    elif not usable.all() or least < MARGIN_TOL:
+        status = "Indeterminate"
+    else:
+        status = "SampledMember"
+    return status, least, complex(points[idx]), n
+
+
+def per_power_coeff_sums(g_coeffs) -> tuple[float, ...]:
+    """S_p = sum k^p |c_k| for p = 0, 1, 2, then W_0 = sum (1 + k)|c_k| and
+    W_1 = sum (1 + k) k |c_k|, one numpy sum each."""
+    c = np.abs(g_coeffs)
+    k = np.arange(len(c), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s0, s1, s2 = (float(np.sum(c * k**p)) for p in (0, 1, 2))
+        w0, w1 = float(np.sum((1.0 + k) * c)), float(np.sum((1.0 + k) * k * c))
+    return s0, s1, s2, w0, w1
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of the same shape, NaN where the other has NaN, and the
+    same sign bit in every real and imaginary part (so +0.0 is not -0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    )

@@ -16,6 +16,7 @@ from merostar.classes import (
     Family,
     Status,
     _circle_bound,
+    _coeff_sums,
     check_class,
     check_me,
     check_mf,
@@ -99,7 +100,7 @@ def test_interval_oracle_confirms_the_circle_lower_bound():
             continue
         m = len(margins)
         g = ring_values(f, DiscGrid.circle(m))[0]
-        lipschitz, rounding = _circle_bound(ClassSpec(family, alpha).rule, alpha, f, g, m)
+        lipschitz, rounding = _circle_bound(ClassSpec(family, alpha).rule, alpha, f, _coeff_sums(f), g, m)
         bound = verdict.min_margin - lipschitz * math.pi / m - rounding
         assert bound > 0
         assert oracles.iv_circle_min_at_least(f.coeffs, family.value, alpha, bound), (f, family, alpha)
@@ -108,6 +109,17 @@ def test_interval_oracle_confirms_the_circle_lower_bound():
 
 
 coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_coeff_sums_are_the_per_power_sums(coeffs):
+    # one stacked reduction has the bits of five separate sums, also past
+    # the 128 terms where numpy's pairwise summation starts to split a row
+    f = LaurentFunction(coeffs)
+    sums = _coeff_sums(f)
+    assert all(type(s) is float for s in sums)
+    assert oracles.same_bits(np.array(sums), np.array(oracles.per_power_coeff_sums(f.g_coeffs)))
 
 
 @given(

@@ -350,6 +350,32 @@ def test_verdict_fold_degenerate_rules():
     assert bad.witness == 0.5 + 0j
 
 
+# margins near the tolerance band, ties, signed zeros and every non-finite value
+fold_margin = st.one_of(
+    st.sampled_from([0.0, -0.0, MARGIN_TOL, -MARGIN_TOL, 2e-9, -2e-9, 0.5, np.nan, np.inf, -np.inf]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(),
+)
+
+
+@given(st.lists(fold_margin, max_size=40), st.none() | st.integers(0, 10**6))
+@settings(max_examples=500, deadline=None)
+def test_verdict_fold_is_the_masked_fold(values, samples):
+    margins = np.array(values, dtype=float)
+    points = np.arange(margins.size) * (0.001 + 0.002j)
+    try:
+        expected = oracles.masked_verdict_fold(margins, points, samples)
+    except ValueError as err:  # all NaN or infinite, or no margins at all
+        with pytest.raises(ValueError) as got:
+            verdict_from_margins(margins, points, samples)
+        assert str(got.value) == str(err)
+        return
+    v = verdict_from_margins(margins, points, samples)
+    status, least, witness, n = expected
+    assert (v.status.value, v.witness, v.samples_checked, v.proof) == (status, witness, n, None)
+    assert oracles.same_bits(v.min_margin, least)
+
+
 @given(hostile.coeffs, st.sampled_from([Family.ME, Family.MF, Family.STARLIKE]), st.floats(0.0, 0.99))
 @settings(max_examples=30, deadline=None)
 def test_hostile_series_never_give_a_member_with_a_nonfinite_margin(coeffs, family, alpha):

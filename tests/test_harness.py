@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from merostar import harness
-from merostar.classes import Status, check_me, coeff_sufficient_me
+from merostar.classes import Status, check_me, coeff_bound, coeff_sufficient_me
 from merostar.extremal import remark1_witness, theorem21_extremal
 from merostar.harness import (
     SUITE_IDS,
@@ -158,6 +158,20 @@ def test_thm31_gamma_bound_holds_at_rounding_prone_seeds(seed):
     # near 1, which rounded one ulp past bounds of about 1e-17 at these seeds
     report = run_suite("thm3.1", {"seed": seed})
     assert report.passed, [c.to_dict() for c in report.checks if c.status is CheckStatus.FAIL]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_thm23_member_bounds_are_the_per_coefficient_bounds(seed):
+    # the suite takes coeff_bound and abs of a whole member at once; its
+    # least gap must keep the bits of the per-coefficient scalar loop
+    alpha, count = 1.5, 200  # the suite's defaults
+    rng = np.random.default_rng(seed + 23)
+    for _ in range(50):  # the root-identity draws come first
+        rng.uniform(0.0, 4.0), rng.integers(1, 17)
+    members = [sample_certified_member(alpha, rng) for _ in range(count)]
+    expected = min(coeff_bound(alpha, k) - abs(c) for f in members for k, c in enumerate(f.coeffs))
+    checks = {c.name: c for c in run_suite("thm2.3", {"seed": seed}).checks}
+    assert checks["certified_members_respect_bounds"].margin.hex() == expected.hex()
 
 
 def test_unknown_suite_rejected():
