@@ -20,11 +20,11 @@ disc. For MF and STARLIKE no bound holds when g has a zero inside (z g'/g
 has a pole there) or |g| comes near 0, but a negative sample on a finite
 circle still refutes once a witness inside clears its own rounding bound.
 Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
-the circle, non-finite values) is sampled on the grid as before, where a
-negative margin refutes and nonnegative margins are evidence, not proof.
-MembershipVerdict.proof says which path decided.
-CertifiedMember is reserved for the coefficient certificate, which is a
-genuine sufficient condition.
+the circle, non-finite values) is sampled on the grid's outermost ring, which
+holds the grid's least margin (for MF and STARLIKE, a margin of -alpha or less
+where g has zeros inside it); there a negative margin refutes and nonnegative
+margins are evidence. MembershipVerdict.proof says which path decided;
+CertifiedMember is reserved for the coefficient certificate.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class MembershipVerdict:
     """status with the least margin evaluated and its point (witness), the
     number of points evaluated, and what decided the status: "circle" (a
     bound on the unit circle), "coefficients" (a coefficient sum) or None
-    (sampled on the grid)."""
+    (sampled on the grid's outermost ring)."""
 
     status: Status
     min_margin: float
@@ -264,8 +264,8 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
-def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None):
-    """Verdict of a rule for f, and the margins it folded last.
+def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None) -> MembershipVerdict:
+    """Verdict of a rule for f.
 
     values(f, at) gives g and z g' on a grid; by default ring_values. The
     unit circle with M = grid.angular_samples points decides where a bound
@@ -277,8 +277,8 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     sample below -MARGIN_TOL still starts the rings, and a witness counts once
     it clears _quotient_error at its point. A positive but unproved minimum
     refines the circle to 4M points once. Everything else (ties, zeros of g on
-    the circle, non-finite values) is sampled on the grid. samples_checked
-    counts every point evaluated.
+    the circle, non-finite values) is sampled on the grid's outermost ring.
+    samples_checked counts every point evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
@@ -295,7 +295,7 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
         if bound is not None and all(map(math.isfinite, bound)):
             lipschitz, rounding = bound
             if low.min_margin - lipschitz * math.pi / m - rounding > 0:
-                return replace(low, status=Status.SAMPLED_MEMBER, proof="circle"), margins
+                return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
             error = lambda g, at: rounding
         elif bound is None and rule.divides and np.isfinite(g).all():
             # a zero of g inside, or |g| near 0: nothing proves a member, but a
@@ -316,18 +316,18 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
                 if v.status is Status.NON_MEMBER and (
                     v.min_margin < -MARGIN_TOL - error(g, ring.points == v.witness)
                 ):
-                    return replace(v, proof="circle"), margins
+                    return replace(v, proof="circle")
             break
         if bound is None or not low.min_margin > 0:
             break
-    margins = rule.margins(alpha, *values(f, grid))
-    return verdict_from_margins(margins, grid.points, evaluated + len(grid)), margins
+    ring = DiscGrid(grid.radii[-1:], grid.angular_samples)
+    return verdict_from_margins(rule.margins(alpha, *values(f, ring)), ring.points, evaluated + len(ring))
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
     """Pointwise margins of the class condition at arbitrary points, NaN
     where |g| ~ 0 or overflow leaves them undefined. Positive everywhere on E
-    means membership. On a DiscGrid, check_class is the faster route."""
+    means membership. On a DiscGrid, grid_margins is the faster route."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
         return spec.rule.margins(spec.alpha, eval_g(f, points), points * eval_g_prime(f, points))
 
@@ -338,24 +338,20 @@ def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
     return spec.rule.margins(spec.alpha, *ring_values(f, grid))
 
 
-def check_class(
-    spec: ClassSpec, f: LaurentFunction, grid: DiscGrid
-) -> tuple[MembershipVerdict, np.ndarray]:
+def check_class(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     """Decide the class on the unit circle where a bound proves it, else
-    sample the grid: the verdict, and the margins of the last evaluation it
-    folded (the grid's in grid.points order when proof is None; NaN where
-    |g| ~ 0 leaves them undefined)."""
+    sample the grid's outermost ring (see decide); the verdict alone."""
     return decide(spec.rule, spec.alpha, f, grid)
 
 
 def check_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Decide the ME(alpha) margin Re g - alpha |z g'| (see check_class)."""
-    return check_class(ClassSpec(Family.ME, alpha), f, grid)[0]
+    return check_class(ClassSpec(Family.ME, alpha), f, grid)
 
 
 def check_mf(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
     """Decide the MF(alpha) margin (1 - alpha) - |z g'/g| (see check_class)."""
-    return check_class(ClassSpec(Family.MF, alpha), f, grid)[0]
+    return check_class(ClassSpec(Family.MF, alpha), f, grid)
 
 
 def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
@@ -363,7 +359,7 @@ def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> Membersh
 
     Re(zf'/f) < -alpha rewrites to Re(zg'/g) < 1 - alpha via zf'/f + 1 = zg'/g.
     """
-    return check_class(ClassSpec(Family.STARLIKE, alpha), f, grid)[0]
+    return check_class(ClassSpec(Family.STARLIKE, alpha), f, grid)
 
 
 def coeff_weight(alpha: float, n: int) -> float:
@@ -411,4 +407,4 @@ def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     ME(alpha) for alpha >= 1; this check is the sampled form of that
     implication (it carries no alpha of its own).
     """
-    return decide(_REMARK2, 0.0, f, grid)[0]
+    return decide(_REMARK2, 0.0, f, grid)

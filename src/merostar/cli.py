@@ -57,15 +57,11 @@ def _cmd_check(args) -> int:
         f = harness.load_tme(args.series)
         verdict = harness.classify_tme(f, alpha)
         payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
-        if args.csv:  # the TME verdict is exact and never sampled the grid
-            margins = grid_margins(ClassSpec(Family.TME, alpha), f.to_laurent(), grid)
+        lf = f.to_laurent()
     else:
         lf = harness.load_series(args.series)
-        spec = ClassSpec(Family(args.klass), alpha)
-        verdict, margins = check_class(spec, lf, grid)
-        if args.csv and verdict.proof is not None:  # decided on the unit circle, not the grid
-            margins = grid_margins(spec, lf, grid)
-        if spec.family is Family.ME:
+        verdict = check_class(ClassSpec(Family(args.klass), alpha), lf, grid)
+        if args.klass == "me":
             verdict = harness.classify_me(lf, alpha, verdict)
     payload.update(
         status=verdict.status.value,
@@ -78,7 +74,7 @@ def _cmd_check(args) -> int:
         if not math.isfinite(payload.get(key, 0.0)):
             payload[key] = None
     if args.csv:  # before the verdict, so an unwritable path exits 2 with nothing printed
-        _dump_margin_csv(args.csv, grid, margins)
+        _dump_margin_csv(args.csv, grid, grid_margins(ClassSpec(Family(args.klass), alpha), lf, grid))
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0 if verdict.is_member else 1
 
@@ -87,20 +83,18 @@ def _cmd_extremal(args) -> int:
     name = args.name
     alpha = float(args.alpha)
     n = int(args.n)
-    degree = args.degree
+    default = 30 if name == "expz" else extremal.DEFAULT_EXTREMAL_DEGREE
+    d = default if args.degree is None else int(args.degree)
     if name == "thm21":
-        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
         f = extremal.theorem21_extremal(alpha, d)
         tail = extremal.theorem21_tail_bound(alpha, d)
     elif name == "thm23":
-        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
         f = extremal.theorem23_extremal(alpha, n, d)
         tail = extremal.theorem23_tail_bound(alpha, n, d)
     elif name == "rem1":
         f = extremal.remark1_witness(n)
         tail = 0.0
     elif name == "expz":
-        d = int(degree) if degree is not None else 30
         f = extremal.mf_not_me_witness(d)
         tail = extremal.mf_not_me_tail_bound(d)
     else:  # onemz2

@@ -103,9 +103,9 @@ def thm31_verdicts(
     f: LaurentFunction, alpha: float, grid: DiscGrid, gamma_samples: int
 ) -> tuple[MembershipVerdict, MembershipVerdict]:
     """The ME verdict of f and the verdict of the kernel family at
-    gamma_samples phases, each on the unit circle where a bound decides it
-    (see classes.check_class), else on the grid; both read one evaluation of
-    f per circle, ring or grid.
+    gamma_samples phases, each on the unit circle where a bound decides it,
+    else on the grid's outermost ring (see classes.decide); both read one
+    evaluation of f per circle or ring.
 
     The sampled margin is the least of gamma_samples margins
     Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's
@@ -114,8 +114,8 @@ def thm31_verdicts(
     spec = ClassSpec(Family.ME, alpha)
     kernels = Rule(lambda g, zgp, a: phase_margins(g, zgp, a, gamma_samples)[1], False, lambda a: a)
     values = functools.cache(ring_values)  # shared by both rules, dropped on return
-    sampled = decide(kernels, spec.alpha, f, grid, values)[0]  # checks gamma_samples first
-    return decide(spec.rule, spec.alpha, f, grid, values)[0], sampled
+    sampled = decide(kernels, spec.alpha, f, grid, values)  # checks gamma_samples first
+    return decide(spec.rule, spec.alpha, f, grid, values), sampled
 
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):
@@ -155,21 +155,20 @@ def neighborhood_sample(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    base = list(f.coeffs)
     samples: list[LaurentFunction] = []
     spikes_placed = 0
     for i in range(count):
         on_sphere = i % 3 == 0
         if on_sphere and spikes_placed < 8:
             spikes_placed += 1
-            indices, weights, phases, scale = [spikes_placed], [1.0], [1.0], delta
+            indices, weights, phases, scale = np.array([spikes_placed]), 1.0, 1.0, delta
         else:
             indices, weights = random_support(rng, 1, 40, 13)
             phases = np.exp(1j * rng.uniform(0.0, TAU, len(indices)))
             scale = delta if on_sphere else delta * float(rng.uniform(0.0, 1.0))
-        coeffs = base + [0j] * max(0, int(max(indices)) + 1 - len(base))
-        for k, t, ph in zip(indices, weights, phases):
-            coeffs[int(k)] = coeffs[int(k)] + (scale * float(t) / int(k)) * complex(ph)
+        coeffs = np.zeros(max(len(f.coeffs), int(indices.max()) + 1), dtype=complex)
+        coeffs[: len(f.coeffs)] = f.coeffs
+        coeffs[indices] += (scale * weights / indices) * phases
         samples.append(LaurentFunction(tuple(coeffs)))
     return samples
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -65,9 +66,8 @@ def _sample_weighted(alpha: float, rng: np.random.Generator, lowest: int) -> Lau
     indices, weights = random_support(rng, lowest, 40, 13)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(indices)))
     u = float(rng.uniform(0.0, 1.0))
-    coeffs = [0j] * (int(indices.max()) + 1)
-    for idx, t, ph in zip(indices, weights, phases):
-        coeffs[int(idx)] = (u * float(t) / coeff_weight(alpha, int(idx))) * complex(ph)
+    coeffs = np.zeros(int(indices.max()) + 1, dtype=complex)
+    coeffs[indices] = (u * weights / coeff_weight(alpha, indices)) * phases
     return LaurentFunction(tuple(coeffs))
 
 
@@ -96,9 +96,8 @@ def sample_tme_member(
     alpha = ClassSpec(Family.TME, alpha).alpha
     indices, lam = random_support(rng, 1, 30, 9, 0 if boundary else 1)
     tail = lam if boundary else lam[1:]
-    mags = [0.0] * int(indices.max())
-    for idx, l in zip(indices, tail):
-        mags[int(idx) - 1] = float(l) / coeff_weight(alpha, int(idx))
+    mags = np.zeros(int(indices.max()))
+    mags[indices - 1] = tail / coeff_weight(alpha, indices)
     return tme.TmeFunction(tuple(mags))
 
 
@@ -674,14 +673,22 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     """Run one verification suite (or "all") and return its report.
 
     params may override the suite defaults: alpha, n, count, seed, eps,
-    delta, gamma_samples where the suite uses them; a count below 1 is
-    rejected. "all" takes only the seed, since each suite keeps its own
+    delta, gamma_samples where the suite uses them; n, count, seed and
+    gamma_samples must be integers (integral floats pass), and a count below
+    1 is rejected. "all" takes only the seed, since each suite keeps its own
     defaults. Unknown suite names are rejected.
     """
     t0 = time.perf_counter()
     params = {key: value for key, value in (params or {}).items() if value is not None}
     if name not in SUITE_IDS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_IDS)}")
+    for key in [key for key in ("n", "count", "seed", "gamma_samples") if key in params]:
+        value = params[key]
+        if isinstance(value, (float, np.floating)) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        params[key] = int(value)
     if name == "all":
         ignored = sorted(params.keys() - {"seed"})
         if ignored:
@@ -698,9 +705,6 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     else:
         suite, defaults = _SUITES[name]
         inputs = {**defaults, **params}
-        for key in ("n", "count", "seed", "gamma_samples"):
-            if key in inputs:
-                inputs[key] = int(inputs[key])
         for key, least in (("n", 1), ("count", 1), ("seed", 0)):
             if inputs.get(key, least) < least:
                 raise ValueError(f"{key} must be >= {least}, got {inputs[key]}")

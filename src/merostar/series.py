@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -190,6 +190,12 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     return LaurentFunction(tuple(kept))
 
 
+def _angular_samples(m) -> int:
+    if isinstance(m, numbers.Integral):  # numpy ints pass; a float M is not the count np.arange takes
+        return int(m)
+    raise ValueError(f"angular_samples must be an integer, got {m!r}")
+
+
 @dataclass(frozen=True)
 class DiscGrid:
     """Sampling grid: circles of the given radii, equispaced angles on each.
@@ -204,20 +210,17 @@ class DiscGrid:
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
+        radii = tuple(self.radii)
+        for r in radii:
+            if isinstance(r, (str, bytes)) or not 0.0 < float(r) < 1.0:  # float() would parse text
+                raise ValueError(f"radius {r!r} is not a number in (0,1)")
+        object.__setattr__(self, "radii", tuple(map(float, radii)))
         if not self.radii:
             raise ValueError("grid needs at least one radius")
-        for r in self.radii:
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"radius {r} outside (0,1)")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        try:  # numpy integers pass; a float would evaluate one count and report another
-            m = operator.index(self.angular_samples)
-        except TypeError:
-            raise ValueError(f"angular_samples must be an integer, got {self.angular_samples!r}") from None
-        object.__setattr__(self, "angular_samples", m)
-        if m < 8:
+        object.__setattr__(self, "angular_samples", _angular_samples(self.angular_samples))
+        if self.angular_samples < 8:
             raise ValueError("angular_samples must be >= 8")
 
     @classmethod
@@ -225,10 +228,14 @@ class DiscGrid:
         return cls()
 
     @classmethod
-    @cache  # one instance per M: every grid with M angles shares its read-only angles and roots
     def circle(cls, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":
         """M equispaced points of the unit circle, where the margins of a
         truncated series take their minimum over the closed disc."""
+        return cls._circle(_angular_samples(angular_samples))  # 64.0 must not find 64's entry
+
+    @classmethod
+    @cache  # one instance per M: every grid with M angles shares its read-only angles and roots
+    def _circle(cls, angular_samples: int) -> "DiscGrid":
         grid = cls((0.5,), angular_samples)  # validates angular_samples
         object.__setattr__(grid, "radii", (1.0,))
         thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples

@@ -16,6 +16,8 @@ import numpy as np
 from mpmath.libmp import from_float, from_man_exp, libmpi, mpf_ge
 from numpy.polynomial import polynomial as npoly
 
+from merostar.classes import decide
+from merostar.series import ring_values
 from merostar.tolerances import MARGIN_TOL
 
 
@@ -332,3 +334,35 @@ def same_bits(a, b) -> bool:
         and np.array_equal(np.signbit(a.real), np.signbit(b.real))
         and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
     )
+
+
+def grid_fold(rule, alpha: float, f, grid):
+    """The fallback classes.decide made before it took the outermost ring:
+    the rule's margins at every point of every ring of grid, folded by
+    masked_verdict_fold, as (status value, least finite margin, its point)."""
+    margins = rule.margins(alpha, *ring_values(f, grid))
+    return masked_verdict_fold(margins, grid.points)[:3]
+
+
+def zero_free_inside(g_coeffs, radius: float) -> bool:
+    """Whether the polynomial with ascending coefficients g_coeffs, g(0) = 1,
+    has no zero in |z| < radius: at once when sum_{k>=1} |c_k| radius^k < 1,
+    else from the roots numpy finds."""
+    c = np.asarray(g_coeffs, dtype=complex)
+    if np.sum(np.abs(c[1:]) * radius ** np.arange(1, len(c))) < 1.0:
+        return True
+    return bool(np.all(np.abs(np.roots(c[::-1])) >= radius))
+
+
+def decide_recorded(rule, alpha: float, f, grid):
+    """classes.decide with ring_values, and what its last evaluation gave:
+    (verdict, margins, points) of the circle or ring that decided it."""
+    evaluations = []
+
+    def recording(f, at):
+        evaluations.append((at, ring_values(f, at)))
+        return evaluations[-1][1]
+
+    verdict = decide(rule, alpha, f, grid, recording)
+    at, values = evaluations[-1]
+    return verdict, rule.margins(alpha, *values), at.points

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from merostar import cli, convolution, harness
 from merostar.classes import (
+    _REMARK2,
     ClassSpec,
     Family,
     Status,
@@ -33,6 +34,7 @@ from merostar.harness import (
     _ratio_grid,
     sample_certified_member,
     sample_hypothesis_member,
+    sample_tme_member,
     sample_wild_function,
 )
 from merostar.partial_sums import check_ratio_bounds
@@ -95,12 +97,13 @@ def test_interval_oracle_confirms_the_circle_lower_bound():
         base = sample_wild_function(rng, 4)
         f = LaurentFunction(tuple(float(rng.uniform(0.05, 0.6)) * c for c in base.coeffs))
         alpha = float(rng.uniform(0.0, 0.9))
-        verdict, margins = check_class(ClassSpec(family, alpha), f, grid)
+        rule = ClassSpec(family, alpha).rule
+        verdict, margins, _ = oracles.decide_recorded(rule, alpha, f, grid)
         if not (verdict.is_member and verdict.proof == "circle"):
             continue
-        m = len(margins)
+        m = len(margins)  # the circle that proved it, at M or 4M angles
         g = ring_values(f, DiscGrid.circle(m))[0]
-        lipschitz, rounding = _circle_bound(ClassSpec(family, alpha).rule, alpha, f, _coeff_sums(f), g, m)
+        lipschitz, rounding = _circle_bound(rule, alpha, f, _coeff_sums(f), g, m)
         bound = verdict.min_margin - lipschitz * math.pi / m - rounding
         assert bound > 0
         assert oracles.iv_circle_min_at_least(f.coeffs, family.value, alpha, bound), (f, family, alpha)
@@ -132,7 +135,7 @@ def test_coeff_sums_are_the_per_power_sums(coeffs):
 @settings(max_examples=60, deadline=None)
 def test_no_circle_proved_member_is_refuted_inside(raw, scale, family, alpha, polar):
     f = LaurentFunction(tuple(scale * c / (n + 1) for n, c in enumerate(raw)))
-    verdict, _ = check_class(ClassSpec(family, alpha), f, GRID)
+    verdict = check_class(ClassSpec(family, alpha), f, GRID)
     if not (verdict.is_member and verdict.proof == "circle"):
         return
     points = [r * complex(math.cos(t), math.sin(t)) for r, t in polar]
@@ -150,9 +153,9 @@ def test_hostile_series_get_a_circle_verdict_only_from_finite_values(coeffs, fam
         return  # not finite or beyond float range: refused on construction
     with np.errstate(all="ignore"):
         try:
-            verdict, margins = check_class(ClassSpec(family, alpha), f, GRID)
+            verdict, margins, _ = oracles.decide_recorded(ClassSpec(family, alpha).rule, alpha, f, GRID)
         except ValueError:
-            return  # no grid point has a defined margin
+            return  # no point of the evaluation that decides has a defined margin
         values = ring_values(f, DiscGrid.circle(GRID.angular_samples))
     if not np.isfinite(values).all():
         assert verdict.proof is None
@@ -182,14 +185,15 @@ def test_circle_refutations_of_a_zero_inside_are_sound():
         z0 = radius * complex(math.cos(angle), math.sin(angle))
         h = [1.0] + [scale * c / (n + 2) for n, c in enumerate(raw)]
         f = LaurentFunction(tuple(np.convolve([1.0, -1.0 / z0], h)[1:]))
-        verdict, _ = check_class(ClassSpec(family, alpha), f, GRID)
+        verdict, margins, points = oracles.decide_recorded(ClassSpec(family, alpha).rule, alpha, f, GRID)
         on_circle.append(verdict.proof == "circle")
         if verdict.proof != "circle":
             return
         assert verdict.status is Status.NON_MEMBER
-        assert abs(verdict.witness) < 1.0
+        # the ring inside that decided holds the witness and its margin
+        assert np.abs(points).max() < 1.0
+        assert margins[points == verdict.witness].min() == verdict.min_margin
         assert oracles.mp_class_margin(f.coeffs, family.value, alpha, verdict.witness) < -MARGIN_TOL
-        assert verdict.samples_checked < len(GRID)  # the grid was not evaluated
 
     refutation_has_a_witness_inside()
     # the circle decides most draws, so the property cannot hold vacuously
@@ -198,13 +202,15 @@ def test_circle_refutations_of_a_zero_inside_are_sound():
 
 def test_overflow_and_huge_degree_fall_back_to_the_grid():
     overflow = LaurentFunction([0.0] * 5 + [1e307])  # z g' overflows on the circle
-    v = check_me(overflow, 0.5, GRID)
+    v, margins, points = oracles.decide_recorded(ClassSpec(Family.ME, 0.5).rule, 0.5, overflow, GRID)
     assert v.proof is None and v.status is Status.NON_MEMBER
-    assert v.samples_checked == GRID.angular_samples + len(GRID)
+    assert v.samples_checked == 2 * GRID.angular_samples  # the circle, then the outermost ring
+    assert np.array_equal(points, DiscGrid(GRID.radii[-1:], GRID.angular_samples).points)
+    assert v.min_margin == np.nanmin(margins)
     # degree 10^5: the Lipschitz bound is far beyond what 4 x 2048 angles resolve
     huge = LaurentFunction((0j,) * 100_000 + (1e-6 + 0j,))
     for family, alpha in ((Family.ME, 1.0), (Family.MF, 0.5), (Family.STARLIKE, 0.5)):
-        v, _ = check_class(ClassSpec(family, alpha), huge, GRID)
+        v = check_class(ClassSpec(family, alpha), huge, GRID)
         assert v.proof is None
 
 
@@ -216,6 +222,134 @@ def test_ties_and_zeros_of_g_fall_back_to_the_grid():
     # (1 - z)^2 / z: g vanishes at z = 1 on the circle
     v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER and v.proof is None
+
+
+OUTER_RING = DiscGrid(GRID.radii[-1:], GRID.angular_samples)
+
+
+def _ring_fallback_is_the_grid_fold(rule, alpha, f) -> bool:
+    """Decide f and, where nothing on the circle decides it, hold the fold of
+    the grid's outermost ring to the fold of all 12 rings: the same status,
+    and the same least margin and witness where the minimum principle puts
+    them on that ring, which is where the ring's margins are all finite and
+    the rule does not divide by g or g has no zero inside the ring. Whether
+    the fallback ran."""
+    with np.errstate(all="ignore"):
+        try:
+            verdict, margins, points = oracles.decide_recorded(rule, alpha, f, GRID)
+        except ValueError:  # no margin on the ring is defined, nor on the grid
+            with pytest.raises(ValueError, match="degenerate"):
+                oracles.grid_fold(rule, alpha, f, GRID)
+            return True
+        if verdict.proof is not None:
+            return False
+        status, least, witness = oracles.grid_fold(rule, alpha, f, GRID)
+    assert np.array_equal(points, OUTER_RING.points)
+    # the circle (and its 4M refinement or rings stepped inward), then the ring
+    assert verdict.samples_checked >= 2 * GRID.angular_samples
+    assert verdict.samples_checked % GRID.angular_samples == 0
+    assert verdict.status.value == status
+    superharmonic = not rule.divides or oracles.zero_free_inside(f.g_coeffs, OUTER_RING.radii[0])
+    if np.isfinite(margins).all() and superharmonic:
+        assert (verdict.min_margin, verdict.witness) == (least, witness)
+    return True
+
+
+def _fallback_catalog():
+    """Ties, zeros of g on and inside the circle, overflow and degree 10^5,
+    as (rule, alpha, series)."""
+    me, mf, st_ = (lambda a, family=family: ClassSpec(family, a).rule for family in FAMILIES)
+    cases = []
+    for alpha in (1.0, 1.5, 2.0, 3.0, 5.0):
+        order = 1.0 - 1.0 / alpha
+        for degree in (4, 8, 16, 64, 256):
+            f = theorem21_extremal(alpha, degree)
+            cases += [(me(alpha), alpha, f), (mf(order), order, f), (st_(order), order, f), (_REMARK2, 0.0, f)]
+    for alpha in (0.5, 1.0, 2.0):
+        cases += [(me(alpha), alpha, sharp_function(alpha, n).to_laurent()) for n in (1, 2, 3, 7, 20)]
+    for n in range(1, 25):
+        cases += [(me(1.0), 1.0, remark1_witness(n)), (st_(0.1), 0.1, remark1_witness(n))]
+    rng = np.random.default_rng(3)
+    for i in range(300):
+        alpha = (0.5, 1.0, 2.0)[i % 3]
+        cases.append((me(alpha), alpha, sample_tme_member(alpha, rng, boundary=True).to_laurent()))
+    # g = (1 - z/z0)(1 + 0.2 z - 0.1i z^2), with its zero z0 inside, on or near the circle
+    zeros = (0.5, -0.9, 0.3j, 0.99, 1.0, 1j, complex(math.cos(0.3), math.sin(0.3)))
+    with_zero = [LaurentFunction(tuple(np.convolve([1.0, -1.0 / z0], [1.0, 0.2, -0.1j])[1:])) for z0 in zeros]
+    for rule in (me, mf, st_):
+        for alpha in (0.0, 0.3):
+            cases += [(rule(alpha), alpha, f) for f in (starlike_not_mf_witness(), *with_zero)]
+    for coeffs in ([0.0] * 5 + [1e307], [1.7e308, 0.8e308], [0.0] * 12 + [1e307] * 2, [0.0] * 20 + [1.5e307] * 20):
+        cases += [(me(1.0), 1.0, LaurentFunction(coeffs)), (me(0.0), 0.0, LaurentFunction(coeffs))]
+    huge = LaurentFunction((0j,) * 100_000 + (1e-6 + 0j,))
+    cases += [(me(1.0), 1.0, huge), (mf(0.5), 0.5, huge), (st_(0.5), 0.5, huge)]
+    return cases
+
+
+def test_ring_fallback_is_the_grid_fold_on_ties_zeros_and_overflow():
+    fell_back = [_ring_fallback_is_the_grid_fold(rule, alpha, f) for rule, alpha, f in _fallback_catalog()]
+    assert sum(fell_back) > 350, (sum(fell_back), len(fell_back))
+
+
+# series that the circle leaves undecided: ties of the sharp functions, zeros
+# of g on or inside the circle, and coefficients near the top of float range
+fallback_case = st.one_of(
+    st.builds(
+        lambda alpha, degree, family: (
+            ClassSpec(family, alpha if family is Family.ME else 1.0 - 1.0 / alpha).rule,
+            alpha if family is Family.ME else 1.0 - 1.0 / alpha,
+            theorem21_extremal(alpha, degree),
+        ),
+        st.floats(1.0, 5.0),
+        st.integers(1, 300),
+        st.sampled_from(FAMILIES),
+    ),
+    st.builds(
+        lambda alpha, seed: (
+            ClassSpec(Family.ME, alpha).rule,
+            alpha,
+            sample_tme_member(alpha, np.random.default_rng(seed), boundary=True).to_laurent(),
+        ),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        lambda family, alpha, radius, angle, raw: (
+            ClassSpec(family, alpha).rule,
+            alpha,
+            LaurentFunction(
+                tuple(np.convolve([1.0, -complex(math.cos(angle), -math.sin(angle)) / radius], [1.0, *raw])[1:])
+            ),
+        ),
+        st.sampled_from(FAMILIES),
+        st.floats(0.0, 0.95),
+        st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+        st.floats(0.0, 2 * math.pi),
+        st.lists(coefficient, max_size=3),
+    ),
+    st.builds(
+        lambda alpha, entries: (
+            ClassSpec(Family.ME, alpha).rule,
+            alpha,
+            LaurentFunction([entries.get(k, 0.0) for k in range(max(entries, default=0) + 1)]),
+        ),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.dictionaries(st.integers(0, 60), st.floats(1e305, 1.7e308), max_size=4),
+    ),
+)
+
+
+def test_ring_fallback_is_the_grid_fold_under_hypothesis():
+    fell_back = []
+
+    @given(fallback_case)
+    @settings(max_examples=200, deadline=None)
+    def same_fold(case):
+        fell_back.append(_ring_fallback_is_the_grid_fold(*case))
+
+    same_fold()
+    # most draws reach the fallback, so the property cannot hold vacuously
+    assert sum(fell_back) > 0.25 * len(fell_back), (sum(fell_back), len(fell_back))
 
 
 def test_a_zero_of_g_inside_is_refuted_on_the_circle():
@@ -328,7 +462,7 @@ def test_check_payload_names_the_proof(tmp_path, capsys):
     assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", "circle")
     code, payload = check([0.1 + 0j], 1.0)
     assert (payload["status"], payload["proof"]) == ("CertifiedMember", "coefficients")
-    # a tie on the circle, outside the certificate: sampled on the grid
+    # a tie on the circle, outside the certificate: sampled on the grid's outermost ring
     code, payload = check(theorem21_extremal(2.0).coeffs, 2.0)
     assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", None)
-    assert payload["samples_checked"] > 12 * 2048  # the circle, then the grid
+    assert payload["samples_checked"] == 2 * 2048  # the circle, then the outermost ring

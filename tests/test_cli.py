@@ -111,6 +111,28 @@ def degree64_series(tmp_path, klass):
     return write_series(tmp_path, serialize_coeffs(f)["coeffs"])
 
 
+def test_check_of_a_tie_evaluates_the_circle_and_one_ring(tmp_path, capsys, monkeypatch):
+    grids = []
+    original = classes.ring_values
+
+    def counting(f, grid):
+        grids.append(grid)
+        return original(f, grid)
+
+    monkeypatch.setattr(classes, "ring_values", counting)
+    series = degree64_series(tmp_path, "me")
+    code, out, _ = run(capsys, ["check", "--class", "me", "--alpha", "2.0", "--series", series])
+    payload = json.loads(out)
+    assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", None)
+    # the unit circle leaves the tie open; the grid's outermost ring folds it
+    assert [(grid.radii, len(grid)) for grid in grids] == [((1.0,), 2048), ((0.9999,), 2048)]
+    assert payload["samples_checked"] == 2 * 2048
+    f, spec = harness.load_series(series), classes.ClassSpec(classes.Family.ME, 2.0)
+    verdict = classes.check_class(spec, f, DiscGrid.default())
+    assert isinstance(verdict, classes.MembershipVerdict)
+    assert verdict == classes.decide(spec.rule, 2.0, f, DiscGrid.default())
+
+
 @pytest.mark.parametrize("klass, alpha", CSV_CASES)
 def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass, alpha):
     calls = []
@@ -129,14 +151,14 @@ def test_check_csv_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, klass,
          "--csv", str(csv_path)],
     )
     assert code == 0
-    # the grid once, for the CSV or as the fallback; the unit circle before it
+    # the grid once, for the CSV; the unit circle and at most its outermost ring before it
     assert calls.count(12 * 2048) == 1
     assert set(calls) - {12 * 2048} <= {2048, 4 * 2048}
     with open(csv_path, newline="") as fh:
         margins = [float(row[4]) for row in list(csv.reader(fh))[1:]]
     assert len(margins) == 12 * 2048
     payload = json.loads(out)
-    if payload["proof"] is None:  # a verdict sampled on the grid folds the CSV's margins
+    if payload["proof"] is None:  # sampled on the outermost ring, which holds the CSV's least margin
         assert min(margins) == payload["min_margin"]
 
 

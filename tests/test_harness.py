@@ -189,6 +189,34 @@ def test_suite_params_are_coerced_and_echoed():
     assert by_name["witness_not_starlike"].status is CheckStatus.INAPPLICABLE
 
 
+@pytest.mark.parametrize(
+    "name, params, shown",
+    [
+        ("thm2.2", {"count": "2"}, "count must be an integer, got '2'"),
+        ("thm2.2", {"count": b"2"}, "count must be an integer, got b'2'"),
+        ("thm2.2", {"count": 2.7}, "count must be an integer, got 2.7"),
+        ("thm2.2", {"seed": float("inf")}, "seed must be an integer, got inf"),
+        ("thm2.2", {"seed": float("nan")}, "seed must be an integer, got nan"),
+        ("rem1", {"n": 17.5}, "n must be an integer, got 17.5"),
+        ("thm3.1", {"gamma_samples": "256"}, "gamma_samples must be an integer, got '256'"),
+        ("all", {"seed": float("inf")}, "seed must be an integer, got inf"),
+        ("all", {"seed": "7"}, "seed must be an integer, got '7'"),
+    ],
+)
+def test_suite_integer_params_refuse_text_and_fractions(name, params, shown):
+    with pytest.raises(ValueError) as err:
+        run_suite(name, params)
+    assert str(err.value) == shown
+
+
+def test_suite_integer_params_take_numpy_ints_and_integral_floats():
+    report = run_suite("thm2.2", {"count": np.int64(3), "seed": np.float64(4.0)})
+    assert report.inputs["count"] == 3 and report.inputs["seed"] == 4
+    assert all(type(report.inputs[key]) is int for key in ("count", "seed"))
+    assert run_suite("rem1", {"seed": 2.0}).passed
+    assert run_suite("all", {"seed": np.int64(0)}).inputs["seed"] == 0
+
+
 def test_suite_determinism_modulo_runtime():
     a = run_suite("thm2.2", {"count": 10, "seed": 3}).to_dict()
     b = run_suite("thm2.2", {"count": 10, "seed": 3}).to_dict()

@@ -207,6 +207,24 @@ def test_angular_samples_must_be_an_integer(bad, shown):
     assert str(err.value) == f"angular_samples must be an integer, got {shown}"
 
 
+def test_circle_normalises_its_count_before_the_cached_lookup():
+    # a cache keyed on the raw argument would hand 64.0 the 64-angle circle
+    circle = DiscGrid.circle(64)
+    with pytest.raises(ValueError, match=r"angular_samples must be an integer, got 64\.0"):
+        DiscGrid.circle(64.0)
+    assert DiscGrid.circle(np.int64(64)) is circle
+    assert type(DiscGrid.circle(np.int64(64)).angular_samples) is int
+
+
+@pytest.mark.parametrize("radius", ["0.5", b"0.5"])
+def test_text_radii_are_refused(radius):
+    # float() would parse the text, which LaurentFunction, ClassSpec and TmeFunction refuse
+    for radii in ((radius,), (0.1, radius, 0.9)):
+        with pytest.raises(ValueError) as err:
+            DiscGrid(radii)
+        assert str(err.value) == f"radius {radius!r} is not a number in (0,1)"
+
+
 def test_numpy_integer_angular_samples_are_plain_ints():
     grid = DiscGrid((0.5, 0.9), np.int64(64))
     assert type(grid.angular_samples) is int
