@@ -20,9 +20,12 @@ disc. For MF and STARLIKE no bound holds when g has a zero inside (z g'/g
 has a pole there) or |g| comes near 0, but a negative sample on a finite
 circle still refutes once a witness inside clears its own rounding bound.
 Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
-the circle, non-finite values) is sampled on the grid's outermost ring, which
-holds the grid's least margin (for MF and STARLIKE, a margin of -alpha or less
-where g has zeros inside it); there a negative margin refutes and nonnegative
+the circle, non-finite values) is sampled on the grid's outermost ring: the
+continuous margin's minimum over the disc inside that ring lies on it (for MF
+and STARLIKE, a margin of -alpha or less where g has zeros inside it). Samples
+only follow the continuous margin while g has at most M coefficients, so a
+longer g, or a ring whose margins are not all finite and refute nothing, is
+sampled on every ring of the grid. A negative margin refutes and nonnegative
 margins are evidence. MembershipVerdict.proof says which path decided;
 CertifiedMember is reserved for the coefficient certificate.
 """
@@ -107,7 +110,7 @@ class MembershipVerdict:
     """status with the least margin evaluated and its point (witness), the
     number of points evaluated, and what decided the status: "circle" (a
     bound on the unit circle), "coefficients" (a coefficient sum) or None
-    (sampled on the grid's outermost ring)."""
+    (sampled on the grid's outermost ring, or on the whole grid)."""
 
     status: Status
     min_margin: float
@@ -277,8 +280,10 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     sample below -MARGIN_TOL still starts the rings, and a witness counts once
     it clears _quotient_error at its point. A positive but unproved minimum
     refines the circle to 4M points once. Everything else (ties, zeros of g on
-    the circle, non-finite values) is sampled on the grid's outermost ring.
-    samples_checked counts every point evaluated.
+    the circle, non-finite values) is sampled on the grid's outermost ring, or
+    on the whole grid where g has more than M coefficients or that ring has a
+    non-finite margin and no negative one. samples_checked counts every point
+    evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
@@ -321,7 +326,13 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
         if bound is None or not low.min_margin > 0:
             break
     ring = DiscGrid(grid.radii[-1:], grid.angular_samples)
-    return verdict_from_margins(rule.margins(alpha, *values(f, ring)), ring.points, evaluated + len(ring))
+    if len(f.g_coeffs) <= ring.angular_samples:  # past M coefficients the M samples alias
+        margins = rule.margins(alpha, *values(f, ring))
+        evaluated += len(ring)
+        finite = np.isfinite(margins)
+        if finite.all() or (margins[finite] < -MARGIN_TOL).any():
+            return verdict_from_margins(margins, ring.points, evaluated)
+    return verdict_from_margins(rule.margins(alpha, *values(f, grid)), grid.points, evaluated + len(grid))
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
@@ -340,7 +351,8 @@ def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
 
 def check_class(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     """Decide the class on the unit circle where a bound proves it, else
-    sample the grid's outermost ring (see decide); the verdict alone."""
+    sample the grid's outermost ring or the whole grid (see decide); the
+    verdict alone."""
     return decide(spec.rule, spec.alpha, f, grid)
 
 

@@ -83,18 +83,20 @@ def _cmd_extremal(args) -> int:
     name = args.name
     alpha = float(args.alpha)
     n = int(args.n)
-    default = 30 if name == "expz" else extremal.DEFAULT_EXTREMAL_DEGREE
-    d = default if args.degree is None else int(args.degree)
+    degree = args.degree
     if name == "thm21":
+        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
         f = extremal.theorem21_extremal(alpha, d)
         tail = extremal.theorem21_tail_bound(alpha, d)
     elif name == "thm23":
+        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
         f = extremal.theorem23_extremal(alpha, n, d)
         tail = extremal.theorem23_tail_bound(alpha, n, d)
     elif name == "rem1":
         f = extremal.remark1_witness(n)
         tail = 0.0
     elif name == "expz":
+        d = int(degree) if degree is not None else 30
         f = extremal.mf_not_me_witness(d)
         tail = extremal.mf_not_me_tail_bound(d)
     else:  # onemz2

@@ -104,8 +104,8 @@ def thm31_verdicts(
 ) -> tuple[MembershipVerdict, MembershipVerdict]:
     """The ME verdict of f and the verdict of the kernel family at
     gamma_samples phases, each on the unit circle where a bound decides it,
-    else on the grid's outermost ring (see classes.decide); both read one
-    evaluation of f per circle or ring.
+    else on the grid's outermost ring or the whole grid (see classes.decide);
+    both read one evaluation of f per circle, ring or grid.
 
     The sampled margin is the least of gamma_samples margins
     Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's

@@ -232,23 +232,30 @@ def _ring_fallback_is_the_grid_fold(rule, alpha, f) -> bool:
     the grid's outermost ring to the fold of all 12 rings: the same status,
     and the same least margin and witness where the minimum principle puts
     them on that ring, which is where the ring's margins are all finite and
-    the rule does not divide by g or g has no zero inside the ring. Whether
-    the fallback ran."""
+    the rule does not divide by g or g has no zero inside the ring. A g of
+    more than M coefficients, whose samples alias, and a ring with a
+    non-finite margin and no negative one take the whole grid. Whether the
+    fallback ran."""
     with np.errstate(all="ignore"):
         try:
             verdict, margins, points = oracles.decide_recorded(rule, alpha, f, GRID)
-        except ValueError:  # no margin on the ring is defined, nor on the grid
+        except ValueError:  # no margin on the grid is defined
             with pytest.raises(ValueError, match="degenerate"):
                 oracles.grid_fold(rule, alpha, f, GRID)
             return True
         if verdict.proof is not None:
             return False
         status, least, witness = oracles.grid_fold(rule, alpha, f, GRID)
-    assert np.array_equal(points, OUTER_RING.points)
-    # the circle (and its 4M refinement or rings stepped inward), then the ring
-    assert verdict.samples_checked >= 2 * GRID.angular_samples
+        ring = rule.margins(alpha, *ring_values(f, OUTER_RING))
+    finite = np.isfinite(ring)
+    on_ring = len(f.g_coeffs) <= GRID.angular_samples and (finite.all() or (ring[finite] < -MARGIN_TOL).any())
+    assert np.array_equal(points, (OUTER_RING if on_ring else GRID).points)
+    # the circle (and its 4M refinement or rings stepped inward), then the ring or grid
+    assert verdict.samples_checked >= GRID.angular_samples + len(points)
     assert verdict.samples_checked % GRID.angular_samples == 0
     assert verdict.status.value == status
+    if not on_ring:
+        assert (verdict.min_margin, verdict.witness) == (least, witness)
     superharmonic = not rule.divides or oracles.zero_free_inside(f.g_coeffs, OUTER_RING.radii[0])
     if np.isfinite(margins).all() and superharmonic:
         assert (verdict.min_margin, verdict.witness) == (least, witness)
@@ -283,7 +290,54 @@ def _fallback_catalog():
         cases += [(me(1.0), 1.0, LaurentFunction(coeffs)), (me(0.0), 0.0, LaurentFunction(coeffs))]
     huge = LaurentFunction((0j,) * 100_000 + (1e-6 + 0j,))
     cases += [(me(1.0), 1.0, huge), (mf(0.5), 0.5, huge), (st_(0.5), 0.5, huge)]
+    cases += [(me(0.0), 0.0, _aliased()), (me(1.0), 1.0, _aliased_overflow())]
+    cases += [(me(2.0), 2.0, _overflow_ring())]
     return cases
+
+
+def _aliased():
+    """g = 1 - (4/t) z^8192 + (2/t^2) z^16384, t = 0.999^8192: every sample
+    at M or 4M angles sees z^8192 as a positive real, which makes the ME(0)
+    margin 5.2e6 at radius 0.9999 and -1 at 0.999."""
+    t = 0.999**8192
+    coeffs = np.zeros(16384)
+    coeffs[[8191, 16383]] = -4.0 / t, 2.0 / t**2
+    return LaurentFunction(coeffs)
+
+
+def _aliased_overflow():
+    """g = 1 + 1e308 z + 8e304 z^2049: at M angles z g' folds both powers into
+    one frequency, 1e308 r + 1.64e308 r^2049, which overflows at radius 0.9999
+    (every ME(1) margin there is non-finite) but not at 0.999."""
+    coeffs = np.zeros(2049)
+    coeffs[[0, 2048]] = 1e308, 8e304
+    return LaurentFunction(coeffs)
+
+
+def _overflow_ring():
+    """g = 1 + c z with 2 c r above float range at radius 0.9999 but not at
+    0.999: every ME(2) margin on the outer ring is -inf."""
+    return LaurentFunction([np.finfo(float).max / (2 * 0.9995)])
+
+
+def test_series_that_alias_or_overflow_on_the_ring_fold_the_whole_grid():
+    me = lambda alpha: ClassSpec(Family.ME, alpha).rule
+    # (rule, alpha, series, points evaluated before the grid)
+    cases = (
+        (me(0.0), 0.0, _aliased(), 2048 + 8192),  # the circle at M and 4M; a g this long skips the ring
+        (me(1.0), 1.0, _aliased_overflow(), 2048),  # the circle overflows
+        (me(2.0), 2.0, _overflow_ring(), 2048 + 2048),  # the circle overflows, then the ring
+    )
+    with np.errstate(all="ignore"):
+        for rule, alpha, f, before in cases:
+            ring = rule.margins(alpha, *ring_values(f, OUTER_RING))
+            assert len(f.g_coeffs) > GRID.angular_samples or not np.isfinite(ring).any()
+            verdict, _, points = oracles.decide_recorded(rule, alpha, f, GRID)
+            assert np.array_equal(points, GRID.points)
+            assert verdict.status is Status.NON_MEMBER and verdict.proof is None
+            folded = oracles.grid_fold(rule, alpha, f, GRID)
+            assert (verdict.status.value, verdict.min_margin, verdict.witness) == folded
+            assert verdict.samples_checked == before + len(GRID)
 
 
 def test_ring_fallback_is_the_grid_fold_on_ties_zeros_and_overflow():
@@ -291,8 +345,19 @@ def test_ring_fallback_is_the_grid_fold_on_ties_zeros_and_overflow():
     assert sum(fell_back) > 350, (sum(fell_back), len(fell_back))
 
 
+def _sparse_at_multiples_of_m(entries):
+    """g = 1 + sum_k (c_k / 0.999^{kM}) z^{kM}: every sample at M or 4M angles
+    sees z^{kM} as the positive real r^{kM}, so the rings' samples alias."""
+    m = GRID.angular_samples
+    coeffs = np.zeros(max(entries) * m)
+    for k, c in entries.items():
+        coeffs[k * m - 1] = c / 0.999 ** (k * m)
+    return LaurentFunction(coeffs)
+
+
 # series that the circle leaves undecided: ties of the sharp functions, zeros
-# of g on or inside the circle, and coefficients near the top of float range
+# of g on or inside the circle, coefficients near the top of float range, and
+# powers that alias on every ring
 fallback_case = st.one_of(
     st.builds(
         lambda alpha, degree, family: (
@@ -335,6 +400,11 @@ fallback_case = st.one_of(
         ),
         st.sampled_from([0.0, 0.5, 1.0]),
         st.dictionaries(st.integers(0, 60), st.floats(1e305, 1.7e308), max_size=4),
+    ),
+    st.builds(
+        lambda alpha, entries: (ClassSpec(Family.ME, alpha).rule, alpha, _sparse_at_multiples_of_m(entries)),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.dictionaries(st.integers(1, 8), st.floats(-5.0, 5.0), min_size=1, max_size=3),
     ),
 )
 
