@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, ring_values
+from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, ring_values, scalar
 from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
 
 __all__ = [
@@ -70,27 +70,25 @@ class Family(enum.Enum):
     TME = "tme"
 
 
+_BELOW_ONE = (Family.MF, Family.STARLIKE)  # the families whose order is < 1
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     """A class family together with its order parameter.
 
     The one validator of alpha: every public entry point that takes an
-    order builds a ClassSpec, so NaN, infinities and out-of-range orders are
-    rejected the same way everywhere.
+    order builds a ClassSpec, so series.scalar refuses text, NaN, infinities
+    and out-of-range orders the same way everywhere (alpha >= 0, and < 1 for
+    MF and STARLIKE).
     """
 
     family: Family
     alpha: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.alpha, (str, bytes)):  # float() would parse it
-            raise ValueError(f"alpha must be a number, not {type(self.alpha).__name__}: {self.alpha!r}")
-        a = float(self.alpha)
-        object.__setattr__(self, "alpha", a)
-        if not math.isfinite(a) or a < 0:
-            raise ValueError(f"alpha must be finite and >= 0, got {a}")
-        if self.family in (Family.MF, Family.STARLIKE) and a >= 1:
-            raise ValueError(f"{self.family.value} requires 0 <= alpha < 1, got {a}")
+        below = 1 if self.family in _BELOW_ONE else None
+        object.__setattr__(self, "alpha", scalar(self.alpha, "alpha", low=0, below=below))
 
     @property
     def rule(self) -> Rule:
@@ -282,12 +280,14 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     refines the circle to 4M points once. Everything else (ties, zeros of g on
     the circle, non-finite values) is sampled on the grid's outermost ring, or
     on the whole grid where g has more than M coefficients or that ring has a
-    non-finite margin and no negative one. samples_checked counts every point
-    evaluated.
+    non-finite margin and no negative one; that ring is evaluated once, even
+    where the inward search has stepped through it. samples_checked counts
+    every point evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
     evaluated = 0
+    searched = {}  # ring -> margins of the rings stepped through, which the fallback reuses
     for m in (grid.angular_samples, 4 * grid.angular_samples):
         circle = DiscGrid.circle(m)
         g, zgp = values(f, circle)
@@ -315,7 +315,7 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
             for r in [outer] + [x for x in nearer if x > outer]:
                 ring = DiscGrid((r,), m)
                 g, zgp = values(f, ring)
-                margins = rule.margins(alpha, g, zgp)
+                searched[ring] = margins = rule.margins(alpha, g, zgp)
                 evaluated += m
                 v = verdict_from_margins(margins, ring.points, evaluated)
                 if v.status is Status.NON_MEMBER and (
@@ -327,8 +327,10 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
             break
     ring = DiscGrid(grid.radii[-1:], grid.angular_samples)
     if len(f.g_coeffs) <= ring.angular_samples:  # past M coefficients the M samples alias
-        margins = rule.margins(alpha, *values(f, ring))
-        evaluated += len(ring)
+        margins = searched.get(ring)
+        if margins is None:
+            margins = rule.margins(alpha, *values(f, ring))
+            evaluated += len(ring)
         finite = np.isfinite(margins)
         if finite.all() or (margins[finite] < -MARGIN_TOL).any():
             return verdict_from_margins(margins, ring.points, evaluated)
@@ -375,10 +377,10 @@ def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> Membersh
 
 
 def coeff_weight(alpha: float, n: int) -> float:
-    """Weight 1 + alpha*(n+1) of the tail coefficient a_n.
+    """Weight 1 + alpha*(n+1) of the tail coefficient a_n, for a scalar or an
+    array n (unchecked: callers pass a validated alpha).
 
-    One shared definition backs the sufficient condition, the exact
-    negative-coefficient characterization and the partial-sum hypothesis.
+    coeff_sufficient_me applies the same weights to a whole series at once.
     """
     return 1.0 + alpha * (n + 1)
 
@@ -392,8 +394,12 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     is exactly 1 in real arithmetic stay certified.
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
+    c = f.g_coeffs[1:]
+    # hypot rounds as abs of a complex does; an overflowing term is inf, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (1.0 + alpha * np.arange(1, len(c) + 1)) * np.hypot(c.real, c.imag)
     try:
-        total = math.fsum(coeff_weight(alpha, n) * abs(c) for n, c in enumerate(f.coeffs))
+        total = math.fsum(terms.tolist())
     except OverflowError:  # finite terms whose sum is beyond float range
         total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total
@@ -406,9 +412,7 @@ def coeff_bound(alpha: float, n: int) -> float:
     avoids the cancellation of the difference form for large alpha*(n+1).
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
-    if n < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {n}")
-    m = alpha * (n + 1)
+    m = alpha * (scalar(n, "n", int, low=0) + 1)
     return 2.0 / (math.sqrt(m * m + 1.0) + m)
 
 

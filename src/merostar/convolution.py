@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import ClassSpec, Family, MembershipVerdict, Rule, check_me, coeff_weight, decide
 from .reporting import CheckResult, CheckStatus, fold_members
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values
+from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values, scalar
 
 __all__ = [
     "KernelSpec",
@@ -46,12 +46,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", ClassSpec(Family.ME, self.alpha).alpha)
-        if isinstance(self.gamma, (str, bytes)):  # float() would parse it
-            raise ValueError(f"gamma must be a number, not {type(self.gamma).__name__}: {self.gamma!r}")
         # normalize the phase into (-pi, pi]
-        if not math.isfinite(g := float(self.gamma)):
-            raise ValueError(f"gamma must be finite, got {g}")
-        g = math.remainder(g, TAU)
+        g = math.remainder(scalar(self.gamma, "gamma"), TAU)
         if g <= -math.pi:
             g += TAU
         object.__setattr__(self, "gamma", g)
@@ -63,12 +59,9 @@ def kernel(spec: KernelSpec, degree: int) -> LaurentFunction:
     Closed-form coefficients c_k = 1 + alpha (k+1) e^{i gamma}; at alpha = 0
     every c_k is 1 and the kernel degenerates to the convolution identity.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    degree = scalar(degree, "degree", int, low=0)
     phase = complex(math.cos(spec.gamma), math.sin(spec.gamma))
-    return LaurentFunction(
-        tuple(1.0 + spec.alpha * (k + 1) * phase for k in range(degree + 1))
-    )
+    return LaurentFunction(tuple(1.0 + spec.alpha * (k + 1) * phase for k in range(degree + 1)))
 
 
 def phase_margins(g, zgp, alpha: float, gamma_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +73,7 @@ def phase_margins(g, zgp, alpha: float, gamma_samples: int) -> tuple[np.ndarray,
     (exact itself at alpha = 0). sampled never drops below exact, and the
     gap is at most alpha |z g'| pi^2 / (2 M^2).
     """
-    if gamma_samples < 4:
-        raise ValueError(f"gamma_samples must be >= 4, got {gamma_samples}")
+    gamma_samples = scalar(gamma_samples, "gamma_samples", int, low=4)
     spec = ClassSpec(Family.ME, alpha)
     alpha = spec.alpha
     exact = spec.rule.margins(alpha, g, zgp)
@@ -133,8 +125,7 @@ def stability_premise(
     by (1 - eps); its ME margin at z is (margin_f(z) - eps)/(1 - eps), so the
     premise says the margin of f itself stays above eps.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0,1), got {eps}")
+    eps = scalar(eps, "eps", above=0, below=1)
     shifted = LaurentFunction(tuple(c / (1.0 - eps) for c in f.coeffs))
     return check_me(shifted, alpha, grid)
 
@@ -150,11 +141,9 @@ def neighborhood_sample(
     spread sphere mass over random index sets with random phases. Interior
     samples scale the same construction by u ~ U(0,1).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    delta = scalar(delta, "delta", low=0)
+    count = scalar(count, "count", int, low=1)
+    rng = np.random.default_rng(scalar(seed, "seed", int, low=0))
     samples: list[LaurentFunction] = []
     spikes_placed = 0
     for i in range(count):
@@ -194,16 +183,11 @@ def check_thm32(
     in (0, delta_star], where delta_star = 1/(1 + 2 alpha) is the radius the
     conclusion covers, and delta < eps < 1 is required for the premise to
     have any force. A premise failure makes both checks inapplicable rather
-    than failed; neighborhood_sample validates count.
+    than failed.
     """
-    radius = delta_star(alpha)
-    if not 0.0 < delta <= radius:
-        raise ValueError(f"delta must lie in (0, {radius}], got {delta}")
-    if not delta < eps < 1.0:
-        raise ValueError(
-            f"need delta < eps < 1 (delta={delta}, eps={eps}); "
-            "raise eps or shrink delta"
-        )
+    delta = scalar(delta, "delta", above=0, high=delta_star(alpha))
+    eps = scalar(eps, "eps", above=delta, below=1)
+    count, seed = scalar(count, "count", int, low=1), scalar(seed, "seed", int, low=0)
     premise = stability_premise(f, alpha, eps, grid)
     if not premise.is_member:
         return [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .classes import coeff_bound
-from .series import LaurentFunction
+from .series import LaurentFunction, scalar
 
 __all__ = [
     "theorem21_extremal",
@@ -36,10 +36,7 @@ def theorem21_extremal(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> L
     margin tends to 0 along the negative real axis, and its starlikeness
     order functional tends to 1 - 1/alpha along the positive real axis.
     """
-    if not alpha >= 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    alpha, degree = scalar(alpha, "alpha", low=1), scalar(degree, "degree", int, low=1)
     c = coeff_bound(alpha, 0) / 2.0  # root of c^2 + 2*alpha*c - 1 = 0
     return LaurentFunction(tuple(complex(2.0 * c ** (n + 1)) for n in range(degree + 1)))
 
@@ -58,10 +55,7 @@ def theorem23_extremal(
     so f(z) = 1/z + sum_{m>=1} 2 d^m z^{mn-1}. The coefficient at index n-1
     equals coeff_bound(alpha, n-1) exactly.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    n, degree = scalar(n, "n", int, low=1), scalar(degree, "degree", int, low=1)
     d = coeff_bound(alpha, n - 1) / 2.0  # root of 1 - d^2 - 2*alpha*n*d = 0
     coeffs = [0j] * (degree + 1)
     m = 1
@@ -83,8 +77,7 @@ def theorem23_tail_bound(alpha: float, n: int, degree: int = DEFAULT_EXTREMAL_DE
 def remark1_witness(n: int) -> LaurentFunction:
     """f(z) = 1/z + z^n/(n+2): a boundary member of ME(1) (weight sum exactly
     1) that leaves STARLIKE(alpha) once n exceeds (2-3*alpha)/alpha."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = scalar(n, "n", int, low=1)
     coeffs = [0j] * (n + 1)
     coeffs[n] = complex(1.0 / (n + 2))
     return LaurentFunction(tuple(coeffs))
@@ -96,8 +89,7 @@ def mf_not_me_witness(degree: int = 30) -> LaurentFunction:
     The dropped tail is below 1/(degree+2)!, invisible at double precision
     for the default degree 30.
     """
-    if degree < 10:
-        raise ValueError(f"degree must be >= 10, got {degree}")
+    degree = scalar(degree, "degree", int, low=10)
     coeffs, fact = [], 1.0
     for n in range(degree + 1):
         fact *= n + 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -42,6 +41,7 @@ from .series import (
     hadamard,
     random_support,
     ring_values,
+    scalar,
 )
 from .tolerances import EXACT_TOL, MARGIN_TOL
 
@@ -177,9 +177,7 @@ def _boundary_deviation(results) -> float:
 
 
 def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    alpha = p["alpha"]
-    if not alpha >= 1:
-        raise ValueError(f"thm2.1 suite needs alpha >= 1, got {alpha}")
+    alpha = scalar(p["alpha"], "alpha", low=1)
 
     expz = extremal.mf_not_me_witness(30)
     in_mf0 = check_mf(expz, 0.0, grid)
@@ -332,9 +330,7 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 
 def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    alpha, n = p["alpha"], p["n"]
-    if not 0 < alpha < 1:
-        raise ValueError(f"rem1 suite needs 0 < alpha < 1, got {alpha}")
+    alpha, n = scalar(p["alpha"], "alpha", above=0, below=1), p["n"]
 
     w = extremal.remark1_witness(n)
     me_v = check_me(w, 1.0, grid)
@@ -359,9 +355,7 @@ def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 
 def _suite_rem2(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    alpha, count, seed = p["alpha"], p["count"], p["seed"]
-    if not alpha >= 1:
-        raise ValueError(f"rem2 suite needs alpha >= 1, got {alpha}")
+    alpha, count, seed = scalar(p["alpha"], "alpha", low=1), p["count"], p["seed"]
     rng = np.random.default_rng(seed + 32)
 
     v = check_remark2(extremal.theorem21_extremal(alpha), grid)
@@ -668,34 +662,41 @@ _SUITES = {
 }
 SUITE_IDS = (*_SUITES, "all")
 
+# parameter -> its kind and bounds for series.scalar; a suite may bound alpha further
+_PARAMS = {
+    "alpha": (float, {"low": 0}),
+    "n": (int, {"low": 1}),
+    "count": (int, {"low": 1}),
+    "seed": (int, {"low": 0}),
+    "gamma_samples": (int, {"low": 4}),
+    "eps": (float, {"above": 0, "below": 1}),
+    "delta": (float, {"above": 0}),
+}
+
 
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     """Run one verification suite (or "all") and return its report.
 
     params may override the suite defaults: alpha, n, count, seed, eps,
-    delta, gamma_samples where the suite uses them; n, count, seed and
-    gamma_samples must be integers (integral floats pass), and a count below
-    1 is rejected. "all" takes only the seed, since each suite keeps its own
-    defaults. Unknown suite names are rejected.
+    delta, gamma_samples where the suite uses them. series.scalar checks each
+    against _PARAMS: n, count, seed and gamma_samples must be ints or numpy
+    integers (2.0 is refused), and every value must be in range. "all" takes
+    only the seed, since each suite keeps its own defaults. Unknown suite
+    names are rejected.
     """
     t0 = time.perf_counter()
-    params = {key: value for key, value in (params or {}).items() if value is not None}
     if name not in SUITE_IDS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_IDS)}")
-    for key in [key for key in ("n", "count", "seed", "gamma_samples") if key in params]:
-        value = params[key]
-        if isinstance(value, (float, np.floating)) and value.is_integer():
-            value = int(value)
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        params[key] = int(value)
+    params = {
+        key: scalar(value, key, _PARAMS[key][0], **_PARAMS[key][1]) if key in _PARAMS else value
+        for key, value in (params or {}).items()
+        if value is not None
+    }
     if name == "all":
         ignored = sorted(params.keys() - {"seed"})
         if ignored:
             raise ValueError(f"suite all takes only seed, not {', '.join(ignored)}")
         seed = params.get("seed", 0)
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
         checks: list[CheckResult] = []
         inputs: dict = {"seed": seed}
         for sub, (_, defaults) in _SUITES.items():
@@ -705,9 +706,6 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     else:
         suite, defaults = _SUITES[name]
         inputs = {**defaults, **params}
-        for key, least in (("n", 1), ("count", 1), ("seed", 0)):
-            if inputs.get(key, least) < least:
-                raise ValueError(f"{key} must be >= {least}, got {inputs[key]}")
         checks = suite(inputs, DiscGrid.default())
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(name, inputs, tuple(checks), runtime_ms)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import coeff_sufficient_me, coeff_weight
-from .series import DiscGrid, LaurentFunction, partial_sum, ring_transform
+from .series import DiscGrid, LaurentFunction, partial_sum, ring_transform, scalar
 from .tme import sharp_function
 from .tolerances import ZERO_TOL
 
@@ -67,11 +67,10 @@ def check_ratio_bounds(
 ) -> RatioBoundReport:
     """Evaluate Re(f/S_n) and Re(S_n/f) over the grid and compare with the
     bounds 1 - 1/d_n and d_n/(1 + d_n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d_n = coeff_weight(alpha, n)
-    # the hypothesis is the coefficient certificate with a_0 left out
+    n = scalar(n, "n", int, low=1)
+    # the hypothesis is the coefficient certificate with a_0 left out; it validates alpha
     holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
+    d_n = coeff_weight(alpha, n)
     gf, gs = ring_transform([f.g_coeffs, partial_sum(f, n).g_coeffs], grid)
     degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
     excluded = int(np.count_nonzero(degenerate))

@@ -11,6 +11,9 @@ touches the pole. The identities used downstream:
     z^2 f'(z) + z f(z) = z g'(z)
     z f'(z)/f(z) + 1   = z g'(z)/g(z)
     z^2 f'(z)          = z g'(z) - g(z)
+
+scalar is the one check of a scalar parameter (an order, a count, a radius)
+and scalars of a sequence of numbers; every module validates through them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, repeat, starmap
-from typing import Iterable, Sequence
+from itertools import chain, starmap
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 __all__ = [
+    "scalar",
+    "scalars",
     "LaurentFunction",
     "DiscGrid",
     "eval_g",
@@ -45,27 +50,69 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.999
 DEFAULT_ANGULAR_SAMPLES = 2048
 
 
-def _finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
-    if isinstance(values, (str, bytes)):  # complex() would parse its characters or bytes
-        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
-    values = tuple(values)
-    with suppress(TypeError, ValueError, OverflowError):  # in C; the loop below names the bad entry
-        if not any(map(isinstance, values, repeat((str, bytes)))):
-            out = tuple(map(complex, values))
+_NUMBER = {float: numbers.Real, int: numbers.Real, complex: numbers.Complex}
+# the entry types that scalars converts in one pass, as scalar would
+_PLAIN = {float: {int, float, np.int64, np.float64}}
+_PLAIN[complex] = _PLAIN[float] | {complex, np.complex128}
+
+
+def scalar(value, name: str, kind: type = float, *, low=None, above=None, high=None, below=None):
+    """value as a finite kind (float, int or complex) within the bounds given:
+    low <= value, above < value, value <= high, value < below.
+
+    The one check of a scalar parameter. It refuses text, bytes, bools, None
+    and anything else that is not a real number (for kind complex, not a
+    complex number), integers beyond float range and values that are not
+    finite; for kind int, anything but an int or a numpy integer, 2.0
+    included. Fractions and numpy scalars give what the plain float or int
+    gives. Every message starts with name.
+    """
+    try:
+        if type(value) is not kind:  # a plain float, int or complex needs no test or conversion
+            noun = "an integer" if kind is int else "a number"
+            # float() and complex() would parse text, and a bool is an int
+            if isinstance(value, (str, bytes, bool)) or not isinstance(value, _NUMBER[kind]):
+                raise ValueError(f"{name} must be {noun}, not {type(value).__name__}: {value!r}")
+            if kind is int and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = kind(value)
+        finite = cmath.isfinite(value)
+    except OverflowError:  # an integer or fraction beyond float range
+        raise ValueError(f"{name} is beyond float range") from None
+    if not (
+        finite
+        and (low is None or value >= low)
+        and (above is None or value > above)
+        and (high is None or value <= high)
+        and (below is None or value < below)
+    ):
+        bounds = ((">=", low), (">", above), ("<=", high), ("<", below))
+        terms = ([] if kind is int else ["finite"]) + [f"{op} {b}" for op, b in bounds if b is not None]
+        rule = " and ".join(filter(None, (", ".join(terms[:-1]), terms[-1])))
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def scalars(values, name: str, kind: type = float, **bounds) -> tuple:
+    """A tuple, list or array of numbers as a tuple of kind (float or
+    complex), each checked by scalar with the bounds; the first bad entry is
+    named name[i].
+
+    Entries of the plain types take one pass in C: kind() over the whole
+    sequence, the finiteness check, and the bounds on its least and greatest
+    entry. Only when that pass fails, or an entry is of another type, does
+    scalar run on each entry.
+    """
+    if not isinstance(values, (tuple, list, np.ndarray)):  # a str or bytes would iterate into entries
+        raise ValueError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
+    if set(map(type, values)) <= _PLAIN[kind]:
+        with suppress(ValueError, OverflowError):  # the loop below names the bad entry
+            out = tuple(map(kind, values))
             if all(map(cmath.isfinite, out)):
+                for extreme in (min(out), max(out)) if bounds and out else ():
+                    scalar(extreme, name, kind, **bounds)
                 return out
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, (str, bytes)):
-            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
-        try:
-            c = complex(v)
-        except OverflowError:  # an integer beyond float range
-            raise ValueError(f"{what}[{i}] is beyond float range") from None
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"{what}[{i}] is not finite: {c!r}")
-        out.append(c)
-    return tuple(out)
+    return tuple(scalar(v, f"{name}[{i}]", kind, **bounds) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -80,7 +127,7 @@ class LaurentFunction:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _finite_complex(self.coeffs, "coeffs"))
+        object.__setattr__(self, "coeffs", scalars(self.coeffs, "coeffs", complex))
 
     @property
     def truncation_degree(self) -> int:
@@ -180,8 +227,7 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     Index 0 is dropped by definition. n = 1 gives the bare pole. Trailing
     zeros of the result are stripped, so S_1 compares equal to LaurentFunction(()).
     """
-    if n < 1:
-        raise ValueError(f"partial sum index must be >= 1, got {n}")
+    n = scalar(n, "n", int, low=1)
     kept = list(f.coeffs[:n])
     if kept:
         kept[0] = 0j
@@ -190,38 +236,27 @@ def partial_sum(f: LaurentFunction, n: int) -> LaurentFunction:
     return LaurentFunction(tuple(kept))
 
 
-def _angular_samples(m) -> int:
-    if isinstance(m, numbers.Integral):  # numpy ints pass; a float M is not the count np.arange takes
-        return int(m)
-    raise ValueError(f"angular_samples must be an integer, got {m!r}")
-
-
 @dataclass(frozen=True)
 class DiscGrid:
     """Sampling grid: circles of the given radii, equispaced angles on each.
 
-    Radii must lie strictly inside (0,1) and increase; the default schedule
-    piles radii toward the boundary because the class conditions are open
-    inequalities whose failures concentrate there. z = 0 never appears.
-    DiscGrid.circle is the one grid on |z| = 1 itself.
+    Radii must lie strictly inside (0,1) and increase, and there must be at
+    least 8 angles, an int or a numpy integer; scalars and scalar check them.
+    The default schedule piles radii toward the boundary because the class
+    conditions are open inequalities whose failures concentrate there.
+    z = 0 never appears. DiscGrid.circle is the one grid on |z| = 1 itself.
     """
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_samples: int = DEFAULT_ANGULAR_SAMPLES
 
     def __post_init__(self) -> None:
-        radii = tuple(self.radii)
-        for r in radii:
-            if isinstance(r, (str, bytes)) or not 0.0 < float(r) < 1.0:  # float() would parse text
-                raise ValueError(f"radius {r!r} is not a number in (0,1)")
-        object.__setattr__(self, "radii", tuple(map(float, radii)))
+        object.__setattr__(self, "radii", scalars(self.radii, "radii", above=0, below=1))
         if not self.radii:
-            raise ValueError("grid needs at least one radius")
+            raise ValueError("radii must hold at least one radius")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        object.__setattr__(self, "angular_samples", _angular_samples(self.angular_samples))
-        if self.angular_samples < 8:
-            raise ValueError("angular_samples must be >= 8")
+        object.__setattr__(self, "angular_samples", scalar(self.angular_samples, "angular_samples", int, low=8))
 
     @classmethod
     def default(cls) -> "DiscGrid":
@@ -231,7 +266,7 @@ class DiscGrid:
     def circle(cls, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":
         """M equispaced points of the unit circle, where the margins of a
         truncated series take their minimum over the closed disc."""
-        return cls._circle(_angular_samples(angular_samples))  # 64.0 must not find 64's entry
+        return cls._circle(scalar(angular_samples, "angular_samples", int, low=8))  # before the cache
 
     @classmethod
     @cache  # one instance per M: every grid with M angles shares its read-only angles and roots
@@ -248,8 +283,7 @@ class DiscGrid:
     @classmethod
     def with_rmax(cls, rmax: float, angular_samples: int = DEFAULT_ANGULAR_SAMPLES) -> "DiscGrid":
         """Default radius schedule capped at rmax (rmax itself included)."""
-        if not 0.0 < rmax < 1.0:
-            raise ValueError(f"rmax {rmax} outside (0,1)")
+        rmax = scalar(rmax, "rmax", above=0, below=1)
         radii = [r for r in DEFAULT_RADII if r < rmax]
         radii.append(rmax)
         return cls(tuple(radii), angular_samples)

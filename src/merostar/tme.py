@@ -26,7 +26,7 @@ from .classes import (
     coeff_weight,
     verdict_from_margins,
 )
-from .series import DiscGrid, LaurentFunction
+from .series import DiscGrid, LaurentFunction, scalar, scalars
 
 __all__ = [
     "TmeFunction",
@@ -40,24 +40,6 @@ __all__ = [
 ]
 
 
-def _nonnegative(values: Sequence[float], what: str) -> tuple[float, ...]:
-    """values as floats, each finite and >= 0; a bad entry is named what[i]."""
-    if isinstance(values, (str, bytes)):  # float() would parse its characters or bytes
-        raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, (str, bytes)):
-            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
-        try:
-            v = float(v)
-        except OverflowError:  # an integer beyond float range
-            raise ValueError(f"{what}[{i}] is beyond float range") from None
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{what}[{i}] must be finite and >= 0, got {v}")
-        out.append(v)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TmeFunction:
     """Magnitudes (a_1, ..., a_N) of f(z) = 1/z - sum a_n z^n; all >= 0.
@@ -69,7 +51,7 @@ class TmeFunction:
     magnitudes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "magnitudes", _nonnegative(self.magnitudes, "magnitudes"))
+        object.__setattr__(self, "magnitudes", scalars(self.magnitudes, "magnitudes", low=0))
 
     def to_laurent(self) -> LaurentFunction:
         return LaurentFunction((0j,) + tuple(-m + 0j for m in self.magnitudes))
@@ -102,8 +84,7 @@ def check_tme_exact(f: TmeFunction, alpha: float) -> tuple[bool, float]:
 def sharp_function(alpha: float, n: int) -> TmeFunction:
     """Boundary member f_n(z) = 1/z - z^n/(1 + alpha(n+1)): weighted sum
     exactly 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = scalar(n, "n", int, low=1)
     mags = [0.0] * n
     mags[n - 1] = 1.0 / coeff_weight(ClassSpec(Family.TME, alpha).alpha, n)
     return TmeFunction(tuple(mags))
@@ -131,7 +112,7 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
     passes the exact membership test.
     """
     alpha = ClassSpec(Family.TME, alpha).alpha
-    ws = _nonnegative(weights, "weights")
+    ws = scalars(weights, "weights", low=0)
     if not ws:
         raise ValueError("weights must be non-empty")
     total = math.fsum(ws)
@@ -146,8 +127,7 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
 def distortion_bounds(alpha: float, r: float) -> tuple[float, float]:
     """Two-sided bound on |f(z)| at |z| = r over the class:
     1/r -+ r/(1 + 2 alpha)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0,1), got {r}")
+    r = scalar(r, "r", above=0, below=1)
     alpha = ClassSpec(Family.TME, alpha).alpha
     spread = r / coeff_weight(alpha, 1)
     return 1.0 / r - spread, 1.0 / r + spread

@@ -10,6 +10,7 @@ import cmath
 import csv
 import io
 import math
+import numbers
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from merostar.classes import decide
 from merostar.series import ring_values
-from merostar.tolerances import MARGIN_TOL
+from merostar.tolerances import EXACT_TOL, MARGIN_TOL
 
 
 def naive_eval_g(coeffs, z: complex) -> complex:
@@ -77,6 +78,17 @@ def naive_certificate_sum(coeffs, alpha: float) -> float:
     for n, a in enumerate(coeffs):
         total += (1.0 + alpha * (n + 1)) * abs(complex(a))
     return total
+
+
+def generator_certificate(coeffs, alpha: float) -> tuple[bool, float]:
+    """coeff_sufficient_me as one generator over the coefficients: math.fsum
+    of (1 + alpha(n+1)) |a_n| in float arithmetic, inf where the terms are
+    finite but their sum is not; (sum <= 1 + EXACT_TOL, 1 - sum)."""
+    try:
+        total = math.fsum((1.0 + alpha * (n + 1)) * abs(c) for n, c in enumerate(coeffs))
+    except OverflowError:
+        total = math.inf
+    return total <= 1.0 + EXACT_TOL, 1.0 - total
 
 
 def naive_hypothesis_sum(coeffs, alpha: float) -> float:
@@ -196,21 +208,22 @@ def iv_circle_min_at_least(coeffs, family: str, alpha: float, bound: float, dept
 
 
 def entrywise_finite_complex(values, what: str) -> tuple[complex, ...]:
-    """LaurentFunction's coefficient check one entry at a time: a str or
-    bytes series is refused, then complex(v) for each entry, naming the first
-    that is text, beyond float range or not finite."""
-    if isinstance(values, (str, bytes)):
+    """LaurentFunction's coefficient check one entry at a time: only a tuple,
+    list or array is a series, then complex(v) for each entry, naming the
+    first that is not a number (text, a bool and None included), is beyond
+    float range or is not finite."""
+    if not isinstance(values, (tuple, list, np.ndarray)):
         raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, (str, bytes)):
-            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
+        if isinstance(v, bool) or not isinstance(v, numbers.Complex):
+            raise ValueError(f"{what}[{i}] must be a number, not {type(v).__name__}: {v!r}")
         try:
             c = complex(v)
         except OverflowError:  # an integer beyond float range
             raise ValueError(f"{what}[{i}] is beyond float range") from None
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"{what}[{i}] is not finite: {c!r}")
+            raise ValueError(f"{what}[{i}] must be finite, got {c!r}")
         out.append(c)
     return tuple(out)
 
@@ -240,21 +253,22 @@ def entrywise_deserialize(data) -> tuple[complex, ...]:
 
 
 def entrywise_nonnegative(values, what: str) -> tuple[float, ...]:
-    """tme's magnitude and weight check one entry at a time: a str or bytes
-    sequence is refused, then float(v) for each entry, naming the first that
-    is text, beyond float range, not finite or negative."""
-    if isinstance(values, (str, bytes)):
+    """tme's magnitude and weight check one entry at a time: only a tuple,
+    list or array is a sequence, then float(v) for each entry, naming the
+    first that is not a real number (text, a bool and None included), is
+    beyond float range, not finite or negative."""
+    if not isinstance(values, (tuple, list, np.ndarray)):
         raise ValueError(f"{what} must be a sequence of numbers, not {type(values).__name__}")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, (str, bytes)):
-            raise ValueError(f"{what}[{i}] is text, not a number: {v!r}")
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{what}[{i}] must be a number, not {type(v).__name__}: {v!r}")
         try:
             v = float(v)
         except OverflowError:  # an integer beyond float range
             raise ValueError(f"{what}[{i}] is beyond float range") from None
         if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{what}[{i}] must be finite and >= 0, got {v}")
+            raise ValueError(f"{what}[{i}] must be finite and >= 0, got {v!r}")
         out.append(v)
     return tuple(out)
 
@@ -355,8 +369,9 @@ def zero_free_inside(g_coeffs, radius: float) -> bool:
 
 
 def decide_recorded(rule, alpha: float, f, grid):
-    """classes.decide with ring_values, and what its last evaluation gave:
-    (verdict, margins, points) of the circle or ring that decided it."""
+    """classes.decide with ring_values, and what the evaluation that decided
+    gave: (verdict, margins, points) of the last circle or ring holding the
+    witness (the fallback may reuse a ring that the inward search evaluated)."""
     evaluations = []
 
     def recording(f, at):
@@ -364,5 +379,5 @@ def decide_recorded(rule, alpha: float, f, grid):
         return evaluations[-1][1]
 
     verdict = decide(rule, alpha, f, grid, recording)
-    at, values = evaluations[-1]
+    at, values = next(e for e in reversed(evaluations) if verdict.witness in e[0].points)
     return verdict, rule.margins(alpha, *values), at.points

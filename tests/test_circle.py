@@ -22,6 +22,7 @@ from merostar.classes import (
     check_me,
     check_mf,
     check_starlike,
+    decide,
 )
 from merostar.convolution import thm31_verdicts
 from merostar.extremal import (
@@ -222,6 +223,24 @@ def test_ties_and_zeros_of_g_fall_back_to_the_grid():
     # (1 - z)^2 / z: g vanishes at z = 1 on the circle
     v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER and v.proof is None
+
+
+def test_a_search_without_witness_does_not_evaluate_the_outer_ring_again():
+    # g = 1 - e^{-i} z vanishes at e^{i} on the circle: a sample there is negative, the
+    # inward search starts at the grid's outermost ring, finds no witness, and the
+    # fallback folds that same ring from the search's margins
+    f = LaurentFunction([-complex(math.cos(1.0), -math.sin(1.0))])
+    evaluated = []
+
+    def recording(f, at):
+        evaluated.append((at.radii, at.angular_samples))
+        return ring_values(f, at)
+
+    verdict = decide(ClassSpec(Family.STARLIKE, 0.5).rule, 0.5, f, GRID, recording)
+    radii = [r for at, _ in evaluated for r in at]
+    assert len(set(radii)) == len(radii) == 13  # the circle, then 12 rings from rho = 0.9999 outward
+    assert radii[:2] == [1.0, GRID.radii[-1]]
+    assert verdict.proof is None and verdict.samples_checked == 13 * GRID.angular_samples == 26_624
 
 
 OUTER_RING = DiscGrid(GRID.radii[-1:], GRID.angular_samples)

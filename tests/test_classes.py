@@ -29,6 +29,7 @@ from merostar.series import (
     DEFAULT_RADII,
     DiscGrid,
     LaurentFunction,
+    deserialize_coeffs,
     eval_g,
     eval_g_prime,
 )
@@ -203,6 +204,26 @@ def test_coeff_sufficient_matches_naive_sum():
         assert margin == pytest.approx(
             1.0 - oracles.naive_certificate_sum(f.coeffs, alpha), abs=1e-12
         )
+
+
+complex_file = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=40).map(
+    lambda cs: {"coeffs": [[c.real, c.imag] for c in cs]}
+)
+
+
+@given(st.one_of(hostile.series_file, complex_file), st.one_of(st.floats(0.0, 4.0), st.floats(1e300, 1e308)))
+@settings(max_examples=300, deadline=None)
+def test_certificate_has_the_bits_of_the_generator_sum(data, alpha):
+    # one numpy pass over the weights and moduli, then fsum: the same sum, NaN
+    # and inf (an overflowing term or total) included, as one term at a time
+    try:
+        f = deserialize_coeffs(data)
+    except ValueError:
+        return  # not finite or beyond float range: refused on reading
+    certified, margin = coeff_sufficient_me(f, alpha)
+    expected, want = oracles.generator_certificate(f.coeffs, alpha)
+    assert certified is expected
+    assert oracles.same_bits(np.array([margin]), np.array([want]))
 
 
 def test_certificate_implies_grid_margins():

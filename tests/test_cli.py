@@ -298,7 +298,7 @@ def test_check_zero_grid_theta_exits_two(tmp_path, capsys, rmax):
     argv = ["check", "--class", "me", "--alpha", "1", "--series", series, *rmax, "--grid-theta", "0"]
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err == "error: angular_samples must be >= 8\n"
+    assert err == "error: angular_samples must be >= 8, got 0\n"
 
 
 @pytest.mark.parametrize("klass, data", [("me", {"coeffs": []}), ("tme", {"magnitudes": [0.2]})])

@@ -180,9 +180,9 @@ def test_unknown_suite_rejected():
 
 
 def test_suite_params_are_coerced_and_echoed():
-    report = run_suite("rem1", {"n": 17.0, "alpha": 0.1})
+    report = run_suite("rem1", {"n": np.int64(17), "alpha": np.float64(0.1)})
     assert report.inputs["n"] == 17
-    assert isinstance(report.inputs["n"], int)
+    assert type(report.inputs["n"]) is int and type(report.inputs["alpha"]) is float
     # n = 17 sits exactly at the rejection threshold for alpha = 0.1, so the
     # non-membership check is inapplicable rather than asserted
     by_name = {c.name: c for c in report.checks}
@@ -192,15 +192,15 @@ def test_suite_params_are_coerced_and_echoed():
 @pytest.mark.parametrize(
     "name, params, shown",
     [
-        ("thm2.2", {"count": "2"}, "count must be an integer, got '2'"),
-        ("thm2.2", {"count": b"2"}, "count must be an integer, got b'2'"),
+        ("thm2.2", {"count": "2"}, "count must be an integer, not str: '2'"),
+        ("thm2.2", {"count": b"2"}, "count must be an integer, not bytes: b'2'"),
         ("thm2.2", {"count": 2.7}, "count must be an integer, got 2.7"),
         ("thm2.2", {"seed": float("inf")}, "seed must be an integer, got inf"),
         ("thm2.2", {"seed": float("nan")}, "seed must be an integer, got nan"),
         ("rem1", {"n": 17.5}, "n must be an integer, got 17.5"),
-        ("thm3.1", {"gamma_samples": "256"}, "gamma_samples must be an integer, got '256'"),
+        ("thm3.1", {"gamma_samples": "256"}, "gamma_samples must be an integer, not str: '256'"),
         ("all", {"seed": float("inf")}, "seed must be an integer, got inf"),
-        ("all", {"seed": "7"}, "seed must be an integer, got '7'"),
+        ("all", {"seed": "7"}, "seed must be an integer, not str: '7'"),
     ],
 )
 def test_suite_integer_params_refuse_text_and_fractions(name, params, shown):
@@ -209,12 +209,16 @@ def test_suite_integer_params_refuse_text_and_fractions(name, params, shown):
     assert str(err.value) == shown
 
 
-def test_suite_integer_params_take_numpy_ints_and_integral_floats():
-    report = run_suite("thm2.2", {"count": np.int64(3), "seed": np.float64(4.0)})
+def test_suite_integer_params_take_numpy_ints_and_refuse_integral_floats():
+    report = run_suite("thm2.2", {"count": np.int64(3), "seed": np.uint8(4)})
     assert report.inputs["count"] == 3 and report.inputs["seed"] == 4
     assert all(type(report.inputs[key]) is int for key in ("count", "seed"))
-    assert run_suite("rem1", {"seed": 2.0}).passed
     assert run_suite("all", {"seed": np.int64(0)}).inputs["seed"] == 0
+    # an integral float is not an integer, as for DiscGrid's angle count
+    for seed, shown in ((2.0, "2.0"), (np.float64(4.0), "np.float64(4.0)")):
+        with pytest.raises(ValueError) as err:
+            run_suite("rem1", {"seed": seed})
+        assert str(err.value) == f"seed must be an integer, got {shown}"
 
 
 def test_suite_determinism_modulo_runtime():

@@ -97,3 +97,36 @@ def test_no_module_reads_a_private_name_of_another_module():
             and _private(node.attr)
         ]
     assert private == []
+
+
+def test_one_function_refuses_text():
+    """series.scalar is the one place that tells text from a number: no other
+    function, and no module body, names str or bytes except to call it or in
+    an annotation."""
+    package = Path(merostar.__file__).parent
+    testers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        for node in ast.walk(tree):
+            annotations = []
+            if isinstance(node, ast.Call):
+                exempt.add(id(node.func))  # str(path) converts, it does not test
+            if isinstance(node, ast.arg):
+                annotations.append(node.annotation)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations.append(node.returns)
+            if isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            exempt |= {id(n) for a in annotations if a is not None for n in ast.walk(a)}
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.Name) and node.id in ("str", "bytes") and id(node) not in exempt:
+                testers.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, f"{path.stem} (module body)")
+    assert set(testers) == {"series.scalar"}, testers

@@ -67,8 +67,8 @@ def test_nonfinite_coefficients_rejected(bad):
     [
         ("12", "coeffs must be a sequence of numbers, not str"),
         (b"12", "coeffs must be a sequence of numbers, not bytes"),
-        (["1+2j"], r"coeffs\[0\] is text"),
-        ([0.5, b"1"], r"coeffs\[1\] is text"),
+        (["1+2j"], r"coeffs\[0\] must be a number, not str"),
+        ([0.5, b"1"], r"coeffs\[1\] must be a number, not bytes"),
     ],
 )
 def test_text_is_not_a_series(text, message):
@@ -204,7 +204,10 @@ def test_angular_samples_must_be_an_integer(bad, shown):
     # np.arange(100.5) holds 101 angles, and len(grid) needs an int
     with pytest.raises(ValueError) as err:
         DiscGrid((0.5,), bad)
-    assert str(err.value) == f"angular_samples must be an integer, got {shown}"
+    if isinstance(bad, float):
+        assert str(err.value) == f"angular_samples must be an integer, got {shown}"
+    else:  # not a number at all
+        assert str(err.value) == f"angular_samples must be an integer, not {type(bad).__name__}: {shown}"
 
 
 def test_circle_normalises_its_count_before_the_cached_lookup():
@@ -219,10 +222,10 @@ def test_circle_normalises_its_count_before_the_cached_lookup():
 @pytest.mark.parametrize("radius", ["0.5", b"0.5"])
 def test_text_radii_are_refused(radius):
     # float() would parse the text, which LaurentFunction, ClassSpec and TmeFunction refuse
-    for radii in ((radius,), (0.1, radius, 0.9)):
+    for radii, at in (((radius,), 0), ((0.1, radius, 0.9), 1)):
         with pytest.raises(ValueError) as err:
             DiscGrid(radii)
-        assert str(err.value) == f"radius {radius!r} is not a number in (0,1)"
+        assert str(err.value) == f"radii[{at}] must be a number, not {type(radius).__name__}: {radius!r}"
 
 
 def test_numpy_integer_angular_samples_are_plain_ints():

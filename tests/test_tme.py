@@ -158,11 +158,11 @@ def test_text_is_not_a_magnitude_or_a_weight():
             TmeFunction(bad)
         with pytest.raises(ValueError, match="weights must be a sequence of numbers"):
             recompose(bad, 1.0)
-    with pytest.raises(ValueError, match=r"magnitudes\[1\] is text"):
+    with pytest.raises(ValueError, match=r"magnitudes\[1\] must be a number, not str"):
         TmeFunction((0.1, "0.2"))
-    with pytest.raises(ValueError, match=r"weights\[0\] is text"):
+    with pytest.raises(ValueError, match=r"weights\[0\] must be a number, not str"):
         recompose(["0.5", "0.5"], 1.0)
-    with pytest.raises(ValueError, match=r"weights\[1\] is text"):
+    with pytest.raises(ValueError, match=r"weights\[1\] must be a number, not bytes"):
         recompose([0.5, b"0.5"], 1.0)
 
 
