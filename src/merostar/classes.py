@@ -397,10 +397,11 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     c = f.g_coeffs[1:]
     # hypot rounds as abs of a complex does; an overflowing term is inf, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (1.0 + alpha * np.arange(1, len(c) + 1)) * np.hypot(c.real, c.imag)
-    try:
-        total = math.fsum(terms.tolist())
-    except OverflowError:  # finite terms whose sum is beyond float range
+        moduli = np.hypot(c.real, c.imag)
+        terms = (1.0 + alpha * np.arange(1, len(c) + 1)) * moduli
+    try:  # a modulus beyond float range (abs would raise), or finite terms whose sum is
+        total = math.inf if np.isinf(moduli).any() else math.fsum(terms.tolist())
+    except OverflowError:
         total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total
 

@@ -50,7 +50,6 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.999
 DEFAULT_ANGULAR_SAMPLES = 2048
 
 
-_NUMBER = {float: numbers.Real, int: numbers.Real, complex: numbers.Complex}
 # the entry types that scalars converts in one pass, as scalar would
 _PLAIN = {float: {int, float, np.int64, np.float64}}
 _PLAIN[complex] = _PLAIN[float] | {complex, np.complex128}
@@ -69,9 +68,10 @@ def scalar(value, name: str, kind: type = float, *, low=None, above=None, high=N
     """
     try:
         if type(value) is not kind:  # a plain float, int or complex needs no test or conversion
-            noun = "an integer" if kind is int else "a number"
+            number = numbers.Complex if kind is complex else numbers.Real
             # float() and complex() would parse text, and a bool is an int
-            if isinstance(value, (str, bytes, bool)) or not isinstance(value, _NUMBER[kind]):
+            if isinstance(value, (str, bytes, bool)) or not isinstance(value, number):
+                noun = "an integer" if kind is int else "a number"
                 raise ValueError(f"{name} must be {noun}, not {type(value).__name__}: {value!r}")
             if kind is int and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
