@@ -678,20 +678,20 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     """Run one verification suite (or "all") and return its report.
 
     params may override the suite defaults: alpha, n, count, seed, eps,
-    delta, gamma_samples where the suite uses them. series.scalar checks each
-    against _PARAMS: n, count, seed and gamma_samples must be ints or numpy
-    integers (2.0 is refused), and every value must be in range. "all" takes
-    only the seed, since each suite keeps its own defaults. Unknown suite
-    names are rejected.
+    delta, gamma_samples where the suite uses them; None leaves a default.
+    series.scalar checks each against _PARAMS: n, count, seed and
+    gamma_samples must be ints or numpy integers (2.0 is refused), and every
+    value must be in range. "all" takes only the seed, since each suite keeps
+    its own defaults. Unknown suite and parameter names are rejected.
     """
     t0 = time.perf_counter()
     if name not in SUITE_IDS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_IDS)}")
-    params = {
-        key: scalar(value, key, _PARAMS[key][0], **_PARAMS[key][1]) if key in _PARAMS else value
-        for key, value in (params or {}).items()
-        if value is not None
-    }
+    params = {key: value for key, value in (params or {}).items() if value is not None}
+    unknown = [key for key in params if key not in _PARAMS]
+    if unknown:
+        raise ValueError(f"{unknown[0]} is not a suite parameter; choose from {', '.join(_PARAMS)}")
+    params = {key: scalar(value, key, _PARAMS[key][0], **_PARAMS[key][1]) for key, value in params.items()}
     if name == "all":
         ignored = sorted(params.keys() - {"seed"})
         if ignored:

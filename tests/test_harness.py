@@ -310,6 +310,14 @@ def test_all_rejects_every_parameter_but_the_seed():
     assert run_suite("rem1", {"seed": 2}).passed
 
 
+@pytest.mark.parametrize("name", ["rem1", "all"])
+def test_a_misspelt_parameter_is_refused_by_name(name):
+    # it used to be echoed into the report's inputs while the suite ran on its default
+    with pytest.raises(ValueError) as err:
+        run_suite(name, {"cont": 3, "seed": 1})
+    assert str(err.value) == "cont is not a suite parameter; choose from alpha, n, count, seed, gamma_samples, eps, delta"
+
+
 # every check of "all" at seed 7, in report order
 ALL_CHECKS = (
     "thm2.1/exp_separates_mf_from_me",
