@@ -399,7 +399,7 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         moduli = np.hypot(c.real, c.imag)
         terms = (1.0 + alpha * np.arange(1, len(c) + 1)) * moduli
-    try:  # a modulus beyond float range (abs would raise), or finite terms whose sum is
+    try:  # inf for a modulus beyond float range (abs() raises there) or a sum that overflows
         total = math.inf if np.isinf(moduli).any() else math.fsum(terms.tolist())
     except OverflowError:
         total = math.inf
