@@ -20,14 +20,14 @@ disc. For MF and STARLIKE no bound holds when g has a zero inside (z g'/g
 has a pole there) or |g| comes near 0, but a negative sample on a finite
 circle still refutes once a witness inside clears its own rounding bound.
 Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
-the circle, non-finite values) is sampled on the grid's outermost ring: the
-continuous margin's minimum over the disc inside that ring lies on it (for MF
-and STARLIKE, a margin of -alpha or less where g has zeros inside it). Samples
-only follow the continuous margin while g has at most M coefficients, so a
-longer g, or a ring whose margins are not all finite and refute nothing, is
-sampled on every ring of the grid. A negative margin refutes and nonnegative
-margins are evidence. MembershipVerdict.proof says which path decided;
-CertifiedMember is reserved for the coefficient certificate.
+the circle, non-finite values) is sampled on the grid's outermost ring at M'
+angles, the least M 2^k at or above the length of g, whose samples do not
+alias: the continuous margin's minimum over the disc inside that ring lies on
+it (for MF and STARLIKE, a margin of -alpha or less where g has zeros inside
+it). A ring with a non-finite margin and no negative one is followed by the
+next ring inward. A negative margin refutes and nonnegative margins are
+evidence. MembershipVerdict.proof says which path decided; CertifiedMember
+is reserved for the coefficient certificate.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class MembershipVerdict:
     """status with the least margin evaluated and its point (witness), the
     number of points evaluated, and what decided the status: "circle" (a
     bound on the unit circle), "coefficients" (a coefficient sum) or None
-    (sampled on the grid's outermost ring, or on the whole grid)."""
+    (sampled on the grid's rings, from the outermost inward)."""
 
     status: Status
     min_margin: float
@@ -277,12 +277,10 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     a zero inside or |g| comes near 0; if the circle values are finite, a
     sample below -MARGIN_TOL still starts the rings, and a witness counts once
     it clears _quotient_error at its point. A positive but unproved minimum
-    refines the circle to 4M points once. Everything else (ties, zeros of g on
-    the circle, non-finite values) is sampled on the grid's outermost ring, or
-    on the whole grid where g has more than M coefficients or that ring has a
-    non-finite margin and no negative one; that ring is evaluated once, even
-    where the inward search has stepped through it. samples_checked counts
-    every point evaluated.
+    refines the circle to 4M points once. Everything else is sampled on the
+    grid's rings from the outermost inward (see the module docstring) to the
+    first that refutes or is all finite, and the rings walked are folded
+    together. samples_checked counts every point evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
@@ -325,16 +323,21 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
             break
         if bound is None or not low.min_margin > 0:
             break
-    ring = DiscGrid(grid.radii[-1:], grid.angular_samples)
-    if len(f.g_coeffs) <= ring.angular_samples:  # past M coefficients the M samples alias
+    m = grid.angular_samples
+    while m < len(f.g_coeffs):  # M' samples of at most M' coefficients are their DFT: no aliasing
+        m *= 2
+    walked = []  # (margins, points) of each ring from rho inward
+    for r in reversed(grid.radii):
+        ring = DiscGrid((r,), m)
         margins = searched.get(ring)
         if margins is None:
             margins = rule.margins(alpha, *values(f, ring))
             evaluated += len(ring)
+        walked.append((margins, ring.points))
         finite = np.isfinite(margins)
         if finite.all() or (margins[finite] < -MARGIN_TOL).any():
-            return verdict_from_margins(margins, ring.points, evaluated)
-    return verdict_from_margins(rule.margins(alpha, *values(f, grid)), grid.points, evaluated + len(grid))
+            break
+    return verdict_from_margins(*map(np.concatenate, zip(*walked)), evaluated)
 
 
 def class_margins(spec: ClassSpec, f: LaurentFunction, points):
@@ -353,7 +356,7 @@ def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):
 
 def check_class(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     """Decide the class on the unit circle where a bound proves it, else
-    sample the grid's outermost ring or the whole grid (see decide); the
+    sample the grid's rings from the outermost inward (see decide); the
     verdict alone."""
     return decide(spec.rule, spec.alpha, f, grid)
 

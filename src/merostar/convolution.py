@@ -96,8 +96,8 @@ def thm31_verdicts(
 ) -> tuple[MembershipVerdict, MembershipVerdict]:
     """The ME verdict of f and the verdict of the kernel family at
     gamma_samples phases, each on the unit circle where a bound decides it,
-    else on the grid's outermost ring or the whole grid (see classes.decide);
-    both read one evaluation of f per circle, ring or grid.
+    else on the grid's rings from the outermost inward (see classes.decide);
+    both read one evaluation of f per circle or ring.
 
     The sampled margin is the least of gamma_samples margins
     Re[g + alpha e^{i gamma_j} z g'], each harmonic with the ME margin's
@@ -112,6 +112,7 @@ def thm31_verdicts(
 
 def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):
     """z*(f*h_gamma)(z) computed from the right-hand side of the identity."""
+    alpha, gamma = ClassSpec(Family.ME, alpha).alpha, scalar(gamma, "gamma")  # gamma as given, not normalised
     phase = complex(math.cos(gamma), math.sin(gamma))
     return eval_g(f, z) + alpha * phase * np.asarray(z) * eval_g_prime(f, z)
 

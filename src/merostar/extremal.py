@@ -43,7 +43,7 @@ def theorem21_extremal(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> L
 
 def theorem21_tail_bound(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> float:
     """Magnitude of the first dropped coefficient, 2 c^{degree+2}."""
-    return 2.0 * (coeff_bound(alpha, 0) / 2.0) ** (degree + 2)
+    return 2.0 * (coeff_bound(alpha, 0) / 2.0) ** (scalar(degree, "degree", int, low=1) + 2)
 
 
 def theorem23_extremal(
@@ -69,6 +69,7 @@ def theorem23_extremal(
 
 def theorem23_tail_bound(alpha: float, n: int, degree: int = DEFAULT_EXTREMAL_DEGREE) -> float:
     """Magnitude 2 d^m of the first dropped term (smallest m with mn-1 > degree)."""
+    n, degree = scalar(n, "n", int, low=1), scalar(degree, "degree", int, low=1)
     d = coeff_bound(alpha, n - 1) / 2.0
     m = (degree + 1) // n + 1
     return 2.0 * d**m
@@ -99,6 +100,7 @@ def mf_not_me_witness(degree: int = 30) -> LaurentFunction:
 
 def mf_not_me_tail_bound(degree: int = 30) -> float:
     """The scale 1/(degree+2)! of the tail that mf_not_me_witness drops."""
+    degree = scalar(degree, "degree", int, low=10)
     try:
         return 1.0 / math.factorial(degree + 2)
     except OverflowError:  # (degree+2)! is beyond float range from degree 169

@@ -324,9 +324,9 @@ def serialize_coeffs(f: LaurentFunction) -> dict:
 
 
 def deserialize_coeffs(data: dict) -> LaurentFunction:
-    """Inverse of serialize_coeffs. Unknown keys are ignored; malformed
-    entries (including JSON true/false), integers beyond float range and
-    non-finite values are rejected with the offending index."""
+    """Inverse of serialize_coeffs. Unknown keys are ignored; the first entry
+    that is not an [re, im] pair is named coeffs[i], and the first number that
+    scalars refuses (JSON true/false included) coeffs[i][j]."""
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError('series JSON must be an object with a "coeffs" key')
     raw = data["coeffs"]
@@ -334,18 +334,11 @@ def deserialize_coeffs(data: dict) -> LaurentFunction:
         raise ValueError('"coeffs" must be a list of [re, im] pairs')
     if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
         if set(map(type, chain.from_iterable(raw))) <= {int, float}:
-            with suppress(OverflowError):  # in C; the loop below names the bad entry
+            with suppress(ValueError, OverflowError):  # in C; the loop below names the bad entry
                 return LaurentFunction(tuple(starmap(complex, raw)))
     out = []
     for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"coeffs[{i}] is not an [re, im] pair: {entry!r}")
-        try:
-            out.append(complex(entry[0], entry[1]))
-        except OverflowError:  # a JSON integer beyond float range
-            raise ValueError(f"coeffs[{i}] is beyond float range") from None
+        out.append(complex(*scalars(entry, f"coeffs[{i}]")))
     return LaurentFunction(tuple(out))

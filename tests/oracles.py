@@ -230,8 +230,8 @@ def entrywise_finite_complex(values, what: str) -> tuple[complex, ...]:
 
 def entrywise_deserialize(data) -> tuple[complex, ...]:
     """The coefficients of a series JSON value, read one entry at a time:
-    each [re, im] pair is checked and converted, then the whole tuple goes
-    through entrywise_finite_complex."""
+    each entry must be an [re, im] pair, and each part of it a real number
+    (not a bool), within float range and finite, named coeffs[i][j]."""
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError('series JSON must be an object with a "coeffs" key')
     raw = data["coeffs"]
@@ -239,17 +239,22 @@ def entrywise_deserialize(data) -> tuple[complex, ...]:
         raise ValueError('"coeffs" must be a list of [re, im] pairs')
     out = []
     for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"coeffs[{i}] is not an [re, im] pair: {entry!r}")
-        try:
-            out.append(complex(entry[0], entry[1]))
-        except OverflowError:  # a JSON integer beyond float range
-            raise ValueError(f"coeffs[{i}] is beyond float range") from None
-    return entrywise_finite_complex(out, "coeffs")
+        parts = []
+        for j, x in enumerate(entry):
+            name = f"coeffs[{i}][{j}]"
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {type(x).__name__}: {x!r}")
+            try:
+                x = float(x)
+            except OverflowError:  # a JSON integer beyond float range
+                raise ValueError(f"{name} is beyond float range") from None
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
+            parts.append(x)
+        out.append(complex(*parts))
+    return tuple(out)
 
 
 def entrywise_nonnegative(values, what: str) -> tuple[float, ...]:

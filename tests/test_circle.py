@@ -243,40 +243,50 @@ def test_a_search_without_witness_does_not_evaluate_the_outer_ring_again():
     assert verdict.proof is None and verdict.samples_checked == 13 * GRID.angular_samples == 26_624
 
 
-OUTER_RING = DiscGrid(GRID.radii[-1:], GRID.angular_samples)
+def _unaliased(f) -> int:
+    """M', the least M 2^k that is at least the number of coefficients of g:
+    M' samples of a polynomial of at most M' coefficients do not alias."""
+    m = GRID.angular_samples
+    while m < len(f.g_coeffs):
+        m *= 2
+    return m
 
 
 def _ring_fallback_is_the_grid_fold(rule, alpha, f) -> bool:
-    """Decide f and, where nothing on the circle decides it, hold the fold of
-    the grid's outermost ring to the fold of all 12 rings: the same status,
-    and the same least margin and witness where the minimum principle puts
-    them on that ring, which is where the ring's margins are all finite and
-    the rule does not divide by g or g has no zero inside the ring. A g of
-    more than M coefficients, whose samples alias, and a ring with a
-    non-finite margin and no negative one take the whole grid. Whether the
-    fallback ran."""
+    """Decide f, recording every grid it evaluates, and hold each grid to one
+    radius. Where nothing on the circle decides f, hold the status of the
+    walk from the grid's outermost ring inward to the fold of all 12 rings at
+    M' angles; where the walk stops at that outermost ring with finite
+    margins and the minimum principle puts the least margin on it (the rule
+    does not divide by g, or g has no zero inside the ring), hold the least
+    margin and witness to the 12-ring fold's too. Whether the fallback ran."""
+    grids = []
+
+    def recording(f, at):
+        grids.append(at)
+        return ring_values(f, at)
+
+    grid = DiscGrid(GRID.radii, _unaliased(f))
+    outer = DiscGrid(grid.radii[-1:], grid.angular_samples)
     with np.errstate(all="ignore"):
         try:
-            verdict, margins, points = oracles.decide_recorded(rule, alpha, f, GRID)
+            verdict = decide(rule, alpha, f, GRID, recording)
         except ValueError:  # no margin on the grid is defined
+            verdict = None
+        assert [at.radii for at in grids if len(at.radii) != 1] == []
+        if verdict is None:
             with pytest.raises(ValueError, match="degenerate"):
-                oracles.grid_fold(rule, alpha, f, GRID)
+                oracles.grid_fold(rule, alpha, f, grid)
             return True
         if verdict.proof is not None:
             return False
-        status, least, witness = oracles.grid_fold(rule, alpha, f, GRID)
-        ring = rule.margins(alpha, *ring_values(f, OUTER_RING))
-    finite = np.isfinite(ring)
-    on_ring = len(f.g_coeffs) <= GRID.angular_samples and (finite.all() or (ring[finite] < -MARGIN_TOL).any())
-    assert np.array_equal(points, (OUTER_RING if on_ring else GRID).points)
-    # the circle (and its 4M refinement or rings stepped inward), then the ring or grid
-    assert verdict.samples_checked >= GRID.angular_samples + len(points)
-    assert verdict.samples_checked % GRID.angular_samples == 0
+        status, least, witness = oracles.grid_fold(rule, alpha, f, grid)
+        ring = rule.margins(alpha, *ring_values(f, outer))
+    assert verdict.samples_checked == sum(map(len, grids))
+    assert verdict.witness in grid.points
     assert verdict.status.value == status
-    if not on_ring:
-        assert (verdict.min_margin, verdict.witness) == (least, witness)
-    superharmonic = not rule.divides or oracles.zero_free_inside(f.g_coeffs, OUTER_RING.radii[0])
-    if np.isfinite(margins).all() and superharmonic:
+    superharmonic = not rule.divides or oracles.zero_free_inside(f.g_coeffs, outer.radii[0])
+    if np.isfinite(ring).all() and superharmonic:
         assert (verdict.min_margin, verdict.witness) == (least, witness)
     return True
 
@@ -339,24 +349,36 @@ def _overflow_ring():
     return LaurentFunction([np.finfo(float).max / (2 * 0.9995)])
 
 
-def test_series_that_alias_or_overflow_on_the_ring_fold_the_whole_grid():
+def test_series_that_alias_or_overflow_on_the_ring_walk_inward_one_ring_at_a_time():
     me = lambda alpha: ClassSpec(Family.ME, alpha).rule
-    # (rule, alpha, series, points evaluated before the grid)
+    # (rule, alpha, series, points evaluated)
     cases = (
-        (me(0.0), 0.0, _aliased(), 2048 + 8192),  # the circle at M and 4M; a g this long skips the ring
-        (me(1.0), 1.0, _aliased_overflow(), 2048),  # the circle overflows
-        (me(2.0), 2.0, _overflow_ring(), 2048 + 2048),  # the circle overflows, then the ring
+        # the circle at M and 4M, then the outermost ring at M' = 16 M, which refutes
+        (me(0.0), 0.0, _aliased(), 2048 + 8192 + 32768),
+        # the circle overflows, then the outermost ring at M' = 2 M, which refutes
+        (me(1.0), 1.0, _aliased_overflow(), 2048 + 4096),
+        # the circle overflows, then the outermost ring is all -inf, then 0.999 refutes
+        (me(2.0), 2.0, _overflow_ring(), 2048 + 2048 + 2048),
     )
     with np.errstate(all="ignore"):
-        for rule, alpha, f, before in cases:
-            ring = rule.margins(alpha, *ring_values(f, OUTER_RING))
-            assert len(f.g_coeffs) > GRID.angular_samples or not np.isfinite(ring).any()
-            verdict, _, points = oracles.decide_recorded(rule, alpha, f, GRID)
-            assert np.array_equal(points, GRID.points)
+        for rule, alpha, f, evaluated in cases:
+            verdict = decide(rule, alpha, f, GRID)
             assert verdict.status is Status.NON_MEMBER and verdict.proof is None
-            folded = oracles.grid_fold(rule, alpha, f, GRID)
-            assert (verdict.status.value, verdict.min_margin, verdict.witness) == folded
-            assert verdict.samples_checked == before + len(GRID)
+            assert verdict.samples_checked == evaluated
+            assert verdict.status.value == oracles.grid_fold(rule, alpha, f, DiscGrid(GRID.radii, _unaliased(f)))[0]
+
+
+def test_a_sparse_series_that_aliases_on_every_ring_is_refuted():
+    # g = 1 + C z^8192 with C = 0.999^-8192: at M or 4M angles every sample sees z^8192
+    # as the positive real r^8192, so every margin is positive, yet Re g < 0 at
+    # r e^{i pi/8192} for r near 1; M' = 8 M angles see it
+    coeffs = np.zeros(8192)
+    coeffs[-1] = 0.999**-8192
+    f = LaurentFunction(coeffs)
+    verdict = check_me(f, 0.0, GRID)
+    assert verdict.status is Status.NON_MEMBER and verdict.proof is None
+    assert verdict.samples_checked == 2048 + 8192 + 16384
+    assert oracles.mp_class_margin(f.coeffs, "me", 0.0, verdict.witness) < -MARGIN_TOL
 
 
 def test_ring_fallback_is_the_grid_fold_on_ties_zeros_and_overflow():

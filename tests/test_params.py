@@ -13,8 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merostar.classes import ClassSpec, Family, coeff_bound
-from merostar.convolution import KernelSpec, check_thm32, kernel, neighborhood_sample, phase_margins, stability_premise
-from merostar.extremal import mf_not_me_witness, remark1_witness, theorem21_extremal, theorem23_extremal
+from merostar.convolution import (
+    KernelSpec,
+    check_thm32,
+    convolve_with_kernel,
+    kernel,
+    neighborhood_sample,
+    phase_margins,
+    stability_premise,
+)
+from merostar.extremal import (
+    mf_not_me_tail_bound,
+    mf_not_me_witness,
+    remark1_witness,
+    theorem21_extremal,
+    theorem21_tail_bound,
+    theorem23_extremal,
+    theorem23_tail_bound,
+)
 from merostar.harness import run_suite
 from merostar.reporting import VerificationReport
 from merostar.series import DiscGrid, LaurentFunction, partial_sum, ring_values, scalar, scalars
@@ -124,6 +140,14 @@ ENTRY_POINTS = [
     ("degree", lambda v: theorem23_extremal(1.0, 2, v), int, 4, [0]),
     ("n", remark1_witness, int, 3, [0]),
     ("degree", mf_not_me_witness, int, 12, [9]),
+    ("alpha", lambda v: theorem21_tail_bound(v, 3), float, 1.5, [-1]),
+    ("degree", lambda v: theorem21_tail_bound(2.0, v), int, 3, [0]),
+    ("alpha", lambda v: theorem23_tail_bound(v, 2, 8), float, 1.5, [-1]),
+    ("n", lambda v: theorem23_tail_bound(1.0, v, 8), int, 2, [0]),
+    ("degree", lambda v: theorem23_tail_bound(1.0, 2, v), int, 4, [0]),
+    ("degree", mf_not_me_tail_bound, int, 12, [9]),
+    ("alpha", lambda v: convolve_with_kernel(F, v, 0.5, 0.5j), float, 1.5, [-1]),
+    ("gamma", lambda v: convolve_with_kernel(F, 1.0, v, 0.5j), float, 0.5, []),
 ]
 IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(ENTRY_POINTS)]
 
