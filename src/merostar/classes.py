@@ -14,11 +14,13 @@ polynomial, so each margin extends continuously to the closed disc and is
 superharmonic there (for MF and STARLIKE once g has no zero in it): its
 minimum over the disc lies on |z| = 1. The checks therefore sample the unit
 circle first. A sampled minimum that clears a Lipschitz bound on the gaps
-between samples plus a rounding bound proves membership; a sample that is
-negative beyond the rounding bound refutes it, with a witness inside the
-disc. For MF and STARLIKE no bound holds when g has a zero inside (z g'/g
-has a pole there) or |g| comes near 0, but a negative sample on a finite
-circle still refutes once a witness inside clears its own rounding bound.
+between samples plus a rounding bound proves membership; for MF and
+STARLIKE it needs no winding number (see _circle_bound). A sample that is
+negative beyond the rounding bound refutes, with a witness inside the disc;
+g may have zeros there, so a witness of MF or STARLIKE is always held to
+the rounding bound at its own point. When |g| comes near 0 on the circle no
+bound holds, but a negative sample on a finite circle still refutes once a
+witness inside clears that bound.
 Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
 the circle, non-finite values) is sampled on the grid's outermost ring at M'
 angles, the least M 2^k at or above the length of g, whose samples do not
@@ -244,9 +246,10 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     S_1 and z g' by at most S_2 per unit of theta. A rule that does not
     divide by g gets L = S_1 + w S_2 for its weight w. Otherwise the least
     |g| on the circle must clear the farthest an arc between samples can
-    move g, which also makes the winding number of the samples exact; with
-    no zero of g inside, z g'/g is holomorphic on the closed disc and
-    moves by at most (S_2 S_0 + S_1^2)/min|g|^2. sums is _coeff_sums(f).
+    move g, so |g| >= low > 0 on the circle, where z g'/g then moves by at
+    most (S_2 S_0 + S_1^2)/low^2. No winding number is needed: a proved
+    member has Re(z g'/g) < 1 on the circle, where its mean is the number of
+    zeros of g inside (the argument principle). sums is _coeff_sums(f).
     """
     s0, s1, s2, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
@@ -258,8 +261,6 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     least = float(np.min(np.abs(g))) - rho * w0
     if not least > 2.0 * math.pi / m * s1:  # |g| near 0
         return None
-    if round(float(np.sum(np.angle(np.roll(g, -1) / g))) / (2.0 * math.pi)) != 0:
-        return None  # a zero of g inside: z g'/g has a pole there
     low = least - math.pi / m * s1
     h = s1 / low  # bounds |z g'/g| on the circle
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
@@ -273,10 +274,11 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     proves the verdict (proof "circle"): a member when the sampled minimum
     exceeds L pi/M plus rounding, a non-member when a sample is below
     -MARGIN_TOL - rounding and a ring inside the disc gives a witness below
-    -MARGIN_TOL - rounding. A rule that divides by g gets no bound where g has
-    a zero inside or |g| comes near 0; if the circle values are finite, a
-    sample below -MARGIN_TOL still starts the rings, and a witness counts once
-    it clears _quotient_error at its point. A positive but unproved minimum
+    -MARGIN_TOL - rounding. For a rule that divides by g, whose bound takes
+    no winding number (see _circle_bound), the rounding at a witness is
+    always _quotient_error at its point; where |g| comes near 0 on the circle
+    it gets no bound, but finite circle values with a sample below
+    -MARGIN_TOL still start the rings. A positive but unproved minimum
     refines the circle to 4M points once. Everything else is sampled on the
     grid's rings from the outermost inward (see the module docstring) to the
     first that refutes or is all finite, and the rings walked are folded
@@ -299,11 +301,8 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
             lipschitz, rounding = bound
             if low.min_margin - lipschitz * math.pi / m - rounding > 0:
                 return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
-            error = lambda g, at: rounding
         elif bound is None and rule.divides and np.isfinite(g).all():
-            # a zero of g inside, or |g| near 0: nothing proves a member, but a
-            # witness inside refutes once it clears its own rounding bound
-            rounding, error = 0.0, lambda g, at: _quotient_error(f, sums, m, g[at].item())
+            rounding = 0.0  # |g| near 0: nothing proves a member, but a witness inside may refute
         else:
             break
         if low.min_margin < -MARGIN_TOL - rounding:
@@ -316,10 +315,11 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
                 searched[ring] = margins = rule.margins(alpha, g, zgp)
                 evaluated += m
                 v = verdict_from_margins(margins, ring.points, evaluated)
-                if v.status is Status.NON_MEMBER and (
-                    v.min_margin < -MARGIN_TOL - error(g, ring.points == v.witness)
-                ):
-                    return replace(v, proof="circle")
+                if v.status is Status.NON_MEMBER:  # g may have zeros inside: bound a quotient at its witness
+                    at = g[ring.points == v.witness].item()
+                    error = _quotient_error(f, sums, m, at) if rule.divides else rounding
+                    if v.min_margin < -MARGIN_TOL - error:
+                        return replace(v, proof="circle")
             break
         if bound is None or not low.min_margin > 0:
             break

@@ -738,10 +738,7 @@ def load_tme(path: str | Path) -> tme.TmeFunction:
     """Read either {"magnitudes": [a1, ...]} or a convertible series file."""
     data = _read_json(path)
     if isinstance(data, dict) and "magnitudes" in data:
-        raw = data["magnitudes"]
-        if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
-            raise ValueError('"magnitudes" must be a list of numbers')
-        return tme.TmeFunction(tuple(raw))
+        return tme.TmeFunction(data["magnitudes"])  # TmeFunction names each bad entry
     return tme.TmeFunction.from_laurent(deserialize_coeffs(data))
 
 

@@ -178,12 +178,12 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
     sum_k c_k r^k e^{2 pi i jk/M} is one inverse DFT of length M, and the
     coefficients with k >= M fold onto index k mod M exactly (aliasing).
     The whole stack shares one transform per ring. The fold takes M
-    coefficients at a time, so memory stays O(N + R*M) per row for N
-    coefficients on R rings. Stacks whose longest row has at most log2(M)
-    coefficients take Horner's rule on grid.points instead: its cost grows
-    with the length and the transform's does not, so it is the cheaper one
-    on the shortest series. Either branch writes into the array it returns
-    and into no other array of its size.
+    coefficients and one ring at a time, so beside the output it holds
+    O(N + M) per row for N coefficients. Stacks whose longest row has at
+    most log2(M) coefficients take Horner's rule on grid.points instead: its
+    cost grows with the length and the transform's does not, so it is the
+    cheaper one on the shortest series. Either branch writes into the array
+    it returns and into no other array of its size.
     """
     m = grid.angular_samples
     longest = max(len(row) for row in rows)
@@ -202,12 +202,13 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
         coeffs = np.zeros((len(rows), longest), dtype=complex)
         for padded, row in zip(coeffs, rows):
             padded[: len(row)] = row
-        radii = np.asarray(grid.radii)[:, None]
         spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
-        # one block of M coefficients at a time, on every ring at once
+        # one block of M coefficients at a time, on one ring at a time
         for start in range(0, longest, m):
             stop = min(start + m, longest)
-            spectra[:, :, : stop - start] += coeffs[:, None, start:stop] * radii ** np.arange(start, stop)
+            exponents = np.arange(start, stop)
+            for k, r in enumerate(grid.radii):
+                spectra[:, k, : stop - start] += coeffs[:, start:stop] * r**exponents
         np.fft.ifft(spectra, axis=-1, norm="forward", out=spectra)
     return spectra.reshape(len(rows), -1)
 

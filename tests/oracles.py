@@ -17,7 +17,7 @@ import numpy as np
 from mpmath.libmp import from_float, from_man_exp, libmpi, mpf_ge
 from numpy.polynomial import polynomial as npoly
 
-from merostar.classes import decide
+from merostar.classes import _gamma, _value_error, decide
 from merostar.series import ring_values
 from merostar.tolerances import EXACT_TOL, MARGIN_TOL
 
@@ -361,6 +361,28 @@ def grid_fold(rule, alpha: float, f, grid):
     masked_verdict_fold, as (status value, least finite margin, its point)."""
     margins = rule.margins(alpha, *ring_values(f, grid))
     return masked_verdict_fold(margins, grid.points)[:3]
+
+
+def winding_circle_bound(rule, alpha: float, f, sums, g, m: int):
+    """classes._circle_bound as it was with its winding test: for a rule
+    that divides by g also None when the m samples of g wind around 0, as a
+    zero of g inside the circle makes them do. The reference for the bound
+    without that test, which must decide every series the same way."""
+    s0, s1, s2, w0, w1 = sums
+    rho = _value_error(len(f.g_coeffs), m)
+    if not rule.divides:
+        w = rule.weight(alpha)
+        return s1 + w * s2, rho * (w0 + w * w1) + _gamma(8) * (s0 + w * s1)
+    if not np.isfinite(g).all():
+        return None
+    least = float(np.min(np.abs(g))) - rho * w0
+    if not least > 2.0 * math.pi / m * s1:
+        return None
+    if round(float(np.sum(np.angle(np.roll(g, -1) / g))) / (2.0 * math.pi)) != 0:
+        return None  # a zero of g inside: z g'/g has a pole there
+    low = least - math.pi / m * s1
+    h = s1 / low
+    return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
 def zero_free_inside(g_coeffs, radius: float) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merostar import cli, convolution, harness
+from merostar import classes, cli, convolution, harness
 from merostar.classes import (
     _REMARK2,
     ClassSpec,
@@ -108,6 +108,8 @@ def test_interval_oracle_confirms_the_circle_lower_bound():
         bound = verdict.min_margin - lipschitz * math.pi / m - rounding
         assert bound > 0
         assert oracles.iv_circle_min_at_least(f.coeffs, family.value, alpha, bound), (f, family, alpha)
+        # no winding number is taken: the proof itself leaves g no zero inside
+        assert family is Family.ME or oracles.zero_free_inside(f.g_coeffs, 1.0), (f, family, alpha)
         proved[family] += 1
     assert all(count == 70 for count in proved.values()), proved
 
@@ -199,6 +201,55 @@ def test_circle_refutations_of_a_zero_inside_are_sound():
     refutation_has_a_witness_inside()
     # the circle decides most draws, so the property cannot hold vacuously
     assert sum(on_circle) > 0.9 * len(on_circle), (sum(on_circle), len(on_circle))
+
+
+def _with_zeros(zeros, raw, scale):
+    """The series whose g is h times (1 - z/z0) for each polar (radius, angle)
+    z0 of zeros, with h = 1 + sum of scale c_n z^(n+1)/(n+2) zero-free."""
+    h = [1.0] + [0.75 * scale * c / (n + 2) for n, c in enumerate(raw)]  # sum |h_k| <= 0.96 over 4 terms
+    g = np.array(h, dtype=complex)
+    for radius, angle in zeros:
+        g = np.convolve([1.0, -1.0 / (radius * complex(math.cos(angle), math.sin(angle)))], g)
+    return LaurentFunction(tuple(g[1:]))
+
+
+polar_zero = lambda radii: st.tuples(radii, st.floats(0.0, 2 * math.pi))
+zero_sets = st.one_of(
+    st.lists(polar_zero(st.floats(0.05, 0.95)), min_size=1, max_size=2),  # one or two inside
+    st.lists(polar_zero(st.floats(1.0, 1.05)), min_size=1, max_size=1),  # on or just outside the circle
+    st.just([]),  # zero-free
+)
+
+
+def test_the_circle_bound_needs_no_winding_number(monkeypatch):
+    winding_bound = []
+
+    @given(
+        zero_sets,
+        st.lists(coefficient, max_size=4),
+        st.floats(0.0, 1.0),
+        st.sampled_from((Family.MF, Family.STARLIKE)),
+        st.floats(0.0, 0.95),
+        st.sampled_from((64, 256, 2048)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def same_verdict_as_with_the_winding_test(zeros, raw, scale, family, alpha, m):
+        f, grid = _with_zeros(zeros, raw, scale), DiscGrid(angular_samples=m)
+        rule = ClassSpec(family, alpha).rule
+        verdict = decide(rule, alpha, f, grid)
+        with monkeypatch.context() as patched:
+            patched.setattr(classes, "_circle_bound", oracles.winding_circle_bound)
+            reference = decide(rule, alpha, f, grid)
+        assert verdict == reference
+        g = ring_values(f, DiscGrid.circle(m))[0]
+        winding_bound.append(
+            oracles.winding_circle_bound(rule, alpha, f, _coeff_sums(f), g, m) is None
+            and _circle_bound(rule, alpha, f, _coeff_sums(f), g, m) is not None
+        )
+
+    same_verdict_as_with_the_winding_test()
+    # draws with a zero inside now take the bounded path, so the property is not vacuous
+    assert sum(winding_bound) > 0.1 * len(winding_bound), (sum(winding_bound), len(winding_bound))
 
 
 def test_overflow_and_huge_degree_fall_back_to_the_grid():
@@ -464,8 +515,10 @@ def test_ring_fallback_is_the_grid_fold_under_hypothesis():
 
 
 def test_a_zero_of_g_inside_is_refuted_on_the_circle():
-    # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole: no bound
-    # holds on the circle, but its negative samples lead to a witness inside
+    # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole. The bound on
+    # the circle needs no winding number, as a proved member cannot have a zero
+    # inside; the negative samples lead to a witness inside, which is held to
+    # the rounding bound at its own point because of that zero
     f = LaurentFunction([-2.0])
     for check, family in ((check_mf, "mf"), (check_starlike, "starlike")):
         v = check(f, 0.0, GRID)

@@ -365,6 +365,29 @@ def test_check_hostile_series_exits_two(tmp_path, capsys, klass, data):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["check", "--class", "tme"], ["decompose"]], ids=["tme", "decompose"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "must be a number, not bool: True"),
+        ("0.1", "must be a number, not str: '0.1'"),
+        (None, "must be a number, not NoneType: None"),
+        ([0.2], "must be a number, not list: [0.2]"),
+        (-0.2, "must be finite and >= 0, got -0.2"),
+        ({"a": 1}, "must be a number, not dict: {'a': 1}"),
+        (10**400, "is beyond float range"),
+    ],
+    ids=["true", "text", "null", "list", "negative", "dict", "huge"],
+)
+def test_a_bad_magnitude_exits_two_and_is_named(tmp_path, capsys, command, entry, message):
+    # TmeFunction checks the entries of a magnitudes file; load_tme has no check of its own
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"magnitudes": [0.1, entry]}))
+    code, out, err = run(capsys, [*command, "--alpha", "1", "--series", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: magnitudes[1] {message}\n"
+
+
 @pytest.mark.parametrize("command", [["check", "--class", "me"], ["check", "--class", "tme"], ["decompose"]])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

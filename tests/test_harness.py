@@ -423,7 +423,7 @@ def test_load_tme_accepts_both_shapes(tmp_path):
     path.write_text('{"coeffs": [[0, 0], [-0.1, 0]]}')
     assert load_tme(path).magnitudes == (0.1,)
     path.write_text('{"magnitudes": ["x"]}')
-    with pytest.raises(ValueError, match="magnitudes"):
+    with pytest.raises(ValueError, match=r"magnitudes\[0\] must be a number, not str: 'x'"):
         load_tme(path)
     path.write_text('{"coeffs": [[0, 0], [0.1, 0]]}')
     with pytest.raises(ValueError, match="index 1"):

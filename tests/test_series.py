@@ -464,13 +464,17 @@ def test_ring_transform_has_the_bits_of_the_allocating_kernel_at_2048_angles(len
     assert oracles.same_bits(ring_transform(rows, grid), oracles.allocating_ring_transform(rows, grid))
 
 
-@pytest.mark.parametrize("grid", [DiscGrid(), DiscGrid.circle(8192)], ids=["grid", "circle-8192"])
-@pytest.mark.parametrize("degree", [0, 4, 9, 10, 20])
+ALLOCATION_GRIDS = {"grid": DiscGrid(), "circle-8192": DiscGrid.circle(8192)}
+ALLOCATION_CASES = [(d, name) for d in (0, 4, 9, 10, 20) for name in ALLOCATION_GRIDS] + [(64, "grid"), (256, "grid")]
+
+
+@pytest.mark.parametrize("degree, grid", ALLOCATION_CASES, ids=[f"{d}-{name}" for d, name in ALLOCATION_CASES])
 def test_ring_values_allocates_little_beyond_its_output(grid, degree):
     # Horner up to log2(M) coefficients and the transform above; each writes
-    # into the array it returns. Beside it the fold holds arrays of rings
-    # times coefficients (and numpy's buffers for them), 4% at degree 20 on
-    # the twelve rings and 11% at degree 64.
+    # into the array it returns. Beside it the fold holds one block of M
+    # coefficients on one ring at a time, 1.5% at degree 64 and 5% at degree
+    # 256 on the twelve rings.
+    grid = ALLOCATION_GRIDS[grid]
     f = LaurentFunction(np.random.default_rng(degree).normal(size=degree + 1) / (degree + 1))
     f.g_coeffs, grid.points  # cached inputs, not part of the evaluation
     ring_values(f, grid)  # FFT plans and other first-call set-up
