@@ -212,11 +212,26 @@ def _value_error(n: int, m: int) -> float:
 
 def _coeff_sums(f: LaurentFunction) -> tuple[float, ...]:
     """S_0, S_1, S_2 and W_0, W_1 of the coefficients c_k of g, with
-    S_p = sum k^p |c_k| and W_p = sum (1 + k) k^p |c_k| (inf on overflow)."""
-    c = np.abs(f.g_coeffs)
-    k = np.arange(len(c), dtype=float)
+    S_p = sum k^p |c_k| and W_p = sum (1 + k) k^p |c_k| (inf on overflow).
+
+    The five rows |c_k|, k|c_k|, k^2|c_k|, (1 + k)|c_k| and (1 + k)k|c_k|
+    are written into one (5, n) buffer and summed along it in one reduction,
+    which gives each sum the bits of its own np.sum.
+    """
+    n = len(f.g_coeffs)
+    rows = np.empty((5, n))
+    c, kc, k2c, w0, w1 = rows
+    k = np.arange(n, dtype=float)
+    np.abs(f.g_coeffs, out=c)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
-        sums = np.stack((c, k * c, (k * k) * c, (1.0 + k) * c, ((1.0 + k) * k) * c)).sum(axis=1)
+        np.multiply(k, c, out=kc)
+        np.multiply(k, k, out=k2c)
+        k2c *= c
+        np.add(k, 1.0, out=w0)
+        np.multiply(w0, k, out=w1)
+        w0 *= c
+        w1 *= c
+        sums = rows.sum(axis=1)
     return tuple(sums.tolist())
 
 

@@ -24,6 +24,8 @@ from .series import DEFAULT_ANGULAR_SAMPLES, DiscGrid, serialize_coeffs
 
 
 def _build_grid(args) -> DiscGrid:
+    if args.grid_rmax is None and args.grid_theta is None:
+        return DiscGrid.default()  # shared: its points are computed once per process
     theta = DEFAULT_ANGULAR_SAMPLES if args.grid_theta is None else args.grid_theta
     if args.grid_rmax is None:
         return DiscGrid(angular_samples=theta)
@@ -57,7 +59,7 @@ def _cmd_check(args) -> int:
         f = harness.load_tme(args.series)
         verdict = harness.classify_tme(f, alpha)
         payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
-        lf = f.to_laurent()
+        lf = f.to_laurent() if args.csv else None
     else:
         lf = harness.load_series(args.series)
         verdict = check_class(ClassSpec(Family(args.klass), alpha), lf, grid)
@@ -140,7 +142,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and its subparsers action's map from each
+    command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="merostar",
         description="Membership checks and verification suites for meromorphic "
@@ -181,16 +185,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--alpha", type=float, required=True)
     p_dec.set_defaults(func=_cmd_decompose)
 
-    return parser
+    return parser, sub.choices
 
 
 # Built once, on import: `main` may be called many times per process, and
-# each parse_args makes a fresh Namespace, so no call sees another's options.
-_PARSER = build_parser()
+# each parse makes a fresh Namespace, so no call sees another's options.
+_PARSER, _COMMANDS = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one command; argv defaults to sys.argv[1:].
+
+    argv is parsed once, by the named command's parser. This is what the
+    top-level parser does through its subparsers action, which hands every
+    argument after the command name to that parser; leftovers are reported
+    by the top-level parser, as there. Empty argv, -h/--help and unknown
+    commands go to the top-level parser itself.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        args = _PARSER.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:

@@ -159,7 +159,7 @@ def neighborhood_sample(
         coeffs = np.zeros(max(len(f.coeffs), int(indices.max()) + 1), dtype=complex)
         coeffs[: len(f.coeffs)] = f.coeffs
         coeffs[indices] += (scale * weights / indices) * phases
-        samples.append(LaurentFunction(tuple(coeffs)))
+        samples.append(LaurentFunction(coeffs.tolist()))
     return samples
 
 

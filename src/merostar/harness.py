@@ -68,7 +68,7 @@ def _sample_weighted(alpha: float, rng: np.random.Generator, lowest: int) -> Lau
     u = float(rng.uniform(0.0, 1.0))
     coeffs = np.zeros(int(indices.max()) + 1, dtype=complex)
     coeffs[indices] = (u * weights / coeff_weight(alpha, indices)) * phases
-    return LaurentFunction(tuple(coeffs))
+    return LaurentFunction(coeffs.tolist())
 
 
 def sample_certified_member(alpha: float, rng: np.random.Generator) -> LaurentFunction:
@@ -98,7 +98,7 @@ def sample_tme_member(
     tail = lam if boundary else lam[1:]
     mags = np.zeros(int(indices.max()))
     mags[indices - 1] = tail / coeff_weight(alpha, indices)
-    return tme.TmeFunction(tuple(mags))
+    return tme.TmeFunction(mags.tolist())
 
 
 def sample_wild_function(rng: np.random.Generator, max_index: int = 25) -> LaurentFunction:

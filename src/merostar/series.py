@@ -245,7 +245,8 @@ class DiscGrid:
     least 8 angles, an int or a numpy integer; scalars and scalar check them.
     The default schedule piles radii toward the boundary because the class
     conditions are open inequalities whose failures concentrate there.
-    z = 0 never appears. DiscGrid.circle is the one grid on |z| = 1 itself.
+    z = 0 never appears. DiscGrid.circle is the one grid on |z| = 1 itself,
+    one shared instance per M; DiscGrid.default is one shared instance too.
     """
 
     radii: tuple[float, ...] = DEFAULT_RADII
@@ -260,7 +261,10 @@ class DiscGrid:
         object.__setattr__(self, "angular_samples", scalar(self.angular_samples, "angular_samples", int, low=8))
 
     @classmethod
+    @cache  # one shared instance, as circle has one per M: its points are computed once
     def default(cls) -> "DiscGrid":
+        """The default grid, DEFAULT_RADII at DEFAULT_ANGULAR_SAMPLES angles;
+        frozen, with read-only thetas and points, like every DiscGrid."""
         return cls()
 
     @classmethod

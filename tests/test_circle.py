@@ -120,8 +120,9 @@ coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infin
 @given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_coeff_sums_are_the_per_power_sums(coeffs):
-    # one stacked reduction has the bits of five separate sums, also past
-    # the 128 terms where numpy's pairwise summation starts to split a row
+    # one reduction over the five rows of one (5, n) buffer has the bits of
+    # five separate sums, also past the 128 terms where numpy's pairwise
+    # summation starts to split a row
     f = LaurentFunction(coeffs)
     sums = _coeff_sums(f)
     assert all(type(s) is float for s in sums)

@@ -497,6 +497,74 @@ def test_usage_errors_raise_system_exit(capsys):
     capsys.readouterr()
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv), where argparse's exit is a code too."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+CHECK = ["check", "--class", "me", "--alpha", "1", "--series", "f.json"]
+PARSE_CASES = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown-command": ["bogus"],
+    "check-bare": ["check"],
+    "check-help": ["check", "-h"],
+    "unknown-option-first": ["check", "--bogus", *CHECK[1:]],
+    "unknown-option-last": [*CHECK, "--bogus"],
+    "stray-positional": ["extremal", "--name", "rem1", "stray"],
+    "abbreviation": ["check", "--class", "me", "--alpha", "1", "--ser", "f.json"],
+    "equals-form": ["check", "--class=me", "--alpha", "1", "--series", "f.json"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_one_pass_parse_matches_the_top_level_parser(tmp_path, capsys, monkeypatch, argv):
+    """A command's argv goes to its own parser alone, with the exit code,
+    stdout and stderr of _PARSER.parse_args(argv) and then the command."""
+    monkeypatch.chdir(tmp_path)
+    write_series(tmp_path, [[0.1, 0.0]], "f.json")
+    top_level = []
+    parse = cli._PARSER.parse_known_args
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", lambda *a: top_level.append(a) or parse(*a))
+    one_pass = outcome(capsys, argv)
+    assert bool(top_level) == (argv[:1] not in (["check"], ["extremal"]))
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv through the top-level parser
+    assert one_pass == outcome(capsys, argv)
+    if "unrecognized arguments" in one_pass[2]:  # leftovers: the top-level usage, as before
+        assert one_pass[2].startswith("usage: merostar [-h] {check,extremal,suite,decompose} ...\n")
+
+
+def test_check_without_grid_flags_decides_on_the_shared_default_grid(tmp_path, capsys, monkeypatch):
+    grids = []
+    original = cli.check_class
+    monkeypatch.setattr(cli, "check_class", lambda spec, f, grid: grids.append(grid) or original(spec, f, grid))
+    series = degree64_series(tmp_path, "mf")
+    check = ["check", "--class", "mf", "--alpha", "0.3", "--series", series]
+    shared = run(capsys, check)
+    assert shared == run(capsys, [*check, "--grid-theta", "2048"])
+    assert shared[0] == 0 and json.loads(shared[1])["status"] == "SampledMember"
+    assert grids[0] is DiscGrid.default() and grids[1] is not DiscGrid.default()
+    assert grids[0] == grids[1]
+
+
+@pytest.mark.parametrize("klass, alpha", CSV_CASES)
+def test_two_csv_calls_in_one_process_write_the_same_bytes(tmp_path, capsys, klass, alpha):
+    series = degree64_series(tmp_path, klass)
+    written = []
+    for name in ("a.csv", "b.csv"):
+        csv_path = tmp_path / name
+        argv = ["check", "--class", klass, "--alpha", str(alpha), "--series", series, "--csv", str(csv_path)]
+        code, _, _ = run(capsys, argv)
+        written.append((code, csv_path.read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][1].count(b"\r\n") == 1 + len(DiscGrid.default())
+
+
 def _fresh_python(args, cwd):
     """(exit code, stdout, stderr) of `python args` in a new interpreter that imports this merostar."""
     env = dict(os.environ)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -183,6 +184,19 @@ def test_default_grid_shape():
     assert len(pts) == len(grid)
     assert np.min(np.abs(pts)) > 0.0  # the pole is never sampled
     assert all(0.0 < r < 1.0 for r in grid.radii)
+
+
+def test_default_grid_is_one_shared_read_only_instance():
+    # like DiscGrid.circle(M): every caller shares one grid, and its points are computed once
+    grid = DiscGrid.default()
+    assert DiscGrid.default() is grid
+    assert grid == DiscGrid() and DiscGrid() is not grid
+    assert DiscGrid.default().points is grid.points
+    for shared in (grid.thetas, grid.points):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.radii = (0.5,)
 
 
 def test_grid_validation():
