@@ -1,4 +1,5 @@
-"""Membership functionals and verdicts for the three disc classes.
+"""Membership functionals and verdicts for the three disc classes, the
+members of Family (TME(alpha) is not one: tme.check_tme_exact decides it).
 
 The classes, all over the punctured unit disc E with g = z*f:
 
@@ -69,7 +70,6 @@ class Family(enum.Enum):
     ME = "me"
     MF = "mf"
     STARLIKE = "starlike"
-    TME = "tme"
 
 
 _BELOW_ONE = (Family.MF, Family.STARLIKE)  # the families whose order is < 1
@@ -168,8 +168,7 @@ class Rule(NamedTuple):
             return self.margin(g, zgp, alpha)
 
 
-# Family -> rule. The negative-coefficient class TME is a subclass of ME and
-# shares its rule. At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would
+# Family -> rule. At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would
 # be NaN wherever z g' overflows, although Re g decides there.
 _MARGINS = {
     Family.ME: Rule(
@@ -180,7 +179,6 @@ _MARGINS = {
     Family.MF: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
     Family.STARLIKE: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
 }
-_MARGINS[Family.TME] = _MARGINS[Family.ME]
 # Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own
 _REMARK2 = Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda alpha: 1.0)
 

@@ -55,14 +55,14 @@ def _cmd_check(args) -> int:
     grid = _build_grid(args)
     alpha = float(args.alpha)
     payload = {"class": args.klass, "alpha": alpha}
-    if args.klass == "tme":
+    if args.klass == "tme":  # decided by the exact test; the CSV writes its ME margins
         f = harness.load_tme(args.series)
         verdict = harness.classify_tme(f, alpha)
         payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
-        lf = f.to_laurent() if args.csv else None
+        spec, lf = ClassSpec(Family.ME, alpha), f.to_laurent() if args.csv else None
     else:
-        lf = harness.load_series(args.series)
-        verdict = check_class(ClassSpec(Family(args.klass), alpha), lf, grid)
+        lf, spec = harness.load_series(args.series), ClassSpec(Family(args.klass), alpha)
+        verdict = check_class(spec, lf, grid)
         if args.klass == "me":
             verdict = harness.classify_me(lf, alpha, verdict)
     payload.update(
@@ -76,36 +76,27 @@ def _cmd_check(args) -> int:
         if not math.isfinite(payload.get(key, 0.0)):
             payload[key] = None
     if args.csv:  # before the verdict, so an unwritable path exits 2 with nothing printed
-        _dump_margin_csv(args.csv, grid, grid_margins(ClassSpec(Family(args.klass), alpha), lf, grid))
+        _dump_margin_csv(args.csv, grid, grid_margins(spec, lf, grid))
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0 if verdict.is_member else 1
 
 
+# name -> (constructor, tail bound or None if exact, the options both take);
+# an unset --degree is not passed, so its default lives in the signature alone.
+_CATALOG = {
+    "thm21": (extremal.theorem21_extremal, extremal.theorem21_tail_bound, ("alpha", "degree")),
+    "thm23": (extremal.theorem23_extremal, extremal.theorem23_tail_bound, ("alpha", "n", "degree")),
+    "rem1": (extremal.remark1_witness, None, ("n",)),
+    "expz": (extremal.mf_not_me_witness, extremal.mf_not_me_tail_bound, ("degree",)),
+    "onemz2": (extremal.starlike_not_mf_witness, None, ()),
+}
+
+
 def _cmd_extremal(args) -> int:
-    name = args.name
-    alpha = float(args.alpha)
-    n = int(args.n)
-    degree = args.degree
-    if name == "thm21":
-        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
-        f = extremal.theorem21_extremal(alpha, d)
-        tail = extremal.theorem21_tail_bound(alpha, d)
-    elif name == "thm23":
-        d = int(degree) if degree is not None else extremal.DEFAULT_EXTREMAL_DEGREE
-        f = extremal.theorem23_extremal(alpha, n, d)
-        tail = extremal.theorem23_tail_bound(alpha, n, d)
-    elif name == "rem1":
-        f = extremal.remark1_witness(n)
-        tail = 0.0
-    elif name == "expz":
-        d = int(degree) if degree is not None else 30
-        f = extremal.mf_not_me_witness(d)
-        tail = extremal.mf_not_me_tail_bound(d)
-    else:  # onemz2
-        f = extremal.starlike_not_mf_witness()
-        tail = 0.0
-    payload = serialize_coeffs(f)
-    payload["tail_bound"] = tail
+    build, tail_bound, options = _CATALOG[args.name]
+    given = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
+    payload = serialize_coeffs(build(**given))
+    payload["tail_bound"] = 0.0 if tail_bound is None else tail_bound(**given)
     print(json.dumps(payload, allow_nan=False))
     return 0
 
@@ -153,7 +144,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="test a series file against one class")
-    p_check.add_argument("--class", dest="klass", required=True, choices=["me", "mf", "starlike", "tme"])
+    p_check.add_argument("--class", dest="klass", required=True, choices=[f.value for f in Family] + ["tme"])
     p_check.add_argument("--alpha", type=float, required=True)
     p_check.add_argument("--series", required=True)
     p_check.add_argument("--grid-rmax", dest="grid_rmax", type=float, default=None)
@@ -162,7 +153,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_check.set_defaults(func=_cmd_check)
 
     p_ext = sub.add_parser("extremal", help="emit a catalog function as series JSON")
-    p_ext.add_argument("--name", required=True, choices=["thm21", "thm23", "rem1", "expz", "onemz2"])
+    p_ext.add_argument("--name", required=True, choices=list(_CATALOG))
     p_ext.add_argument("--alpha", type=float, default=1.0)
     p_ext.add_argument("--n", type=int, default=1)
     p_ext.add_argument("--degree", type=int, default=None)

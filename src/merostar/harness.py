@@ -93,7 +93,7 @@ def sample_tme_member(
 
     boundary=True omits the pole weight so the weighted sum is exactly 1.
     """
-    alpha = ClassSpec(Family.TME, alpha).alpha
+    alpha = ClassSpec(Family.ME, alpha).alpha
     indices, lam = random_support(rng, 1, 30, 9, 0 if boundary else 1)
     tail = lam if boundary else lam[1:]
     mags = np.zeros(int(indices.max()))

@@ -21,6 +21,7 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
+    Status,
     class_margins,
     coeff_sufficient_me,
     coeff_weight,
@@ -86,7 +87,7 @@ def sharp_function(alpha: float, n: int) -> TmeFunction:
     exactly 1."""
     n = scalar(n, "n", int, low=1)
     mags = [0.0] * n
-    mags[n - 1] = 1.0 / coeff_weight(ClassSpec(Family.TME, alpha).alpha, n)
+    mags[n - 1] = 1.0 / coeff_weight(ClassSpec(Family.ME, alpha).alpha, n)
     return TmeFunction(tuple(mags))
 
 
@@ -111,7 +112,7 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
     Weights must be nonnegative and sum to 1 within 1e-9. The output always
     passes the exact membership test.
     """
-    alpha = ClassSpec(Family.TME, alpha).alpha
+    alpha = ClassSpec(Family.ME, alpha).alpha
     ws = scalars(weights, "weights", low=0)
     if not ws:
         raise ValueError("weights must be non-empty")
@@ -128,7 +129,7 @@ def distortion_bounds(alpha: float, r: float) -> tuple[float, float]:
     """Two-sided bound on |f(z)| at |z| = r over the class:
     1/r -+ r/(1 + 2 alpha)."""
     r = scalar(r, "r", above=0, below=1)
-    alpha = ClassSpec(Family.TME, alpha).alpha
+    alpha = ClassSpec(Family.ME, alpha).alpha
     spread = r / coeff_weight(alpha, 1)
     return 1.0 / r - spread, 1.0 / r + spread
 
@@ -159,10 +160,10 @@ def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
     """Targeted non-membership search for the negative-coefficient form.
 
     The exact test fails exactly when the margin goes negative as r -> 1 on
-    the positive real axis, so scan radii 1 - 10^-k, k = 1..8, there.
-    Returns the verdict of that one-dimensional scan.
+    the positive real axis, so scan radii 1 - 10^-k, k = 1..8, there. Eight
+    samples can refute but not prove: NonMember, else Indeterminate.
     """
     lf = f.to_laurent()
     pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
-    margins = class_margins(ClassSpec(Family.ME, alpha), lf, pts)
-    return verdict_from_margins(margins, pts)
+    v = verdict_from_margins(class_margins(ClassSpec(Family.ME, alpha), lf, pts), pts)
+    return v if v.status is Status.NON_MEMBER else replace(v, status=Status.INDETERMINATE)

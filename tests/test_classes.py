@@ -333,6 +333,13 @@ def test_class_spec_validation():
         ClassSpec(Family.ME, -0.1)
 
 
+def test_family_is_the_three_sampled_classes():
+    # TME(alpha) is decided by its exact test alone, so it has no sampled rule
+    assert [f.value for f in Family] == ["me", "mf", "starlike"]
+    with pytest.raises(ValueError):
+        Family("tme")
+
+
 @pytest.mark.parametrize("alpha", ["2", b"2", "nan", ""])
 def test_text_is_not_an_order(alpha):
     # float() parses text, so '2' would be the order 2

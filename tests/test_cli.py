@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -170,7 +171,8 @@ def test_check_csv_bytes_match_the_csv_writer_oracle(tmp_path, capsys, klass, al
     assert run(capsys, argv)[0] == 0
     f = harness.load_tme(series).to_laurent() if klass == "tme" else harness.load_series(series)
     grid = DiscGrid.default()
-    margins = classes.grid_margins(classes.ClassSpec(classes.Family(klass), alpha), f, grid)
+    family = classes.Family.ME if klass == "tme" else classes.Family(klass)
+    margins = classes.grid_margins(classes.ClassSpec(family, alpha), f, grid)
     assert csv_path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
 
 
@@ -221,6 +223,66 @@ def test_extremal_emits_series_json(name, capsys):
     payload = json.loads(out)
     assert "coeffs" in payload
     assert payload["tail_bound"] >= 0.0
+
+
+# name -> the catalog function and its tail bound for the CLI's options,
+# with every default written out
+CATALOG_ORACLE = {
+    "thm21": lambda alpha=1.0, n=1, degree=64: (
+        extremal.theorem21_extremal(alpha, degree), extremal.theorem21_tail_bound(alpha, degree)
+    ),
+    "thm23": lambda alpha=1.0, n=1, degree=64: (
+        extremal.theorem23_extremal(alpha, n, degree), extremal.theorem23_tail_bound(alpha, n, degree)
+    ),
+    "rem1": lambda alpha=1.0, n=1, degree=None: (extremal.remark1_witness(n), 0.0),
+    "expz": lambda alpha=1.0, n=1, degree=30: (
+        extremal.mf_not_me_witness(degree), extremal.mf_not_me_tail_bound(degree)
+    ),
+    "onemz2": lambda alpha=1.0, n=1, degree=None: (extremal.starlike_not_mf_witness(), 0.0),
+}
+
+
+@pytest.mark.parametrize("flags", [{}, {"alpha": 2.5}, {"n": 3}, {"degree": 40}], ids=str)
+@pytest.mark.parametrize("name", list(CATALOG_ORACLE))
+def test_extremal_passes_each_option_to_its_catalog_function(name, flags, capsys):
+    argv = ["extremal", "--name", name]
+    for key, value in flags.items():
+        argv += [f"--{key}", str(value)]
+    code, out, err = run(capsys, argv)
+    f, tail = CATALOG_ORACLE[name](**flags)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({**serialize_coeffs(f), "tail_bound": tail}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, degree, build",
+    [("expz", 5, extremal.mf_not_me_witness), ("thm21", 0, lambda d: extremal.theorem21_extremal(1.0, d))],
+)
+def test_extremal_out_of_range_degree_exits_two_with_the_constructors_message(name, degree, build, capsys):
+    with pytest.raises(ValueError) as refused:
+        build(degree)
+    code, out, err = run(capsys, ["extremal", "--name", name, "--degree", str(degree)])
+    assert (code, out, err) == (2, "", f"error: {refused.value}\n")
+
+
+def test_extremal_default_sizes_are_pinned(capsys):
+    # the defaults live in the constructors' signatures; pin them here
+    code, out, _ = run(capsys, ["extremal", "--name", "thm21"])
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 65
+    code, out, _ = run(capsys, ["extremal", "--name", "expz"])
+    payload = json.loads(out)
+    assert code == 0 and len(payload["coeffs"]) == 31
+    assert payload["tail_bound"] == 1.0 / math.factorial(32)
+
+
+def test_class_and_name_choices_are_the_declared_ones(capsys):
+    for argv, listed in (
+        (["check", "-h"], "--class {me,mf,starlike,tme}"),
+        (["extremal", "-h"], "--name {thm21,thm23,rem1,expz,onemz2}"),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert listed in capsys.readouterr().out
 
 
 def test_extremal_expz_beyond_float_factorials_exits_zero(capsys):

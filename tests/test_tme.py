@@ -298,6 +298,18 @@ def test_check_distortion_evaluates_no_series_on_a_grid(monkeypatch):
     assert v.proof == "coefficients"
 
 
+def test_axis_scan_without_a_violation_is_indeterminate():
+    # a non-member whose excess 1e-10 no axis sample can see: the scan must
+    # not call it a member
+    bad = TmeFunction(((1 + 1e-10) / 3,))
+    member, margin = check_tme_exact(bad, 1.0)
+    assert not member and margin == pytest.approx(-1e-10, rel=1e-6)
+    v = refute_on_axis(bad, 1.0)
+    assert v.status is Status.INDETERMINATE
+    assert v.min_margin > 0 and v.samples_checked == 8
+    assert refute_on_axis(sharp_function(1.0, 2), 1.0).status is Status.INDETERMINATE
+
+
 def test_check_distortion_rejects_nonmembers():
     with pytest.raises(ValueError, match="member"):
         check_distortion(TmeFunction((0.9,)), 1.0, GRID)
