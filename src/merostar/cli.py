@@ -20,7 +20,7 @@ import numpy as np
 
 from . import extremal, harness, tme
 from .classes import ClassSpec, Family, check_class, grid_margins
-from .series import DEFAULT_ANGULAR_SAMPLES, DiscGrid, serialize_coeffs
+from .series import DEFAULT_ANGULAR_SAMPLES, DiscGrid, scalar, serialize_coeffs
 
 
 def _build_grid(args) -> DiscGrid:
@@ -58,13 +58,11 @@ def _cmd_check(args) -> int:
     if args.klass == "tme":  # decided by the exact test; the CSV writes its ME margins
         f = harness.load_tme(args.series)
         verdict = harness.classify_tme(f, alpha)
-        payload["exact_margin"] = tme.check_tme_exact(f, alpha)[1]
+        payload["exact_margin"] = verdict.min_margin
         spec, lf = ClassSpec(Family.ME, alpha), f.to_laurent() if args.csv else None
     else:
         lf, spec = harness.load_series(args.series), ClassSpec(Family(args.klass), alpha)
-        verdict = check_class(spec, lf, grid)
-        if args.klass == "me":
-            verdict = harness.classify_me(lf, alpha, verdict)
+        verdict = harness.classify_me(lf, alpha, grid) if args.klass == "me" else check_class(spec, lf, grid)
     payload.update(
         status=verdict.status.value,
         min_margin=verdict.min_margin,
@@ -94,6 +92,9 @@ _CATALOG = {
 
 def _cmd_extremal(args) -> int:
     build, tail_bound, options = _CATALOG[args.name]
+    for key in ("alpha", "n", "degree"):  # an option the name does not take gets its takers' bounds
+        if key not in options and (value := getattr(args, key)) is not None:
+            scalar(value, key, float if key == "alpha" else int, low=0 if key == "alpha" else 1)
     given = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
     payload = serialize_coeffs(build(**given))
     payload["tail_bound"] = 0.0 if tail_bound is None else tail_bound(**given)

@@ -113,34 +113,24 @@ def sample_wild_function(rng: np.random.Generator, max_index: int = 25) -> Laure
 
 # ------------------------------------------------------------ CLI verdicts
 
-def classify_me(f: LaurentFunction, alpha: float, verdict: MembershipVerdict):
-    """check_me's verdict for f, upgraded to CertifiedMember when the
-    coefficient certificate passes, unless the check found a strict
-    violation (which would contradict it and wins)."""
-    certified, _ = coeff_sufficient_me(f, alpha)
-    if certified and verdict.status is not Status.NON_MEMBER:
-        return replace(verdict, status=Status.CERTIFIED_MEMBER, proof="coefficients")
-    return verdict
+def classify_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
+    """CertifiedMember, unsampled, when the coefficient certificate passes:
+    min_margin is its slack, a lower bound for the ME margin on the closed
+    disc (there Re g >= 1 - sum |a_n| and |z g'| <= sum (n+1)|a_n|), with no
+    witness and the coefficients summed as samples_checked. Otherwise
+    check_me's verdict."""
+    certified, slack = coeff_sufficient_me(f, alpha)
+    if certified:
+        return MembershipVerdict(Status.CERTIFIED_MEMBER, slack, None, len(f.coeffs), "coefficients")
+    return check_me(f, alpha, grid)
 
 
-def classify_tme(f: tme.TmeFunction, alpha: float):
-    """Exact verdict for the negative-coefficient class.
-
-    Membership is decided by the characterization; a refuted function gets
-    its witness from the real-axis scan when the violation is large enough
-    to sample, otherwise the verdict stays Indeterminate.
-    """
-    member, margin = tme.check_tme_exact(f, alpha)
-    if member:
-        return MembershipVerdict(
-            Status.CERTIFIED_MEMBER, margin, None, len(f.magnitudes), "coefficients"
-        )
-    if margin == -math.inf:  # the weighted sum overflows: refuted, though no axis margin is finite
-        return MembershipVerdict(Status.NON_MEMBER, margin, None, len(f.magnitudes), "coefficients")
-    axis = tme.refute_on_axis(f, alpha)
-    if axis.status is Status.NON_MEMBER:
-        return replace(axis, proof="coefficients")
-    return MembershipVerdict(Status.INDETERMINATE, margin, axis.witness, axis.samples_checked)
+def classify_tme(f: tme.TmeFunction, alpha: float) -> MembershipVerdict:
+    """The exact test's CertifiedMember or NonMember, in classify_me's shape:
+    min_margin is the slack, the infimum of the ME margin over the disc."""
+    member, slack = tme.check_tme_exact(f, alpha)
+    status = Status.CERTIFIED_MEMBER if member else Status.NON_MEMBER
+    return MembershipVerdict(status, slack, None, len(f.magnitudes), "coefficients")
 
 
 # ----------------------------------------------------------------- suites
@@ -487,7 +477,7 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
         members.append(sample_tme_member(alpha, rng, boundary=(i % 4 == 0)))
         bad = sample_tme_member(alpha, rng, boundary=True)
         bad = tme.TmeFunction(tuple(1.01 * m for m in bad.magnitudes))
-        refutations.append(classify_tme(bad, alpha))
+        refutations.append(tme.refute_on_axis(bad, alpha))
     members_check = fold_members(
         "members_in_me",
         [check_me(f.to_laurent(), alpha, grid) for f in members],

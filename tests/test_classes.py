@@ -236,6 +236,29 @@ def test_certificate_implies_grid_margins():
         assert float(np.min(class_margins(ClassSpec(Family.ME, alpha), f, GRID.points))) >= -MARGIN_TOL
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 4.0),
+    st.none() | st.floats(1.0 - 1e-6, 1.0),
+    st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_certificate_slack_is_a_lower_bound_for_the_me_margin(seed, alpha, weighted_sum, points):
+    # classify_me reports the slack as a certified member's margin without
+    # sampling, so no sampled verdict may refute or undercut it
+    f = sample_certified_member(alpha, np.random.default_rng(seed))
+    certified, slack = coeff_sufficient_me(f, alpha)
+    if weighted_sum is not None and slack < 1.0:  # rescale the weighted sum into [1 - 1e-6, 1]
+        f = LaurentFunction([c * (weighted_sum / (1.0 - slack)) for c in f.coeffs])
+        certified, slack = coeff_sufficient_me(f, alpha)
+    assert certified
+    v = check_me(f, alpha, GRID)
+    assert v.status is not Status.NON_MEMBER
+    assert v.min_margin >= slack - MARGIN_TOL
+    for r, theta in points:  # 1e-15 covers the rounding of the float slack itself
+        assert oracles.mp_me_margin(f.coeffs, alpha, r * complex(math.cos(theta), math.sin(theta))) >= slack - 1e-15
+
+
 def test_certified_members_respect_coefficient_bounds():
     rng = np.random.default_rng(13)
     for _ in range(60):
@@ -419,7 +442,7 @@ def test_hostile_series_never_give_a_member_with_a_nonfinite_margin(coeffs, fami
         if verdict.is_member:
             assert np.isfinite(margins).all()
         if family is Family.ME:
-            assert math.isfinite(classify_me(f, alpha, verdict).min_margin)
+            assert math.isfinite(classify_me(f, alpha, GRID).min_margin)
 
 
 # the default grid's outer rings, where both extremals approach the boundary

@@ -40,8 +40,25 @@ def test_check_pole_is_certified(tmp_path, capsys):
     assert payload["class"] == "me"
     assert payload["status"] == "CertifiedMember"
     assert payload["min_margin"] == 1.0
-    assert payload["samples_checked"] == 2048  # the unit circle proves it
+    assert payload["samples_checked"] == 0  # no coefficient to sum, and nothing sampled
+    assert payload["witness"] is None
     assert payload["proof"] == "coefficients"
+
+
+def test_check_me_certified_by_its_coefficients_evaluates_nothing(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = classes.ring_values
+    monkeypatch.setattr(classes, "ring_values", lambda *a: calls.append(a) or original(*a))
+    coeffs = [[0.1, 0.2], [0.0, -0.05], [0.03, 0.0]]
+    argv = ["check", "--class", "me", "--alpha", "1.5", "--series", write_series(tmp_path, coeffs)]
+    code, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    weighted = math.fsum((1.0 + 1.5 * (n + 1)) * abs(complex(*c)) for n, c in enumerate(coeffs))
+    assert (code, payload["status"], payload["proof"], calls) == (0, "CertifiedMember", "coefficients", [])
+    assert payload["min_margin"] == 1.0 - weighted
+    assert (payload["witness"], payload["samples_checked"]) == (None, 3)
+    argv[-1] = write_series(tmp_path, [[0.9, 0.0]])  # not certified: refuted from the circle
+    assert run(capsys, argv)[0] == 1 and calls
 
 
 def test_check_refutation_exits_one(tmp_path, capsys):
@@ -263,6 +280,20 @@ def test_extremal_out_of_range_degree_exits_two_with_the_constructors_message(na
         build(degree)
     code, out, err = run(capsys, ["extremal", "--name", name, "--degree", str(degree)])
     assert (code, out, err) == (2, "", f"error: {refused.value}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--name", "rem1", "--alpha", "-1", "--n", "2"], "alpha"),
+        (["--name", "rem1", "--alpha", "nan"], "alpha"),
+        (["--name", "onemz2", "--n", "-5"], "n"),
+    ],
+)
+def test_extremal_checks_the_options_its_name_does_not_take(flags, option, capsys):
+    code, out, err = run(capsys, ["extremal", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} must be ")
 
 
 def test_extremal_default_sizes_are_pinned(capsys):

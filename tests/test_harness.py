@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from merostar import harness
-from merostar.classes import Status, check_me, coeff_bound, coeff_sufficient_me
+from merostar.classes import Status, coeff_bound, coeff_sufficient_me
 from merostar.extremal import remark1_witness, theorem21_extremal
 from merostar.harness import (
     SUITE_IDS,
@@ -84,10 +84,9 @@ def test_wild_sampler_is_reproducible():
 # ------------------------------------------------------------- classifiers
 
 def test_classify_me_certificate_upgrade():
-    f = remark1_witness(3)
-    v = classify_me(f, 1.0, check_me(f, 1.0, GRID))
+    v = classify_me(remark1_witness(3), 1.0, GRID)
     assert v.status is Status.CERTIFIED_MEMBER
-    assert v.min_margin > 0
+    assert (v.min_margin, v.witness, v.samples_checked, v.proof) == (0.0, None, 4, "coefficients")
 
 
 def test_classify_me_sampled_when_certificate_fails():
@@ -96,13 +95,12 @@ def test_classify_me_sampled_when_certificate_fails():
     f = theorem21_extremal(2.0)
     certified, _ = coeff_sufficient_me(f, 2.0)
     assert not certified
-    v = classify_me(f, 2.0, check_me(f, 2.0, GRID))
+    v = classify_me(f, 2.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER
 
 
 def test_classify_me_non_member():
-    f = LaurentFunction([0.0, 3.0])
-    v = classify_me(f, 1.0, check_me(f, 1.0, GRID))
+    v = classify_me(LaurentFunction([0.0, 3.0]), 1.0, GRID)
     assert v.status is Status.NON_MEMBER
 
 
@@ -113,16 +111,17 @@ def test_classify_tme_member_and_refuted():
     bad = TmeFunction((0.9,))
     v = classify_tme(bad, 1.0)
     assert v.status is Status.NON_MEMBER
-    assert v.witness is not None and v.witness.imag == 0.0
+    assert v.witness is None and v.proof == "coefficients"
 
 
-def test_classify_tme_indeterminate_for_hairline_violation():
-    # exceeds the exact test by 1e-10 but every sampled margin stays
-    # positive, so the refutation scan cannot confirm it
+def test_classify_tme_refutes_a_hairline_violation():
+    # exceeds the exact test by 1e-10: refuted by the exact test alone, and
+    # no sampled point stands as a witness (every axis margin is positive)
     m = (1.0 + 1e-10) / 3.0
     v = classify_tme(TmeFunction((m,)), 1.0)
-    assert v.status is Status.INDETERMINATE
-    assert v.min_margin < 0
+    assert v.status is Status.NON_MEMBER
+    assert v.min_margin == pytest.approx(-1.0e-10, rel=1e-5)
+    assert v.witness is None
 
 
 # ------------------------------------------------------------------ suites
