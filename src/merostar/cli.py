@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -32,23 +33,32 @@ def _build_grid(args) -> DiscGrid:
     return DiscGrid.with_rmax(args.grid_rmax, theta)
 
 
+# rows per write of the margin CSV; the writer holds one chunk of rows at a time
+_CSV_CHUNK = 512
+
+
 def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
     """One CRLF row per grid point, radius-major; every number is its float repr.
 
-    Written one ring at a time: each theta and radius is formatted once, and
-    memory stays O(angular_samples). A float repr holds no comma, quote or
-    newline, so no field needs CSV quoting.
+    Written a chunk of _CSV_CHUNK points of one ring at a time: the thetas
+    are formatted once per call, and each of re, im and margin once per chunk
+    in one map(repr) pass, whose rows go out in one write. Memory stays
+    O(angular_samples) for the thetas plus O(_CSV_CHUNK) for the chunk. A
+    float repr holds no comma, quote or newline, so no field needs CSV quoting.
     """
     m = grid.angular_samples
-    thetas = [repr(th) for th in grid.thetas.tolist()]
+    thetas = list(map(repr, grid.thetas.tolist()))
     pts = grid.points
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("radius,theta,re,im,margin\r\n")
         for k, r in enumerate(grid.radii):
-            ring = slice(k * m, (k + 1) * m)
-            z = pts[ring]
-            row = f"{r!r},{{}},{{!r}},{{!r}},{{!r}}\r\n".format
-            fh.writelines(map(row, thetas, z.real.tolist(), z.imag.tolist(), margins[ring].tolist()))
+            radius = repr(r)
+            for start in range(0, m, _CSV_CHUNK):
+                chunk = slice(k * m + start, k * m + min(start + _CSV_CHUNK, m))
+                z = pts[chunk]
+                columns = (z.real.tolist(), z.imag.tolist(), margins[chunk].tolist())
+                rows = zip(repeat(radius), thetas[start : start + _CSV_CHUNK], *(map(repr, c) for c in columns))
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _cmd_check(args) -> int:
@@ -204,7 +214,7 @@ def main(argv=None) -> int:
             _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:  # a grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,16 +193,51 @@ def test_check_csv_bytes_match_the_csv_writer_oracle(tmp_path, capsys, klass, al
     assert csv_path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
 
 
-ORACLE_GRIDS = [DiscGrid.default(), DiscGrid.with_rmax(0.95, 64), DiscGrid((0.3,), 8)]
+# the last two end each ring in a partial chunk of cli._CSV_CHUNK rows
+ORACLE_GRIDS = [
+    DiscGrid.default(),
+    DiscGrid.with_rmax(0.95, 64),
+    DiscGrid((0.3,), 8),
+    DiscGrid((0.5, 0.9), 1000),
+    DiscGrid((0.7,), 1537),
+]
 
 
-@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["default", "rmax-0.95-theta-64", "one-ring-8"])
+@pytest.mark.parametrize(
+    "grid", ORACLE_GRIDS, ids=["default", "rmax-0.95-theta-64", "one-ring-8", "two-rings-1000", "one-ring-1537"]
+)
 def test_margin_csv_matches_the_csv_writer_oracle(tmp_path, grid):
     rng = np.random.default_rng(len(grid))
     margins = rng.standard_normal(len(grid)) * 10.0 ** rng.uniform(-300.0, 300.0, len(grid))
     special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.0]
     margins[:6] = special
     margins[-6:] = special[::-1]
+    path = tmp_path / "margins.csv"
+    cli._dump_margin_csv(str(path), grid, margins)
+    assert path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rings: st.tuples(
+            st.lists(st.floats(0.01, 0.99), min_size=rings, max_size=rings, unique=True).map(sorted),
+            st.integers(8, 1600),
+        )
+    ),
+    st.lists(
+        st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
+        min_size=1,
+        max_size=64,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_margin_csv_matches_the_oracle_under_hypothesis(tmp_path, shape, pool, seed):
+    # every margin is one of the drawn floats, placed at random so no row's value follows its index
+    grid = DiscGrid(tuple(shape[0]), shape[1])
+    margins = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=len(grid))]
     path = tmp_path / "margins.csv"
     cli._dump_margin_csv(str(path), grid, margins)
     assert path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
@@ -218,7 +253,9 @@ def test_margin_csv_writer_holds_one_ring_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000  # the file is 2 MB; writing it a ring at a time peaks near 0.4 MB
+    # the file is 2 MB: the formatted thetas plus one chunk of rows peak near 0.31 MB, a
+    # ring at a time near 0.38 MB and the whole ring in one join near 0.8 MB
+    assert peak < 360_000
 
 
 def test_check_tme_csv_of_an_overflowing_sum_is_the_non_member_verdict(tmp_path, capsys):
@@ -392,6 +429,16 @@ def test_check_zero_grid_theta_exits_two(tmp_path, capsys, rmax):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: angular_samples must be >= 8, got 0\n"
+
+
+def test_check_grid_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # 2**45 angles need 256 TiB, beyond a 47-bit address space: numpy refuses at once
+    # under any overcommit policy. mf samples the grid; a certified me would not reach it.
+    series = write_series(tmp_path, [[0.1, 0.0]])
+    argv = ["check", "--class", "mf", "--alpha", "0.5", "--series", series, "--grid-theta", str(2**45)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("klass, data", [("me", {"coeffs": []}), ("tme", {"magnitudes": [0.2]})])
