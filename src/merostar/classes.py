@@ -152,13 +152,12 @@ def verdict_from_margins(
 
 
 class Rule(NamedTuple):
-    """A class margin of g, z g' and alpha; whether it divides by g (the
-    margin is then NaN where |g| < ZERO_TOL); if not, the weight of z g' in
-    its Lipschitz bound on the circle."""
+    """A class margin of g, z g' and alpha, and whether it divides by g (the
+    margin is then NaN where |g| < ZERO_TOL); if not, alpha is the weight of
+    z g' in its Lipschitz bound on the circle."""
 
     margin: Callable
     divides: bool
-    weight: Optional[Callable] = None
 
     def margins(self, alpha: float, g, zgp):
         """The margin at each pair of values g, z g'; NaN or inf where undefined."""
@@ -171,16 +170,13 @@ class Rule(NamedTuple):
 # Family -> rule. At alpha = 0 the ME margin is Re g alone: 0 * |z g'| would
 # be NaN wherever z g' overflows, although Re g decides there.
 _MARGINS = {
-    Family.ME: Rule(
-        lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0),
-        False,
-        lambda alpha: alpha,
-    ),
+    Family.ME: Rule(lambda g, zgp, alpha: np.real(g) - (alpha * np.abs(zgp) if alpha else 0.0), False),
     Family.MF: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.abs(zgp / g), True),
     Family.STARLIKE: Rule(lambda g, zgp, alpha: (1.0 - alpha) - np.real(zgp / g), True),
 }
-# Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own
-_REMARK2 = Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False, lambda alpha: 1.0)
+# Remark 2's -Re(z^2 f') = Re g - Re(z g'); it carries no order of its own, and
+# check_remark2 passes 1, the weight of z g' in it
+_REMARK2 = Rule(lambda g, zgp, alpha: np.real(g) - np.real(zgp), False)
 
 
 _U = 2.0**-53  # unit roundoff of binary64
@@ -257,7 +253,7 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
 
     With c the coefficients of g and S_p = sum k^p |c_k|: g moves by at most
     S_1 and z g' by at most S_2 per unit of theta. A rule that does not
-    divide by g gets L = S_1 + w S_2 for its weight w. Otherwise the least
+    divide by g gets L = S_1 + alpha S_2. Otherwise the least
     |g| on the circle must clear the farthest an arc between samples can
     move g, so |g| >= low > 0 on the circle, where z g'/g then moves by at
     most (S_2 S_0 + S_1^2)/low^2. No winding number is needed: a proved
@@ -267,8 +263,7 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     s0, s1, s2, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
     if not rule.divides:
-        w = rule.weight(alpha)
-        return s1 + w * s2, rho * (w0 + w * w1) + _gamma(8) * (s0 + w * s1)
+        return s1 + alpha * s2, rho * (w0 + alpha * w1) + _gamma(8) * (s0 + alpha * s1)
     if not np.isfinite(g).all():
         return None
     least = float(np.min(np.abs(g))) - rho * w0
@@ -440,4 +435,4 @@ def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:
     ME(alpha) for alpha >= 1; this check is the sampled form of that
     implication (it carries no alpha of its own).
     """
-    return decide(_REMARK2, 0.0, f, grid)
+    return decide(_REMARK2, 1.0, f, grid)

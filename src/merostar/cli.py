@@ -214,7 +214,7 @@ def main(argv=None) -> int:
             _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:  # a grid too large to allocate
+    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:  # an evaluation too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

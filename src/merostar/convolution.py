@@ -104,7 +104,7 @@ def thm31_verdicts(
     Lipschitz bound, so its rule takes the ME weight alpha.
     """
     spec = ClassSpec(Family.ME, alpha)
-    kernels = Rule(lambda g, zgp, a: phase_margins(g, zgp, a, gamma_samples)[1], False, lambda a: a)
+    kernels = Rule(lambda g, zgp, a: phase_margins(g, zgp, a, gamma_samples)[1], False)
     values = functools.cache(ring_values)  # shared by both rules, dropped on return
     sampled = decide(kernels, spec.alpha, f, grid, values)  # checks gamma_samples first
     return decide(spec.rule, spec.alpha, f, grid, values), sampled

@@ -470,14 +470,14 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
     sharp = tme.sharp_function(alpha, n)
     scaled = tme.TmeFunction(tuple(1.01 * m for m in sharp.magnitudes))
     member, margin = tme.check_tme_exact(scaled, alpha)
-    axis = tme.refute_on_axis(scaled, alpha)
+    circle = check_me(scaled.to_laurent(), alpha, grid)
 
     members, refutations = [], []
     for i in range(count):
         members.append(sample_tme_member(alpha, rng, boundary=(i % 4 == 0)))
         bad = sample_tme_member(alpha, rng, boundary=True)
         bad = tme.TmeFunction(tuple(1.01 * m for m in bad.magnitudes))
-        refutations.append(tme.refute_on_axis(bad, alpha))
+        refutations.append(check_me(bad.to_laurent(), alpha, grid))
     members_check = fold_members(
         "members_in_me",
         [check_me(f.to_laurent(), alpha, grid) for f in members],
@@ -489,9 +489,9 @@ def _suite_thm41(p: dict, grid: DiscGrid) -> list[CheckResult]:
         _within("sharp_functions_margin_zero", worst),
         _ok(
             "scaled_sharp_function_refuted",
-            (not member) and axis.status is Status.NON_MEMBER,
-            axis.min_margin,
-            axis.witness,
+            (not member) and circle.status is Status.NON_MEMBER,
+            circle.min_margin,
+            circle.witness,
             f"exact margin {margin:.3e}",
         ),
         members_check,

@@ -278,8 +278,11 @@ class DiscGrid:
     def _circle(cls, angular_samples: int) -> "DiscGrid":
         grid = cls((0.5,), angular_samples)  # validates angular_samples
         object.__setattr__(grid, "radii", (1.0,))
-        thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
-        roots = np.exp(1j * thetas)
+        try:
+            thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+            roots = np.exp(1j * thetas)
+        except MemoryError:
+            raise ValueError(f"angular_samples {angular_samples} is too large to allocate its angles") from None
         for shared in (thetas, roots):
             shared.setflags(write=False)
         vars(grid).update(thetas=thetas, points=roots)  # the cached properties, filled in

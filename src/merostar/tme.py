@@ -21,8 +21,6 @@ from .classes import (
     ClassSpec,
     Family,
     MembershipVerdict,
-    Status,
-    class_margins,
     coeff_sufficient_me,
     coeff_weight,
     verdict_from_margins,
@@ -37,7 +35,6 @@ __all__ = [
     "distortion_bounds",
     "check_distortion",
     "sharp_function",
-    "refute_on_axis",
 ]
 
 
@@ -154,16 +151,3 @@ def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> Membership
     s = npoly.polyval(r, (0.0, 0.0) + f.magnitudes)
     margins = (1.0 - s) / r - (1.0 / r - r / coeff_weight(alpha, 1))
     return replace(verdict_from_margins(margins, r), proof="coefficients")
-
-
-def refute_on_axis(f: TmeFunction, alpha: float) -> MembershipVerdict:
-    """Targeted non-membership search for the negative-coefficient form.
-
-    The exact test fails exactly when the margin goes negative as r -> 1 on
-    the positive real axis, so scan radii 1 - 10^-k, k = 1..8, there. Eight
-    samples can refute but not prove: NonMember, else Indeterminate.
-    """
-    lf = f.to_laurent()
-    pts = np.array([1.0 - 10.0 ** (-k) for k in range(1, 9)], dtype=complex)
-    v = verdict_from_margins(class_margins(ClassSpec(Family.ME, alpha), lf, pts), pts)
-    return v if v.status is Status.NON_MEMBER else replace(v, status=Status.INDETERMINATE)

@@ -371,8 +371,7 @@ def winding_circle_bound(rule, alpha: float, f, sums, g, m: int):
     s0, s1, s2, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
     if not rule.divides:
-        w = rule.weight(alpha)
-        return s1 + w * s2, rho * (w0 + w * w1) + _gamma(8) * (s0 + w * s1)
+        return s1 + alpha * s2, rho * (w0 + alpha * w1) + _gamma(8) * (s0 + alpha * s1)
     if not np.isfinite(g).all():
         return None
     least = float(np.min(np.abs(g))) - rho * w0

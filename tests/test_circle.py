@@ -352,7 +352,7 @@ def _fallback_catalog():
         order = 1.0 - 1.0 / alpha
         for degree in (4, 8, 16, 64, 256):
             f = theorem21_extremal(alpha, degree)
-            cases += [(me(alpha), alpha, f), (mf(order), order, f), (st_(order), order, f), (_REMARK2, 0.0, f)]
+            cases += [(me(alpha), alpha, f), (mf(order), order, f), (st_(order), order, f), (_REMARK2, 1.0, f)]
     for alpha in (0.5, 1.0, 2.0):
         cases += [(me(alpha), alpha, sharp_function(alpha, n).to_laurent()) for n in (1, 2, 3, 7, 20)]
     for n in range(1, 25):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import merostar
+from merostar import cli
 from merostar.classes import Status
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,9 +30,23 @@ def test_library_example_runs_and_matches_its_comments():
     assert namespace["report"].passed
 
 
+def test_check_example_prints_the_verdict_shown(tmp_path, capsys):
+    # the check section's first command, run on the bare pole its JSON block names
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n### check "):text.index("\n### extremal ")]
+    assert "merostar check --class me --alpha 1.0 --series f.json\n" in section
+    assert 'for the bare pole `{"coeffs": []}` under `--class me --alpha 1.0`' in section
+    shown = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    series = tmp_path / "f.json"
+    series.write_text('{"coeffs": []}\n', encoding="utf-8")
+    code = cli.main(["check", "--class", "me", "--alpha", "1.0", "--series", str(series)])
+    assert (code, capsys.readouterr().out) == (0, shown)
+
+
 # What the package exported while `__init__.py` kept its own copy of the list,
 # less the deleted `refinement_grid`, `me_margins` (`class_margins` with
-# `Family.ME`), `from_coeffs` (`LaurentFunction(coeffs)`) and `save_series`;
+# `Family.ME`), `from_coeffs` (`LaurentFunction(coeffs)`), `save_series` and
+# `refute_on_axis` (`check_me` refutes a scaled TME member on the circle);
 # every one of them must stay.
 EARLIER_EXPORTS = """
     ClassSpec Family MembershipVerdict Status check_class check_me check_mf
@@ -44,7 +59,7 @@ EARLIER_EXPORTS = """
     RatioBoundReport check_ratio_bounds eq16_function CheckResult
     CheckStatus VerificationReport DiscGrid LaurentFunction deserialize_coeffs
     serialize_coeffs TmeFunction check_distortion check_tme_exact
-    decompose distortion_bounds recompose refute_on_axis sharp_function EXACT_TOL
+    decompose distortion_bounds recompose sharp_function EXACT_TOL
     MARGIN_TOL ZERO_TOL __version__
 """.split()
 

@@ -233,6 +233,13 @@ def test_circle_normalises_its_count_before_the_cached_lookup():
     assert type(DiscGrid.circle(np.int64(64)).angular_samples) is int
 
 
+def test_circle_too_large_to_allocate_names_its_count():
+    # 2**45 angles need 256 TiB, beyond a 47-bit address space: numpy refuses at
+    # once under any overcommit policy, and the refusal names the parameter
+    with pytest.raises(ValueError, match=r"^angular_samples 35184372088832 is too large to allocate"):
+        DiscGrid.circle(2**45)
+
+
 @pytest.mark.parametrize("radius", ["0.5", b"0.5"])
 def test_text_radii_are_refused(radius):
     # float() would parse the text, which LaurentFunction, ClassSpec and TmeFunction refuse

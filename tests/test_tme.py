@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from merostar import series
 from merostar import tme as tme_module
-from merostar.classes import ClassSpec, Family, Status, class_margins, coeff_weight
+from merostar.classes import ClassSpec, Family, Status, check_me, class_margins, coeff_weight
 from merostar.harness import sample_tme_member
 from merostar.series import DiscGrid, LaurentFunction, eval_g
 from merostar.tme import (
@@ -17,7 +17,6 @@ from merostar.tme import (
     decompose,
     distortion_bounds,
     recompose,
-    refute_on_axis,
     sharp_function,
 )
 from merostar.tolerances import MARGIN_TOL
@@ -93,10 +92,10 @@ def test_inflated_sharp_function_is_refuted_exactly_and_on_axis():
         bad = TmeFunction(tuple(1.01 * m for m in f.magnitudes))
         member, _ = check_tme_exact(bad, alpha)
         assert not member
-        v = refute_on_axis(bad, alpha)
-        assert v.status is Status.NON_MEMBER
-        assert v.witness.imag == 0.0
-        assert v.witness.real > 0.9
+        v = check_me(bad.to_laurent(), alpha, GRID)
+        assert v.status is Status.NON_MEMBER and v.proof == "circle"
+        assert v.witness == 0.9999  # the inward ring 1 - 10^-4, on the positive real axis
+        assert v.min_margin < -MARGIN_TOL
 
 
 def test_exact_test_consistent_with_grid_sampling():
@@ -298,29 +297,41 @@ def test_check_distortion_evaluates_no_series_on_a_grid(monkeypatch):
     assert v.proof == "coefficients"
 
 
-def test_axis_scan_without_a_violation_is_indeterminate():
-    # a non-member whose excess 1e-10 no axis sample can see: the scan must
-    # not call it a member
-    bad = TmeFunction(((1 + 1e-10) / 3,))
-    member, margin = check_tme_exact(bad, 1.0)
-    assert not member and margin == pytest.approx(-1e-10, rel=1e-6)
-    v = refute_on_axis(bad, 1.0)
-    assert v.status is Status.INDETERMINATE
-    assert v.min_margin > 0 and v.samples_checked == 8
-    assert refute_on_axis(sharp_function(1.0, 2), 1.0).status is Status.INDETERMINATE
-
-
 def test_check_distortion_rejects_nonmembers():
     with pytest.raises(ValueError, match="member"):
         check_distortion(TmeFunction((0.9,)), 1.0, GRID)
 
 
 def test_refutation_needs_boundary_radii():
-    # barely-inflated boundary function: the default grid cannot see the
-    # violation but the axis scan radii 1 - 10^-k can
+    # barely-inflated boundary function: the default grid's radii cannot see
+    # the violation, but check_me's inward rings 1 - 10^-k can; the circle and
+    # the rings at 0.9999 and 1 - 10^-5 make 3 x 2048 samples
     alpha = 1.0
     f = sharp_function(alpha, 1)
     bad = TmeFunction(tuple(1.0001 * m for m in f.magnitudes))
     member, _ = check_tme_exact(bad, alpha)
     assert not member
-    assert refute_on_axis(bad, alpha).status is Status.NON_MEMBER
+    v = check_me(bad.to_laurent(), alpha, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert v.witness == 1.0 - 1e-5
+    assert v.samples_checked == 3 * GRID.angular_samples
+
+
+@given(
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=1.01, max_value=2.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaled_boundary_members_are_refuted_inside_the_disc(alpha, scale, seed):
+    # Theorem 4.1's "only if": a boundary member scaled by s > 1 fails the
+    # exact test, and check_me refutes it on the circle with a witness inside
+    # the disc whose margin, summed in 50 digits, is negative there too
+    f = sample_tme_member(alpha, np.random.default_rng(seed), boundary=True)
+    bad = TmeFunction(tuple(scale * m for m in f.magnitudes))
+    assert not check_tme_exact(bad, alpha)[0]
+    lf = bad.to_laurent()
+    v = check_me(lf, alpha, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert abs(v.witness) < 1.0
+    assert oracles.mp_me_margin(lf.coeffs, alpha, v.witness) < -MARGIN_TOL
