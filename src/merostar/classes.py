@@ -421,11 +421,16 @@ def coeff_bound(alpha: float, n: int) -> float:
     """Sharp bound on |a_n| over ME(alpha): 2/(sqrt(alpha^2(n+1)^2+1) + alpha(n+1)).
 
     Algebraically 2*(sqrt(alpha^2(n+1)^2+1) - alpha(n+1)); the reciprocal form
-    avoids the cancellation of the difference form for large alpha*(n+1).
+    avoids the cancellation of the difference form for large alpha*(n+1). Where
+    m = alpha(n+1) squared overflows (beyond about 1.34e154), it is 1/m, the
+    value the formula rounds to just below that point.
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
     m = alpha * (scalar(n, "n", int, low=0) + 1)
-    return 2.0 / (math.sqrt(m * m + 1.0) + m)
+    square = m * m
+    if square == math.inf:
+        return 1.0 / m
+    return 2.0 / (math.sqrt(square + 1.0) + m)
 
 
 def check_remark2(f: LaurentFunction, grid: DiscGrid) -> MembershipVerdict:

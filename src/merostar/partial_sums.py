@@ -5,11 +5,11 @@ d_k = 1 + alpha(k+1), both
 
     Re(f(z)/S_n(z)) > 1 - 1/d_n    and    Re(S_n(z)/f(z)) > d_n/(1 + d_n)
 
-hold on the whole disc, with equality approached by 1/z - z^n/d_n along the
-positive real axis. Ratios are evaluated through g, so f/S_n = g_f/g_{S_n}
-never sees the pole; the hypothesis keeps both denominators zero-free in
-exact arithmetic (tail mass < 1), so degenerate grid points indicate noise
-and are excluded but counted. Where both denominators are zero-free on the
+hold on the whole disc. 1/z - z^n/d_n attains both on the unit circle: the
+first at z = 1, the second where z^{n+1} = -1. Ratios are evaluated through
+g, so f/S_n = g_f/g_{S_n} never sees the pole; the hypothesis keeps both
+denominators zero-free in exact arithmetic (tail mass < 1), so degenerate
+grid points indicate noise and are excluded but counted. Where both denominators are zero-free on the
 closed disc, both ratios are harmonic and DiscGrid.circle samples their
 minima.
 """

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -315,6 +316,14 @@ def test_coeff_bound_matches_difference_form():
         m = alpha * (n + 1)
         diff_form = 2.0 * (math.sqrt(m * m + 1.0) - m)
         assert coeff_bound(alpha, n) == pytest.approx(diff_form, rel=1e-12)
+
+
+def test_coeff_bound_is_one_over_m_where_m_squared_overflows():
+    # the formula read 2 / (inf + m) = 0 there; just below, it rounds to 1/m itself
+    for alpha, n in [(1e155, 0), (1e200, 1), (1e308, 0), (6.71e153, 1)]:
+        assert coeff_bound(alpha, n) == 1.0 / (alpha * (n + 1)) > 0
+    below = math.nextafter(math.sqrt(sys.float_info.max), 0.0)
+    assert coeff_bound(below, 0) == 2.0 / (math.sqrt(below * below + 1.0) + below) == 1.0 / below
 
 
 def test_coeff_bound_rejects_bad_input():

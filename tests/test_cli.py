@@ -607,6 +607,19 @@ def test_suite_with_a_bad_order_names_alpha_and_exits_two(tmp_path, capsys, name
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("alpha, code", [(2**54, 2), (math.nextafter(2**54, 0), 0)])
+def test_thm21_refuses_an_alpha_whose_order_rounds_to_one(tmp_path, capsys, alpha, code):
+    # from 2^54 on, 1 - 1/alpha rounds to 1.0: refused as the alpha given, not as that order
+    out_path = tmp_path / "r.json"
+    got, out, err = run(capsys, ["suite", "--name", "thm2.1", "--alpha", repr(float(alpha)), "--out", str(out_path)])
+    assert got == code
+    if code:
+        assert err == f"error: alpha must be finite, >= 1 and < {2.0**54!r}, got {2.0**54!r}\n"
+        assert not out_path.exists()
+    else:
+        assert json.loads(out_path.read_text())["passed"]
+
+
 def test_check_tme_refutes_a_weighted_sum_beyond_float_range(tmp_path, capsys):
     # the exact test's sum overflows to inf, which refutes although no grid margin is finite
     path = tmp_path / "f.json"

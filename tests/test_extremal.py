@@ -116,6 +116,12 @@ def test_bound_sharp_alpha_zero_collapses():
     assert f.coeffs[3].real == 2.0 == coeff_bound(0.0, 3)
 
 
+def test_bound_sharp_keeps_its_coefficient_where_m_squared_overflows():
+    # alpha * n = 2e200: coeff_bound once read 0 there, and the extremal was the bare pole
+    f = theorem23_extremal(1e200, 2)
+    assert f.coeffs[1].real == coeff_bound(1e200, 1) == 1.0 / 2e200
+
+
 def test_bound_sharp_root_identity():
     rng = np.random.default_rng(6)
     for _ in range(50):

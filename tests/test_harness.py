@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merostar import harness
-from merostar.classes import Status, coeff_bound, coeff_sufficient_me
+from merostar.classes import Status, coeff_bound, coeff_sufficient_me, coeff_weight
 from merostar.extremal import remark1_witness, theorem21_extremal
 from merostar.harness import (
     SUITE_IDS,
@@ -21,10 +23,13 @@ from merostar.harness import (
     sample_wild_function,
     save_report,
 )
+from merostar.partial_sums import eq16_function
 from merostar.reporting import CheckResult, CheckStatus, VerificationReport
-from merostar.series import DiscGrid, LaurentFunction, serialize_coeffs
+from merostar.series import DiscGrid, LaurentFunction, partial_sum, serialize_coeffs
 from merostar.tme import TmeFunction, check_tme_exact
 from merostar.tolerances import EXACT_TOL
+
+import oracles
 
 GRID = DiscGrid.default()
 
@@ -171,6 +176,67 @@ def test_thm23_member_bounds_are_the_per_coefficient_bounds(seed):
     expected = min(coeff_bound(alpha, k) - abs(c) for f in members for k, c in enumerate(f.coeffs))
     checks = {c.name: c for c in run_suite("thm2.3", {"seed": seed}).checks}
     assert checks["certified_members_respect_bounds"].margin.hex() == expected.hex()
+
+
+def _checks(name, params):
+    return {c.name: c for c in run_suite(name, params).checks}
+
+
+def test_thm23_root_identity_keeps_a_nan():
+    # alpha * n overflows, so the given pair's identity is NaN: the claim fails
+    # although every random draw holds
+    with np.errstate(over="ignore"):  # the sampler's weights overflow too
+        checks = _checks("thm2.3", {"alpha": 1e308, "n": 2})
+    assert checks["root_identity"].status is CheckStatus.FAIL
+    assert math.isnan(checks["root_identity"].margin)
+    # where only m * m overflows, coeff_bound is 1/m and the identity holds
+    assert run_suite("thm2.3", {"alpha": 1e200, "n": 2, "count": 20}).passed
+
+
+@pytest.mark.parametrize("name, params", [("thm2.1", {"alpha": 1e15}), ("thm4.2", {"n": 3000, "count": 10})])
+def test_sharp_constants_pass_where_the_radial_scans_failed(name, params):
+    # the scans' "gaps shrink" test fell below rounding at these parameters
+    report = run_suite(name, params)
+    assert report.passed, [c.to_dict() for c in report.checks if c.status is CheckStatus.FAIL]
+
+
+@given(st.floats(1.0, 2.0**54, exclude_max=True))
+@settings(max_examples=40, deadline=None)
+def test_thm21_boundary_values_match_the_mp_oracle(alpha):
+    # the ME margin at z = -1 and the STARLIKE(0) margin at z = +-1, in 50 digits
+    # on the extremal's float coefficients, sit at the sharp constants, and the
+    # suite's float deviations agree with the oracle's
+    coeffs = theorem21_extremal(alpha).coeffs
+    me = abs(oracles.mp_class_margin(coeffs, "me", alpha, -1))
+    targets = ((1, 1.0 - 1.0 / alpha), (-1, 1.0 + 1.0 / alpha))
+    order = max(abs(oracles.mp_class_margin(coeffs, "starlike", 0.0, z) - t) for z, t in targets)
+    checks = _checks("thm2.1", {"alpha": alpha})
+    for name, exact in (
+        ("extremal_margin_vanishes_on_negative_axis", me),
+        ("order_functional_boundary_limit", order),
+    ):
+        assert checks[name].status is CheckStatus.PASS
+        assert exact < EXACT_TOL
+        assert abs(checks[name].margin - exact) < 1e-14, (name, checks[name].margin, exact)
+
+
+@given(st.floats(0.0, 10.0), st.integers(1, 5000))
+@settings(max_examples=40, deadline=None)
+def test_thm42_boundary_values_match_the_mp_oracle(alpha, n):
+    f = eq16_function(alpha, n)
+    assert partial_sum(f, n) == LaurentFunction(())  # S_n = 1/z, so f/S_n is g
+    d = coeff_weight(alpha, n)
+    turn = np.exp(1j * np.pi / (n + 1))
+    f_over_s = oracles.mp_class_margin(f.coeffs, "me", 0.0, 1)  # Re g
+    # g = 1 + a z^{n+1} has z g' = (n + 1)(g - 1), so Re(1/g) = 1 - Re(z g'/g)/(n + 1),
+    # and Re(z g'/g) is 1 less the STARLIKE(0) margin
+    s_over_f = 1.0 - (1.0 - oracles.mp_class_margin(f.coeffs, "starlike", 0.0, turn)) / (n + 1)
+    exact = max(abs(f_over_s - (1.0 - 1.0 / d)), abs(s_over_f - d / (1.0 + d)))
+    check = _checks("thm4.2", {"alpha": alpha, "n": n, "count": 1})["sharp_function_attains_bounds"]
+    assert check.status is CheckStatus.PASS
+    assert exact < EXACT_TOL
+    # Horner's rounding over n + 2 coefficients at |z| = 1, with |1/g| <= 1
+    assert abs(check.margin - exact) < 4 * (n + 2) * 2.0**-53, (check.margin, exact)
 
 
 def test_unknown_suite_rejected():
@@ -354,7 +420,7 @@ ALL_CHECKS = (
     "cor2/equality_function_attains_lower_at_r",
     "cor2/equality_function_attains_upper_at_ir",
     "thm4.2/ratio_bounds_hold_for_members",
-    "thm4.2/sharpness_gap_shrinks_with_radius",
+    "thm4.2/sharp_function_attains_bounds",
     "thm4.2/nonzero_a0_observation",
 )
 
