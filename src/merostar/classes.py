@@ -10,27 +10,24 @@ The classes, all over the punctured unit disc E with g = z*f:
 One table maps each family to its margin, a Rule (ClassSpec.rule), and
 decide folds a rule's margins into a verdict; NaN alone marks a point where
 a margin is undefined (|g| < ZERO_TOL for a rule that divides by g), and the
-fold treats it like an overflow: no witness, no member. g is a
-polynomial, so each margin extends continuously to the closed disc and is
-superharmonic there (for MF and STARLIKE once g has no zero in it): its
-minimum over the disc lies on |z| = 1. The checks therefore sample the unit
-circle first. A sampled minimum that clears a Lipschitz bound on the gaps
-between samples plus a rounding bound proves membership; for MF and
-STARLIKE it needs no winding number (see _circle_bound). A sample that is
-negative beyond the rounding bound refutes, with a witness inside the disc;
-g may have zeros there, so a witness of MF or STARLIKE is always held to
-the rounding bound at its own point. When |g| comes near 0 on the circle no
-bound holds, but a negative sample on a finite circle still refutes once a
-witness inside clears that bound.
-Anything else (ties, a |g| near 0 without a negative sample, zeros of g on
-the circle, non-finite values) is sampled on the grid's outermost ring at M'
-angles, the least M 2^k at or above the length of g, whose samples do not
-alias: the continuous margin's minimum over the disc inside that ring lies on
-it (for MF and STARLIKE, a margin of -alpha or less where g has zeros inside
-it). A ring with a non-finite margin and no negative one is followed by the
-next ring inward. A negative margin refutes and nonnegative margins are
-evidence. MembershipVerdict.proof says which path decided; CertifiedMember
-is reserved for the coefficient certificate.
+fold treats it like an overflow: no witness, no member. g is a polynomial,
+so each margin extends continuously to the closed disc and is superharmonic
+there (for MF and STARLIKE once g has no zero in it): its minimum over the
+disc lies on |z| = 1. The checks therefore sample the unit circle first. A
+sampled minimum that clears a Lipschitz bound on the gaps between samples
+plus a rounding bound proves membership; for MF and STARLIKE it needs no
+winding number (see _circle_bound). A least sample below -MARGIN_TOL beyond
+its own rounding bound refutes: the same bounds, taken along the radius,
+prove a witness one step inside the disc, where nothing is evaluated (see
+_radial_witness). Anything else (ties, a |g| near 0 at the least sample,
+zeros of g on the circle, non-finite values) is sampled on the grid's
+outermost ring at M' angles, the least M 2^k at or above the length of g,
+whose samples do not alias: the continuous margin's minimum over the disc
+inside that ring lies on it (for MF and STARLIKE, a margin of -alpha or less
+where g has zeros inside it). A ring with a non-finite margin and no
+negative one is followed by the next ring inward. A negative margin refutes
+and nonnegative margins are evidence. MembershipVerdict.proof says which
+path decided; CertifiedMember is reserved for the coefficient certificate.
 """
 
 from __future__ import annotations
@@ -110,7 +107,8 @@ class MembershipVerdict:
     """status with the least margin evaluated and its point (witness), the
     number of points evaluated, and what decided the status: "circle" (a
     bound on the unit circle), "coefficients" (a coefficient sum) or None
-    (sampled on the grid's rings, from the outermost inward)."""
+    (sampled on the grid's rings, from the outermost inward). A NonMember's
+    witness on the circle path is one proved radial step inside the disc."""
 
     status: Status
     min_margin: float
@@ -229,24 +227,6 @@ def _coeff_sums(f: LaurentFunction) -> tuple[float, ...]:
     return tuple(sums.tolist())
 
 
-def _quotient_error(f: LaurentFunction, sums: tuple[float, ...], m: int, g: complex) -> float:
-    """Rounding bound on the margin of a rule that divides by g, at a point
-    of the closed disc where ring_values with m angles gave g.
-
-    Values g, z g' off by at most e0 = rho W_0, e1 = rho W_1 put the computed
-    z g'/g within (e1 + |z g'/g| e0)/|g| of the true one, and |z g'| <= S_1
-    bounds |z g'/g| by S_1/(|g| - e0); inf when |g| does not clear e0. sums
-    is _coeff_sums(f).
-    """
-    _, s1, _, w0, w1 = sums
-    rho = _value_error(len(f.g_coeffs), m)
-    low = abs(g) - rho * w0
-    if not low > 0:
-        return math.inf
-    h = s1 / low
-    return rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
-
-
 def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[float, ...], g, m: int):
     """(Lipschitz constant in theta, rounding bound) of the rule's margin on
     the unit circle sampled at m points, or None when no bound holds.
@@ -274,28 +254,51 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
+def _radial_witness(rule: Rule, f: LaurentFunction, sums, m: int, bound, g: complex, low: MembershipVerdict):
+    """The witness (1 - delta) z* of the least sample m* = low.min_margin at z*
+    of a circle of m angles where g is g(z*), or None when no step is proved.
+
+    The true margin is at most m* + err at z* and L-Lipschitz along the radius,
+    so delta = min(1/2, gap/2L), gap = -m* - MARGIN_TOL - err, leaves it below
+    -MARGIN_TOL - gap/2 at the witness. g and z g' move radially by at most
+    S_1 and S_2 on |z| <= 1, so a rule that does not divide by g takes
+    _circle_bound's (L, err). For one that does, values g, z g' off by at most
+    rho W_0, rho W_1 put z g'/g within err of the true one, with |z g'/g| <= h
+    = S_1/a and a = |g(z*)| - rho W_0. The cap a/(2 S_1) on delta keeps |g| >=
+    a/2 along the step, where L = 4 S_2/a + 8 h^2 (with 1/r <= 2 folded in)."""
+    _, s1, s2, w0, w1 = sums
+    rho = _value_error(len(f.g_coeffs), m)
+    a = abs(g) - rho * w0 if rule.divides else math.inf
+    if not (a > 0 and s1 > 0):  # S_1 = 0: g = 1, whose margins are never negative
+        return None
+    if rule.divides:
+        h = s1 / a
+        lipschitz, err = 4.0 * s2 / a + 8.0 * h * h, rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
+    else:
+        lipschitz, err = bound
+    gap = -low.min_margin - MARGIN_TOL - err
+    delta = min(0.5, gap / (2.0 * lipschitz), a / (2.0 * s1))  # 0 for an infinite L
+    witness = (1.0 - delta) * low.witness
+    return witness if gap > 0 and 1.0 - delta < 1.0 and abs(witness) < 1.0 else None
+
+
 def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=None) -> MembershipVerdict:
     """Verdict of a rule for f.
 
     values(f, at) gives g and z g' on a grid; by default ring_values. The
     unit circle with M = grid.angular_samples points decides where a bound
     proves the verdict (proof "circle"): a member when the sampled minimum
-    exceeds L pi/M plus rounding, a non-member when a sample is below
-    -MARGIN_TOL - rounding and a ring inside the disc gives a witness below
-    -MARGIN_TOL - rounding. For a rule that divides by g, whose bound takes
-    no winding number (see _circle_bound), the rounding at a witness is
-    always _quotient_error at its point; where |g| comes near 0 on the circle
-    it gets no bound, but finite circle values with a sample below
-    -MARGIN_TOL still start the rings. A positive but unproved minimum
-    refines the circle to 4M points once. Everything else is sampled on the
-    grid's rings from the outermost inward (see the module docstring) to the
-    first that refutes or is all finite, and the rings walked are folded
-    together. samples_checked counts every point evaluated.
+    exceeds L pi/M plus rounding, a non-member, with min_margin m*, when the
+    least sample m* is below -MARGIN_TOL - err and one radial step proves a
+    witness inside the disc (see _radial_witness). A positive but unproved
+    minimum refines the circle to 4M points once. Everything else is sampled
+    on the grid's rings from the outermost inward (see the module docstring)
+    to the first that refutes or is all finite, and the rings walked are
+    folded together. samples_checked counts every point evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
     evaluated = 0
-    searched = {}  # ring -> margins of the rings stepped through, which the fallback reuses
     for m in (grid.angular_samples, 4 * grid.angular_samples):
         circle = DiscGrid.circle(m)
         g, zgp = values(f, circle)
@@ -305,31 +308,13 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
             break
         low = verdict_from_margins(margins, circle.points, evaluated)
         bound = _circle_bound(rule, alpha, f, sums, g, m)
-        if bound is not None and all(map(math.isfinite, bound)):
-            lipschitz, rounding = bound
-            if low.min_margin - lipschitz * math.pi / m - rounding > 0:
-                return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
-        elif bound is None and rule.divides and np.isfinite(g).all():
-            rounding = 0.0  # |g| near 0: nothing proves a member, but a witness inside may refute
-        else:
-            break
-        if low.min_margin < -MARGIN_TOL - rounding:
-            # step inward: the outermost grid radius, then 1 - 10^-k nearer the circle
-            outer = grid.radii[-1]
-            nearer = [1.0 - 10.0**-k for k in range(1, 16)]
-            for r in [outer] + [x for x in nearer if x > outer]:
-                ring = DiscGrid((r,), m)
-                g, zgp = values(f, ring)
-                searched[ring] = margins = rule.margins(alpha, g, zgp)
-                evaluated += m
-                v = verdict_from_margins(margins, ring.points, evaluated)
-                if v.status is Status.NON_MEMBER:  # g may have zeros inside: bound a quotient at its witness
-                    at = g[ring.points == v.witness].item()
-                    error = _quotient_error(f, sums, m, at) if rule.divides else rounding
-                    if v.min_margin < -MARGIN_TOL - error:
-                        return replace(v, proof="circle")
-            break
-        if bound is None or not low.min_margin > 0:
+        bounded = bound is not None and all(map(math.isfinite, bound))
+        if bounded and low.min_margin - bound[0] * math.pi / m - bound[1] > 0:
+            return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
+        witness = _radial_witness(rule, f, sums, m, bound, g[np.argmin(margins)].item(), low)
+        if witness is not None:  # gap > 0 makes low a NonMember
+            return replace(low, witness=witness, proof="circle")
+        if not (bounded and low.min_margin > 0):
             break
     m = grid.angular_samples
     while m < len(f.g_coeffs):  # M' samples of at most M' coefficients are their DFT: no aliasing
@@ -337,10 +322,8 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     walked = []  # (margins, points) of each ring from rho inward
     for r in reversed(grid.radii):
         ring = DiscGrid((r,), m)
-        margins = searched.get(ring)
-        if margins is None:
-            margins = rule.margins(alpha, *values(f, ring))
-            evaluated += len(ring)
+        margins = rule.margins(alpha, *values(f, ring))
+        evaluated += len(ring)
         walked.append((margins, ring.points))
         finite = np.isfinite(margins)
         if finite.all() or (margins[finite] < -MARGIN_TOL).any():

@@ -33,8 +33,8 @@ def theorem21_extremal(alpha: float, degree: int = DEFAULT_EXTREMAL_DEGREE) -> L
 
     g(z) = (1 + cz)/(1 - cz) with c = sqrt(1+alpha^2) - alpha, i.e.
     f(z) = 1/z + sum_n 2 c^{n+1} z^n truncated at the given degree. Its ME
-    margin tends to 0 along the negative real axis, and its starlikeness
-    order functional tends to 1 - 1/alpha along the positive real axis.
+    margin is 0 at z = -1, and its starlikeness order functional
+    1 - Re(zg'/g) is 1 - 1/alpha at z = 1 and 1 + 1/alpha at z = -1.
     """
     alpha, degree = scalar(alpha, "alpha", low=1), scalar(degree, "degree", int, low=1)
     c = coeff_bound(alpha, 0) / 2.0  # root of c^2 + 2*alpha*c - 1 = 0

@@ -281,7 +281,19 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
     # np.max, unlike max, keeps a NaN root (alpha * n beyond float range) so that it fails
     worst_root = float(np.max(roots))
 
-    v = check_me(extremal.theorem23_extremal(alpha, n), alpha, grid)
+    # the truncation drops 2 d^m z^{mn} for m >= m0, which lowers the ME margin on
+    # the disc by at most T = sum 2 d^m (1 + alpha m n), where sum 2 d^m = 2 d^m0/(1 - d)
+    d = coeff_bound(alpha, n - 1) / 2.0
+    if d < 1.0:
+        m0 = (extremal.DEFAULT_EXTREMAL_DEGREE + 1) // n + 1  # as in theorem23_tail_bound
+        w = extremal.theorem23_tail_bound(alpha, n) / (1.0 - d)
+        tail = w + w * alpha * n * (m0 - (m0 - 1) * d) / (1.0 - d)
+        v = check_me(extremal.theorem23_extremal(alpha, n), alpha, grid)
+        ok, detail = v.min_margin >= -MARGIN_TOL - tail, f"within the dropped tail T = {tail:.3e}"
+        in_me = _ok("extremal_in_me", ok, v.min_margin, v.witness, detail)
+    else:
+        pole = "d = 1: the pole of (1 + d z^n)/(1 - d z^n) lies on the circle, so T is infinite"
+        in_me = CheckResult("extremal_in_me", CheckStatus.INAPPLICABLE, None, None, pole)
 
     # coeff_bound and abs at every index of a member in one pass; sqrt and
     # hypot round as math.sqrt and abs do (np.abs of a complex array does not)
@@ -296,7 +308,7 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
         worst_bound = min(worst_bound, float(gaps.min(initial=math.inf)))
     return [
         _within("root_identity", worst_root, detail="50 random (alpha, n) plus the given pair"),
-        _verdict("extremal_in_me", v, True),
+        in_me,
         _ok(
             "certified_members_respect_bounds",
             worst_bound >= -MARGIN_TOL,

@@ -26,8 +26,8 @@ DEVIATIONS = (
     "d_n is the negative root sqrt(alpha^2 n^2 + 1) - alpha*n (the positive-sign "
     "variant exceeds 1 and would put a pole of g inside the disc)",
     "d_k = 1 + alpha*(k+1), indexed by the summation variable k",
-    "the order functional's sharp limit 1 - 1/alpha is evaluated along the "
-    "positive real axis; the mirrored direction tends to 1 + 1/alpha",
+    "the order functional's sharp limit 1 - 1/alpha is its value at z = 1 on "
+    "the unit circle; its value at z = -1 is 1 + 1/alpha",
     "partial sums, the neighborhood distance and the ratio hypothesis all "
     "exclude the constant coefficient a_0",
     "exact-sum certificates allow 1e-12 slack so boundary members are not "

@@ -138,9 +138,10 @@ def mp_me_margin(coeffs, alpha: float, z: complex, dps: int = 50) -> float:
 
 
 def mp_class_margin(coeffs, family: str, alpha: float, z: complex, dps: int = 50) -> float:
-    """The margin of class "me", "mf" or "starlike" at z in dps-digit
-    arithmetic, skipping zero coefficients (so sparse series of high degree
-    stay cheap); z and the coefficients are taken exactly as given."""
+    """The margin of class "me", "mf" or "starlike", or of Remark 2's "rem2"
+    (Re g - Re(z g'), which ignores alpha), at z in dps-digit arithmetic,
+    skipping zero coefficients (so sparse series of high degree stay cheap);
+    z and the coefficients are taken exactly as given."""
     with mpmath.workdps(dps):
         zz = mpmath.mpc(z)
         g, zgp = mpmath.mpc(1), mpmath.mpc(0)
@@ -151,6 +152,8 @@ def mp_class_margin(coeffs, family: str, alpha: float, z: complex, dps: int = 50
                 zgp += (n + 1) * term
         if family == "me":
             return float(g.real - alpha * abs(zgp))
+        if family == "rem2":
+            return float(g.real - zgp.real)
         ratio = zgp / g
         return float((1 - alpha) - (abs(ratio) if family == "mf" else ratio.real))
 
@@ -396,8 +399,9 @@ def zero_free_inside(g_coeffs, radius: float) -> bool:
 
 def decide_recorded(rule, alpha: float, f, grid):
     """classes.decide with ring_values, and what the evaluation that decided
-    gave: (verdict, margins, points) of the last circle or ring holding the
-    witness (the fallback may reuse a ring that the inward search evaluated)."""
+    gave: (verdict, margins, points) of the circle whose least sample a
+    circle NonMember reports (its witness lies inward of that sample and is
+    no evaluated point), else of the last circle or ring holding the witness."""
     evaluations = []
 
     def recording(f, at):
@@ -405,5 +409,8 @@ def decide_recorded(rule, alpha: float, f, grid):
         return evaluations[-1][1]
 
     verdict = decide(rule, alpha, f, grid, recording)
-    at, values = next(e for e in reversed(evaluations) if verdict.witness in e[0].points)
+    if verdict.proof == "circle" and not verdict.is_member:
+        at, values = evaluations[-1]
+    else:
+        at, values = next(e for e in reversed(evaluations) if verdict.witness in e[0].points)
     return verdict, rule.margins(alpha, *values), at.points

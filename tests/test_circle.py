@@ -194,9 +194,11 @@ def test_circle_refutations_of_a_zero_inside_are_sound():
         if verdict.proof != "circle":
             return
         assert verdict.status is Status.NON_MEMBER
-        # the ring inside that decided holds the witness and its margin
-        assert np.abs(points).max() < 1.0
-        assert margins[points == verdict.witness].min() == verdict.min_margin
+        # the circle holds the least sample, and the witness lies inward on its ray
+        least = points[np.argmin(margins)]
+        assert margins.min() == verdict.min_margin
+        assert 0.5 <= abs(verdict.witness) < 1.0
+        assert abs(verdict.witness / least - abs(verdict.witness)) < 1e-12
         assert oracles.mp_class_margin(f.coeffs, family.value, alpha, verdict.witness) < -MARGIN_TOL
 
     refutation_has_a_witness_inside()
@@ -253,6 +255,50 @@ def test_the_circle_bound_needs_no_winding_number(monkeypatch):
     assert sum(winding_bound) > 0.1 * len(winding_bound), (sum(winding_bound), len(winding_bound))
 
 
+def test_every_circle_refutation_has_a_proved_witness_inside():
+    refuted = []
+
+    @given(
+        zero_sets,
+        st.lists(coefficient, max_size=4),
+        st.floats(0.0, 4.0),
+        st.sampled_from(("me", "mf", "starlike", "rem2")),
+        st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=300, deadline=None)
+    def witness_is_one_proved_step_inward(zeros, raw, scale, family, alpha):
+        f = _with_zeros(zeros, raw, scale)
+        if family == "rem2":  # Remark 2's margin ignores alpha; check_remark2 passes 1
+            rule, alpha = _REMARK2, 1.0
+        else:
+            rule = ClassSpec(Family(family), alpha).rule
+        verdict, margins, points = oracles.decide_recorded(rule, alpha, f, GRID)
+        refuted.append(verdict.proof == "circle" and not verdict.is_member)
+        if not refuted[-1]:
+            return
+        # min_margin is the least sample of the circle that decided, and nothing
+        # is evaluated at the witness: its margin is proved below -MARGIN_TOL
+        assert np.allclose(np.abs(points), 1.0)
+        assert verdict.min_margin == margins.min()
+        assert 0.5 <= abs(verdict.witness) < 1.0
+        assert oracles.mp_class_margin(f.coeffs, family, alpha, verdict.witness) < -MARGIN_TOL
+
+    witness_is_one_proved_step_inward()
+    # zeros inside and large scales refute often, so the property is not vacuous
+    assert sum(refuted) > 0.3 * len(refuted), (sum(refuted), len(refuted))
+
+
+def test_thm21_extremal_is_refuted_by_its_value_at_one():
+    # g = (1 + cz)/(1 - cz) with c = sqrt(2) - 1 (alpha = 1) has g(1) = z g'(1) =
+    # 1 + sqrt(2), so its ME(2) margin at z = 1 is -(1 + sqrt(2)); the dropped
+    # tail 2 c^66 is far below the rounding of the circle samples
+    v = check_me(theorem21_extremal(1.0, 64), 2.0, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert v.min_margin == pytest.approx(-(1.0 + math.sqrt(2.0)), abs=1e-12)
+    assert v.witness.imag == 0.0 and 0.5 <= v.witness.real < 1.0
+    assert v.samples_checked == GRID.angular_samples
+
+
 def test_overflow_and_huge_degree_fall_back_to_the_grid():
     overflow = LaurentFunction([0.0] * 5 + [1e307])  # z g' overflows on the circle
     v, margins, points = oracles.decide_recorded(ClassSpec(Family.ME, 0.5).rule, 0.5, overflow, GRID)
@@ -275,24 +321,6 @@ def test_ties_and_zeros_of_g_fall_back_to_the_grid():
     # (1 - z)^2 / z: g vanishes at z = 1 on the circle
     v = check_starlike(starlike_not_mf_witness(), 0.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER and v.proof is None
-
-
-def test_a_search_without_witness_does_not_evaluate_the_outer_ring_again():
-    # g = 1 - e^{-i} z vanishes at e^{i} on the circle: a sample there is negative, the
-    # inward search starts at the grid's outermost ring, finds no witness, and the
-    # fallback folds that same ring from the search's margins
-    f = LaurentFunction([-complex(math.cos(1.0), -math.sin(1.0))])
-    evaluated = []
-
-    def recording(f, at):
-        evaluated.append((at.radii, at.angular_samples))
-        return ring_values(f, at)
-
-    verdict = decide(ClassSpec(Family.STARLIKE, 0.5).rule, 0.5, f, GRID, recording)
-    radii = [r for at, _ in evaluated for r in at]
-    assert len(set(radii)) == len(radii) == 13  # the circle, then 12 rings from rho = 0.9999 outward
-    assert radii[:2] == [1.0, GRID.radii[-1]]
-    assert verdict.proof is None and verdict.samples_checked == 13 * GRID.angular_samples == 26_624
 
 
 def _unaliased(f) -> int:
@@ -518,26 +546,27 @@ def test_ring_fallback_is_the_grid_fold_under_hypothesis():
 def test_a_zero_of_g_inside_is_refuted_on_the_circle():
     # g = 1 - 2z vanishes at 1/2 inside, where z g'/g has a pole. The bound on
     # the circle needs no winding number, as a proved member cannot have a zero
-    # inside; the negative samples lead to a witness inside, which is held to
-    # the rounding bound at its own point because of that zero
+    # inside; the least sample is held to the rounding bound at its own point,
+    # and the radial step to the witness keeps |g| away from that zero
     f = LaurentFunction([-2.0])
     for check, family in ((check_mf, "mf"), (check_starlike, "starlike")):
         v = check(f, 0.0, GRID)
         assert v.status is Status.NON_MEMBER and v.proof == "circle"
         assert abs(v.witness) < 1.0
         assert oracles.mp_class_margin(f.coeffs, family, 0.0, v.witness) < -MARGIN_TOL
-        assert v.samples_checked == 2 * GRID.angular_samples  # the circle, then one ring inside
+        assert v.samples_checked == GRID.angular_samples  # the circle alone
 
 
 def test_circle_refutation_has_an_interior_witness():
-    # rem1's witness violates STARLIKE(0.1) by 0.003126 at a point inside
+    # rem1's witness g = 1 + z^19/20 violates STARLIKE(0.1) most where z^19 = 1,
+    # by 19/21 - 0.9 on the circle; the witness is one radial step inside
     f = remark1_witness(18)
     v = check_starlike(f, 0.1, GRID)
     assert v.status is Status.NON_MEMBER and v.proof == "circle"
-    assert abs(v.witness) < 1.0
-    assert v.min_margin == pytest.approx(-0.003126, abs=1e-6)
+    assert 0.5 <= abs(v.witness) < 1.0
+    assert v.min_margin == pytest.approx(0.9 - 19.0 / 21.0, abs=1e-12)
     assert oracles.mp_class_margin(f.coeffs, "starlike", 0.1, v.witness) < -MARGIN_TOL
-    assert v.samples_checked == 2 * GRID.angular_samples  # the circle, then one ring inside
+    assert v.samples_checked == GRID.angular_samples  # the circle alone
 
 
 def test_circle_proved_member_reports_its_circle_minimum():
@@ -568,8 +597,8 @@ def test_thm31_verdicts_evaluate_the_circle_once(monkeypatch):
 @pytest.mark.parametrize(
     "f, status, proof",
     [
-        (mf_not_me_witness(), Status.NON_MEMBER, "circle"),  # both refuted on inward rings
-        (theorem21_extremal(1.0, 64), Status.SAMPLED_MEMBER, None),  # a tie: both sample the grid
+        (mf_not_me_witness(), Status.NON_MEMBER, "circle"),  # both refuted on the circle alone
+        (theorem21_extremal(1.0, 64), Status.SAMPLED_MEMBER, None),  # a tie: the circle, then rho's ring
     ],
 )
 def test_thm31_verdicts_evaluate_each_grid_once(monkeypatch, f, status, proof):
@@ -584,7 +613,7 @@ def test_thm31_verdicts_evaluate_each_grid_once(monkeypatch, f, status, proof):
     me, kernels = thm31_verdicts(f, 1.0, GRID, 256)
     assert me.status is kernels.status is status
     assert me.proof == kernels.proof == proof
-    assert len(grids) >= 2 and len(set(grids)) == len(grids)
+    assert len(grids) == len(set(grids)) == (1 if proof == "circle" else 2)
 
 
 def test_thm31_suite_evaluates_its_gap_member_once(monkeypatch):

@@ -74,12 +74,14 @@ def test_check_me_pole():
 
 
 def test_check_me_rejects_exp_witness_near_imaginary_boundary():
-    v = check_me(mf_not_me_witness(), 1.0, GRID)
-    assert v.status is Status.NON_MEMBER
+    f = mf_not_me_witness()
+    v = check_me(f, 1.0, GRID)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
     assert v.min_margin < -MARGIN_TOL
-    assert v.witness is not None
-    assert abs(v.witness) > 0.99
+    # one radial step inward from the least circle sample, near the imaginary axis
+    assert 0.5 <= abs(v.witness) < 1.0
     assert abs(v.witness.real) < abs(v.witness.imag)
+    assert oracles.mp_me_margin(f.coeffs, 1.0, v.witness) < -MARGIN_TOL
 
 
 def test_check_me_boundary_exact_margin_is_indeterminate():
@@ -166,10 +168,21 @@ def test_degenerate_point_with_violation_elsewhere_is_refuted():
 
 
 def test_all_degenerate_grid_raises():
-    # g = 1 - 256 z^8 vanishes at all eight sampled points of radius 1/2
+    # g = 1 - 256 z^8 vanishes at all eight sampled points of radius 1/2, where
+    # every MF margin is undefined: folding those margins raises
     f = LaurentFunction((0,) * 7 + (-256.0,))
+    grid = DiscGrid(radii=(0.5,), angular_samples=8)
+    margins = grid_margins(ClassSpec(Family.MF, 0.0), f, grid)
+    assert np.isnan(margins).all()
     with pytest.raises(ValueError, match="degenerate"):
-        check_mf(f, 0.0, DiscGrid(radii=(0.5,), angular_samples=8))
+        verdict_from_margins(margins, grid.points)
+    # check_mf never folds that ring: the circle's least sample, -2048/255 + 1 at
+    # the eighth roots of unity, refutes with a witness one radial step inside
+    v = check_mf(f, 0.0, grid)
+    assert v.status is Status.NON_MEMBER and v.proof == "circle"
+    assert v.min_margin == pytest.approx(1.0 - 2048.0 / 255.0, rel=1e-12)
+    assert v.samples_checked == 8 and 0.5 <= abs(v.witness) < 1.0
+    assert oracles.mp_class_margin(f.coeffs, "mf", 0.0, v.witness) < -MARGIN_TOL
 
 
 def test_verdict_statuses_reflect_margins():

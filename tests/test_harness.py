@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -534,3 +535,46 @@ def test_save_report_stable_json(tmp_path):
         "inapplicable",
         "indeterminate",
     }
+
+
+@pytest.mark.parametrize("seed", [0, 7, 3])
+def test_circle_refutations_report_their_closed_form_margins(seed):
+    # a circle refutation reports its least circle sample, which here is a
+    # closed form: 1/z + 3z has Re g - Re(z g') = 1 - 3 at z = 1 (rem2); the
+    # spike 10 delta* z^2 has the ME(1) margin 1 - 10 at z = i (thm3.2); and
+    # the 1.01-scaled sharp function has 1 - 1.01 at z = 1, its exact margin (thm4.1)
+    reports = [run_suite(suite, {"seed": seed}) for suite in ("rem2", "thm3.2", "thm4.1")]
+    checks = {c.name: c for report in reports for c in report.checks}
+    assert checks["check_has_power"].margin == pytest.approx(-2.0, abs=1e-12)
+    assert checks["inflated_radius_refuted"].margin == pytest.approx(-9.0, abs=1e-12)
+    sharp = checks["scaled_sharp_function_refuted"]
+    assert sharp.margin == pytest.approx(-0.01, abs=1e-12)
+    assert sharp.detail == f"exact margin {sharp.margin:.3e}"
+    for name in ("check_has_power", "inflated_radius_refuted", "scaled_sharp_function_refuted"):
+        assert checks[name].status is CheckStatus.PASS and 0.5 <= abs(checks[name].witness) < 1.0
+
+
+@pytest.mark.parametrize(
+    "params", [{"n": 16}, {"alpha": 0.3, "n": 2}, {"alpha": 0.01, "n": 1}, {"alpha": 1e-3, "n": 100}]
+)
+def test_thm23_extremal_is_in_me_up_to_its_dropped_tail(params):
+    # the truncation of (1 + d z^n)/(1 - d z^n) dips below 0 on the circle by at
+    # most the weighted dropped tail T = sum_{m >= m0} 2 d^m (1 + alpha m n)
+    alpha, n = params.get("alpha", 1.5), params["n"]
+    check = _checks("thm2.3", {**params, "count": 5})["extremal_in_me"]
+    assert check.status is CheckStatus.PASS, check
+    tail = float(check.detail.removeprefix("within the dropped tail T = "))
+    assert check.margin >= -1e-9 - tail
+    d, m0 = coeff_bound(alpha, n - 1) / 2.0, 65 // n + 1  # degree 64 keeps the powers mn - 1 <= 64
+    terms = itertools.takewhile(lambda m: d**m > 1e-300, itertools.count(m0))
+    direct = math.fsum(2.0 * d**m * (1.0 + alpha * m * n) for m in terms)
+    assert tail == pytest.approx(direct, rel=1e-3)
+
+
+def test_thm23_extremal_is_inapplicable_where_its_pole_is_on_the_circle():
+    # alpha = 0 gives d = 1: (1 + z^n)/(1 - z^n) has its pole on the circle, and no
+    # truncation is in ME(0) up to a finite tail
+    check = _checks("thm2.3", {"alpha": 0.0, "count": 5})["extremal_in_me"]
+    assert check.status is CheckStatus.INAPPLICABLE
+    assert check.margin is None and "pole" in check.detail and "T is infinite" in check.detail
+    assert run_suite("thm2.3", {"alpha": 0.0, "count": 5}).passed

@@ -1,7 +1,10 @@
 import math
 
-from merostar.classes import MembershipVerdict, Status
-from merostar.reporting import CheckStatus, fold_members
+import numpy as np
+
+from merostar.classes import ClassSpec, Family, MembershipVerdict, Status, class_margins
+from merostar.extremal import theorem21_extremal
+from merostar.reporting import DEVIATIONS, CheckStatus, fold_members
 
 
 def verdict(status, margin, witness):
@@ -50,3 +53,14 @@ def test_no_verdicts_pass_vacuously():
     check = fold_members("members", iter(()), "none")
     assert check.status is CheckStatus.PASS
     assert check.margin == math.inf and check.witness is None
+
+
+def test_deviations_state_the_order_functional_at_points_of_the_circle():
+    # thm2.1 checks the sharp limit as a value at z = 1 (and 1 + 1/alpha at
+    # z = -1), not along an axis; the report's stated convention says the same
+    (text,) = [d for d in DEVIATIONS if "order functional" in d]
+    assert "z = 1 " in text and "z = -1 " in text and "axis" not in text
+    for alpha in (1.0, 2.0, 50.0):
+        f = theorem21_extremal(alpha)
+        values = class_margins(ClassSpec(Family.STARLIKE, 0.0), f, np.array((1 + 0j, -1 + 0j)))
+        assert np.allclose(values, (1.0 - 1.0 / alpha, 1.0 + 1.0 / alpha), atol=1e-12, rtol=0.0)

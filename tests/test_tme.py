@@ -92,10 +92,14 @@ def test_inflated_sharp_function_is_refuted_exactly_and_on_axis():
         bad = TmeFunction(tuple(1.01 * m for m in f.magnitudes))
         member, _ = check_tme_exact(bad, alpha)
         assert not member
-        v = check_me(bad.to_laurent(), alpha, GRID)
+        lf = bad.to_laurent()
+        v = check_me(lf, alpha, GRID)
         assert v.status is Status.NON_MEMBER and v.proof == "circle"
-        assert v.witness == 0.9999  # the inward ring 1 - 10^-4, on the positive real axis
-        assert v.min_margin < -MARGIN_TOL
+        # the least circle sample is z = 1, where the margin is exactly 1 - 1.01;
+        # the witness is one radial step inward, on the positive real axis
+        assert v.min_margin == pytest.approx(-0.01, abs=1e-12)
+        assert v.witness.imag == 0.0 and 0.5 <= v.witness.real < 1.0
+        assert oracles.mp_me_margin(lf.coeffs, alpha, v.witness) < -MARGIN_TOL
 
 
 def test_exact_test_consistent_with_grid_sampling():
@@ -303,18 +307,22 @@ def test_check_distortion_rejects_nonmembers():
 
 
 def test_refutation_needs_boundary_radii():
-    # barely-inflated boundary function: the default grid's radii cannot see
-    # the violation, but check_me's inward rings 1 - 10^-k can; the circle and
-    # the rings at 0.9999 and 1 - 10^-5 make 3 x 2048 samples
+    # barely-inflated boundary function: its ME(1) margin 1 - 1.0001 r^2 at z = r
+    # is positive on every radius of the default grid, but one proved radial
+    # step from the least circle sample z = 1 finds a witness beyond the
+    # outermost radius 0.9999, from the circle's 2048 samples alone
     alpha = 1.0
     f = sharp_function(alpha, 1)
     bad = TmeFunction(tuple(1.0001 * m for m in f.magnitudes))
     member, _ = check_tme_exact(bad, alpha)
     assert not member
-    v = check_me(bad.to_laurent(), alpha, GRID)
+    lf = bad.to_laurent()
+    assert (class_margins(ClassSpec(Family.ME, alpha), lf, np.array(GRID.radii)) > 0).all()
+    v = check_me(lf, alpha, GRID)
     assert v.status is Status.NON_MEMBER and v.proof == "circle"
-    assert v.witness == 1.0 - 1e-5
-    assert v.samples_checked == 3 * GRID.angular_samples
+    assert v.witness.imag == 0.0 and GRID.radii[-1] < v.witness.real < 1.0
+    assert oracles.mp_me_margin(lf.coeffs, alpha, v.witness) < -MARGIN_TOL
+    assert v.samples_checked == GRID.angular_samples
 
 
 @given(
