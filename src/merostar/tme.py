@@ -11,21 +11,11 @@ functions f_n(z) = 1/z - z^n/(1 + alpha(n+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-import numpy.polynomial.polynomial as npoly
-
-from .classes import (
-    ClassSpec,
-    Family,
-    MembershipVerdict,
-    coeff_sufficient_me,
-    coeff_weight,
-    verdict_from_margins,
-)
-from .series import DiscGrid, LaurentFunction, scalar, scalars
+from .classes import ClassSpec, Family, coeff_sufficient_me, coeff_weight
+from .series import LaurentFunction, scalar, scalars
 
 __all__ = [
     "TmeFunction",
@@ -122,32 +112,31 @@ def recompose(weights: Sequence[float], alpha: float) -> TmeFunction:
     return TmeFunction(tuple(mags))
 
 
+def _spread(alpha: float, r: float) -> float:
+    """Corollary 2's spread r/(1 + 2 alpha): the class's |f| lies within it of
+    1/r on |z| = r."""
+    return r / coeff_weight(alpha, 1)
+
+
 def distortion_bounds(alpha: float, r: float) -> tuple[float, float]:
     """Two-sided bound on |f(z)| at |z| = r over the class:
     1/r -+ r/(1 + 2 alpha)."""
     r = scalar(r, "r", above=0, below=1)
-    alpha = ClassSpec(Family.ME, alpha).alpha
-    spread = r / coeff_weight(alpha, 1)
+    spread = _spread(ClassSpec(Family.ME, alpha).alpha, r)
     return 1.0 / r - spread, 1.0 / r + spread
 
 
-def check_distortion(f: TmeFunction, alpha: float, grid: DiscGrid) -> MembershipVerdict:
-    """Decide lower <= |f(z)| <= upper on each ring |z| = r of the grid from
-    the coefficients.
+def check_distortion(f: TmeFunction, alpha: float) -> float:
+    """kappa = 1/(1 + 2 alpha) - sum a_n, which decides Corollary 2 for every
+    r in (0, 1); ValueError for a non-member.
 
-    With s(r) = sum a_n r^{n+1}, the triangle inequality puts |z f(z)| in
-    [1 - s, 1 + s] on the ring, and z = r attains 1 - s (H. Silverman,
-    Univalent functions with negative coefficients, Proc. AMS 51, 1975).
-    The bounds sit symmetrically about 1/r, so the two slacks
-    (1 - s)/r - lower and upper - (1 + s)/r are the same number: the ring's
-    margin, witnessed at r. It is computed as the lower slack at z = r, the
-    way a grid sample there would round it. The verdict folds the rings'
-    margins with proof "coefficients".
+    With s(r) = sum a_n r^{n+1}, |z f(z)| lies in [1 - s, 1 + s] on |z| = r
+    and z = r attains 1 - s (H. Silverman, Univalent functions with negative
+    coefficients, Proc. AMS 51, 1975). Both slacks to the bounds are then
+    r (1/(1 + 2 alpha) - sum a_n r^{n-1}) >= r kappa, with kappa the infimum
+    of slack/r as r -> 1. kappa >= 0 for members: 1 + alpha(n+1) >= 1 + 2 alpha.
     """
     member, _ = check_tme_exact(f, alpha)  # validates alpha
     if not member:
         raise ValueError("distortion bounds only apply to members")
-    r = np.asarray(grid.radii)
-    s = npoly.polyval(r, (0.0, 0.0) + f.magnitudes)
-    margins = (1.0 - s) / r - (1.0 / r - r / coeff_weight(alpha, 1))
-    return replace(verdict_from_margins(margins, r), proof="coefficients")
+    return math.fsum((_spread(alpha, 1.0), *(-a for a in f.magnitudes)))

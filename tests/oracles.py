@@ -281,11 +281,25 @@ def entrywise_nonnegative(values, what: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def mp_distortion_slack(magnitudes, alpha: float, r: float, t: float, dps: int = 50) -> float:
+    """The distortion slack min(|f| - lower, upper - |f|) at z = r e^{it}, with
+    lower, upper = 1/r -+ r/(1 + 2 alpha) and f(z) = 1/z - sum a_n z^n, in
+    dps-digit arithmetic; r, t, alpha and the magnitudes are taken exactly as
+    given."""
+    with mpmath.workdps(dps):
+        rr = mpmath.mpf(r)
+        z = rr * mpmath.expj(mpmath.mpf(t))
+        absf = abs(1 / z - mpmath.fsum(mpmath.mpf(a) * z**n for n, a in enumerate(magnitudes, 1)))
+        spread = rr / (1 + 2 * mpmath.mpf(alpha))
+        return float(min(absf - (1 / rr - spread), 1 / rr + spread - absf))
+
+
 def grid_distortion_margins(magnitudes, alpha: float, grid) -> np.ndarray:
     """The distortion slack min(|f| - lower, upper - |f|) at every point of
     grid.points, with lower, upper = 1/r -+ r/(1 + 2 alpha) on its ring and
     f(z) = 1/z - sum a_n z^n evaluated there by Horner's rule: the sampled
-    reference for check_distortion's per-ring closed form."""
+    reference for check_distortion's kappa, which bounds each ring's slack
+    from below by r kappa."""
     z = grid.points
     g = np.polynomial.polynomial.polyval(z, [1.0, 0.0] + [-a for a in magnitudes])
     r = np.repeat(np.asarray(grid.radii), grid.angular_samples)

@@ -620,6 +620,21 @@ def test_thm21_refuses_an_alpha_whose_order_rounds_to_one(tmp_path, capsys, alph
         assert json.loads(out_path.read_text())["passed"]
 
 
+@pytest.mark.parametrize("alpha, code", [("1e13", 0), (repr(2.0**53), 2), ("1e16", 2)])
+def test_thm22_runs_below_two_to_the_53_and_refuses_alpha_from_there(tmp_path, capsys, alpha, code):
+    # at 1e13 the extremal's deficit, about -2e-13, is below EXACT_TOL yet still
+    # shows that the certificate is not necessary; from 2^53 on it rounds to 0
+    # (at 1e16 it is 0.0), so alpha is refused by name
+    out_path = tmp_path / "r.json"
+    got, out, err = run(capsys, ["suite", "--name", "thm2.2", "--alpha", alpha, "--out", str(out_path)])
+    assert got == code
+    if code:
+        assert err == f"error: alpha must be finite, >= 0 and < {2.0**53!r}, got {float(alpha)!r}\n"
+        assert not out_path.exists()
+    else:
+        assert json.loads(out_path.read_text())["passed"]
+
+
 def test_check_tme_refutes_a_weighted_sum_beyond_float_range(tmp_path, capsys):
     # the exact test's sum overflows to inf, which refutes although no grid margin is finite
     path = tmp_path / "f.json"

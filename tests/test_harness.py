@@ -201,6 +201,15 @@ def test_sharp_constants_pass_where_the_radial_scans_failed(name, params):
     assert report.passed, [c.to_dict() for c in report.checks if c.status is CheckStatus.FAIL]
 
 
+@pytest.mark.parametrize("alpha", [1e12, 1e13, 1e15, math.nextafter(2.0**53, 0)])
+def test_thm22_certificate_is_not_necessary_below_two_to_the_53(alpha):
+    # the extremal's coefficient sum exceeds 1 by about 2/alpha, below EXACT_TOL
+    # from about 2e12 on: the claim reads that deficit, not the relaxed flag
+    check = _checks("thm2.2", {"alpha": alpha, "count": 5})["certificate_is_not_necessary"]
+    assert check.status is CheckStatus.PASS
+    assert -2.0 / alpha - 2 * math.ulp(1.0) < check.margin < 0  # rounded to ulps of 1
+
+
 @given(st.floats(1.0, 2.0**54, exclude_max=True))
 @settings(max_examples=40, deadline=None)
 def test_thm21_boundary_values_match_the_mp_oracle(alpha):
@@ -554,9 +563,14 @@ def test_circle_refutations_report_their_closed_form_margins(seed):
         assert checks[name].status is CheckStatus.PASS and 0.5 <= abs(checks[name].witness) < 1.0
 
 
-@pytest.mark.parametrize(
-    "params", [{"n": 16}, {"alpha": 0.3, "n": 2}, {"alpha": 0.01, "n": 1}, {"alpha": 1e-3, "n": 100}]
-)
+def _direct_tail(alpha, n):
+    # T = sum_{m >= m0} 2 d^m (1 + alpha m n), summed term by term
+    d, m0 = coeff_bound(alpha, n - 1) / 2.0, 65 // n + 1  # degree 64 keeps the powers mn - 1 <= 64
+    terms = itertools.takewhile(lambda m: d**m > 1e-300, itertools.count(m0))
+    return math.fsum(2.0 * d**m * (1.0 + alpha * m * n) for m in terms)
+
+
+@pytest.mark.parametrize("params", [{"n": 16}, {"alpha": 0.3, "n": 2}])
 def test_thm23_extremal_is_in_me_up_to_its_dropped_tail(params):
     # the truncation of (1 + d z^n)/(1 - d z^n) dips below 0 on the circle by at
     # most the weighted dropped tail T = sum_{m >= m0} 2 d^m (1 + alpha m n)
@@ -564,11 +578,24 @@ def test_thm23_extremal_is_in_me_up_to_its_dropped_tail(params):
     check = _checks("thm2.3", {**params, "count": 5})["extremal_in_me"]
     assert check.status is CheckStatus.PASS, check
     tail = float(check.detail.removeprefix("within the dropped tail T = "))
+    assert tail <= 1e-6
     assert check.margin >= -1e-9 - tail
-    d, m0 = coeff_bound(alpha, n - 1) / 2.0, 65 // n + 1  # degree 64 keeps the powers mn - 1 <= 64
-    terms = itertools.takewhile(lambda m: d**m > 1e-300, itertools.count(m0))
-    direct = math.fsum(2.0 * d**m * (1.0 + alpha * m * n) for m in terms)
-    assert tail == pytest.approx(direct, rel=1e-3)
+    assert tail == pytest.approx(_direct_tail(alpha, n), rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha, n", [(0.01, 1), (1e-3, 1), (1e-3, 100)])
+def test_thm23_extremal_is_inapplicable_where_its_dropped_tail_dwarfs_the_margin(alpha, n):
+    # at alpha = 0.01, n = 1 the truncation's margin is about -24 and T about 276:
+    # a check within T shows nothing, so the claim is inapplicable and names T
+    checks = _checks("thm2.3", {"alpha": alpha, "n": n, "count": 5})
+    check = checks["extremal_in_me"]
+    assert check.status is CheckStatus.INAPPLICABLE
+    assert check.margin is None and check.witness is None
+    prefix, _, rest = check.detail.partition("T = ")
+    assert prefix == "the dropped tail " and rest.endswith(" exceeds 1e-6")
+    tail = float(rest.removesuffix(" exceeds 1e-6"))
+    assert tail > 1e-6 and tail == pytest.approx(_direct_tail(alpha, n), rel=1e-3)
+    assert all(c.status is CheckStatus.PASS for name, c in checks.items() if name != "extremal_in_me")
 
 
 def test_thm23_extremal_is_inapplicable_where_its_pole_is_on_the_circle():

@@ -1,0 +1,71 @@
+"""A planted defect per claim: each mutation makes one paper constant wrong by
+a stated small factor, and the claim that reads the constant must then fail.
+
+A claim that passes whatever the code computes proves nothing (R. A. DeMillo,
+R. J. Lipton and F. G. Sayward, "Hints on test data selection: help for the
+practicing programmer", IEEE Computer 11(4), 1978). MUTATIONS maps a claim of
+`suite all` to its mutation; observations such as
+thm4.2/nonzero_a0_observation have none.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from merostar import partial_sums, tme
+from merostar.harness import run_suite
+from merostar.reporting import CheckStatus
+
+SEEDS = (0, 7, 3)
+
+
+def _spread_too_strong(monkeypatch):
+    # Corollary 2's spread r/(1 + 2 alpha) 1% too small, so the bounds
+    # 1/r -+ spread that distortion_bounds and check_distortion share tighten
+    spread = tme._spread
+    monkeypatch.setattr(tme, "_spread", lambda alpha, r: 0.99 * spread(alpha, r))
+
+
+def _ratio_bounds_too_strong(monkeypatch):
+    # Theorem 4.2's lower bounds 1 - 1/d_n and d_n/(1 + d_n) 1% too large
+    check = partial_sums.check_ratio_bounds
+
+    def mutated(*args):
+        report = check(*args)
+        return replace(
+            report,
+            bound_f_over_s=1.01 * report.bound_f_over_s,
+            bound_s_over_f=1.01 * report.bound_s_over_f,
+        )
+
+    monkeypatch.setattr(partial_sums, "check_ratio_bounds", mutated)
+
+
+# claim of suite all -> a mutation that must turn it to FAIL
+MUTATIONS = {
+    "cor2/equality_function_attains_lower_at_r": _spread_too_strong,
+    "thm4.2/sharp_function_attains_bounds": _ratio_bounds_too_strong,
+}
+
+
+def _check(claim, seed):
+    suite, name = claim.split("/")
+    return {c.name: c for c in run_suite(suite, {"seed": seed}).checks}[name]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("claim", MUTATIONS)
+def test_each_mutation_fails_its_claim(monkeypatch, claim, seed):
+    assert _check(claim, seed).status is CheckStatus.PASS
+    MUTATIONS[claim](monkeypatch)
+    assert _check(claim, seed).status is CheckStatus.FAIL
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_stronger_spread_lowers_every_kappa(monkeypatch, seed):
+    # the member claim reads the same spread: its least kappa falls by 1% of
+    # 1/(1 + 2 alpha) = 1/3 at the default alpha = 1
+    before = _check("cor2/bounds_hold_for_members", seed).margin
+    _spread_too_strong(monkeypatch)
+    after = _check("cor2/bounds_hold_for_members", seed).margin
+    assert after == pytest.approx(before - 0.01 / 3.0, abs=1e-15)

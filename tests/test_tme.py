@@ -19,7 +19,7 @@ from merostar.tme import (
     recompose,
     sharp_function,
 )
-from merostar.tolerances import MARGIN_TOL
+from merostar.tolerances import EXACT_TOL, MARGIN_TOL
 
 import hostile
 import oracles
@@ -234,9 +234,8 @@ def test_distortion_bounds_formula():
 
 
 def test_pole_is_interior_to_distortion_bounds():
-    v = check_distortion(POLE, 1.0, GRID)
-    assert v.status is Status.SAMPLED_MEMBER
-    assert v.min_margin > 0
+    # |f| = 1/r for the bare pole, so kappa is the whole spread 1/(1 + 2 alpha)
+    assert check_distortion(POLE, 1.0) == 1.0 / 3.0
 
 
 def test_equality_function_attains_both_bounds():
@@ -256,17 +255,18 @@ def test_random_members_satisfy_distortion_bounds():
     for _ in range(40):
         alpha = float(rng.uniform(0.0, 3.0))
         f = sample_tme_member(alpha, rng)
-        v = check_distortion(f, alpha, GRID)
-        assert v.min_margin >= -MARGIN_TOL
+        assert check_distortion(f, alpha) >= -EXACT_TOL
 
 
 @given(
     st.floats(min_value=0.0, max_value=3.0),
     st.sampled_from(["member", "boundary", "pole", "sharp"]),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
 )
 @settings(max_examples=60, deadline=None)
-def test_distortion_margin_is_the_least_slack_on_the_grid(alpha, kind, seed):
+def test_distortion_slack_is_at_least_r_kappa(alpha, kind, seed, r, t):
     rng = np.random.default_rng(seed)
     if kind == "pole":
         f = POLE
@@ -274,17 +274,20 @@ def test_distortion_margin_is_the_least_slack_on_the_grid(alpha, kind, seed):
         f = sharp_function(alpha, int(rng.integers(1, 31)))
     else:
         f = sample_tme_member(alpha, rng, boundary=kind == "boundary")
-    v = check_distortion(f, alpha, GRID)
+    kappa = check_distortion(f, alpha)
+    assert kappa >= -EXACT_TOL
+    # the 50-digit slack at z = r, where the lower bound is tightest, and at
+    # z = r e^{it}; kappa is a correctly rounded sum whose spread 1/(1 + 2 alpha)
+    # rounds twice, so it may sit up to 2 ulps of 1 above the exact kappa
+    for angle in (0.0, t):
+        slack = oracles.mp_distortion_slack(f.magnitudes, alpha, r, angle)
+        assert slack >= r * kappa - 2 * math.ulp(1.0), (angle, slack, r * kappa)
+    # no grid sample has less slack than r kappa on its ring, up to the samples'
+    # rounding: a slack is a difference of numbers up to 1/r + r <= 10.1, rounded
+    # to ulps of up to 1.8e-15
     sampled = oracles.grid_distortion_margins(f.magnitudes, alpha, GRID)
-    # no sample has less slack than its ring's closed form, which z = r attains,
-    # up to the samples' rounding: a slack is a difference of numbers up to
-    # 1/r + r <= 10.1, rounded to ulps of up to 1.8e-15 (alpha = 0 sharp
-    # functions round 3 ulps, 1.3e-15, below it at r = 0.9999)
-    assert v.min_margin <= float(np.min(sampled)) + 4 * math.ulp(10.1)
-    assert v.min_margin == pytest.approx(float(np.min(sampled)), abs=1e-14)
-    assert v.witness.imag == 0.0 and v.witness.real > 0.0
-    assert v.proof == "coefficients"
-    assert v.samples_checked == len(GRID.radii)
+    radii = np.repeat(np.asarray(GRID.radii), GRID.angular_samples)
+    assert np.all(sampled >= radii * kappa - 4 * math.ulp(10.1))
 
 
 def test_check_distortion_evaluates_no_series_on_a_grid(monkeypatch):
@@ -295,15 +298,13 @@ def test_check_distortion_evaluates_no_series_on_a_grid(monkeypatch):
     monkeypatch.setattr(tme_module, "ring_transform", no_evaluation, raising=False)
     for name in ("ring_transform", "ring_values", "eval_g"):
         monkeypatch.setattr(series, name, no_evaluation)
-    v = check_distortion(sharp_function(1.0, 2), 1.0, GRID)
-    assert v.status is Status.SAMPLED_MEMBER
-    assert v.witness == complex(GRID.radii[0])
-    assert v.proof == "coefficients"
+    # 1/(1 + 2) - 1/(1 + 3): the spread less the one magnitude of f_2
+    assert check_distortion(sharp_function(1.0, 2), 1.0) == pytest.approx(1.0 / 12.0, abs=1e-16)
 
 
 def test_check_distortion_rejects_nonmembers():
     with pytest.raises(ValueError, match="member"):
-        check_distortion(TmeFunction((0.9,)), 1.0, GRID)
+        check_distortion(TmeFunction((0.9,)), 1.0)
 
 
 def test_refutation_needs_boundary_radii():
