@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merostar import harness
-from merostar.classes import Status, coeff_bound, coeff_sufficient_me, coeff_weight
-from merostar.extremal import remark1_witness, theorem21_extremal
+from merostar.classes import Status, check_me, coeff_bound, coeff_sufficient_me, coeff_weight
+from merostar.extremal import remark1_witness, theorem21_extremal, theorem23_extremal
 from merostar.harness import (
     SUITE_IDS,
     classify_me,
@@ -570,10 +570,20 @@ def _direct_tail(alpha, n):
     return math.fsum(2.0 * d**m * (1.0 + alpha * m * n) for m in terms)
 
 
-@pytest.mark.parametrize("params", [{"n": 16}, {"alpha": 0.3, "n": 2}])
+@pytest.mark.parametrize(
+    "params", [{"n": 16}, {"alpha": 0.3, "n": 2}, {"alpha": 0.01, "n": 1}, {"alpha": 1e-3, "n": 100}]
+)
 def test_thm23_extremal_is_in_me_up_to_its_dropped_tail(params):
     # the truncation of (1 + d z^n)/(1 - d z^n) dips below 0 on the circle by at
-    # most the weighted dropped tail T = sum_{m >= m0} 2 d^m (1 + alpha m n)
+    # most the weighted dropped tail T = sum_{m >= m0} 2 d^m (1 + alpha m n),
+    # also where T is too large for the suite to claim anything from it
+    alpha, n = params.get("alpha", 1.5), params["n"]
+    v = check_me(theorem23_extremal(alpha, n), alpha, GRID)
+    assert v.min_margin >= -1e-9 - _direct_tail(alpha, n)
+
+
+@pytest.mark.parametrize("params", [{"n": 16}, {"alpha": 0.3, "n": 2}])
+def test_thm23_extremal_in_me_passes_within_a_small_dropped_tail(params):
     alpha, n = params.get("alpha", 1.5), params["n"]
     check = _checks("thm2.3", {**params, "count": 5})["extremal_in_me"]
     assert check.status is CheckStatus.PASS, check
