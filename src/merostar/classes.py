@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -254,17 +254,17 @@ def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[floa
     return (s2 * s0 + s1 * s1) / (low * low), rho * (w1 + h * w0) / low + _gamma(8) * (1.0 + h)
 
 
-def _radial_witness(rule: Rule, f: LaurentFunction, sums, m: int, bound, g: complex, low: MembershipVerdict):
-    """The witness (1 - delta) z* of the least sample m* = low.min_margin at z*
-    of a circle of m angles where g is g(z*), or None when no step is proved.
+def _radial_witness(rule: Rule, f: LaurentFunction, sums, m: int, bound, g: complex, least: float, z: complex):
+    """The witness (1 - delta) z of the least sample m* = least at z of a
+    circle of m angles where g is g(z), or None when no step is proved.
 
-    The true margin is at most m* + err at z* and L-Lipschitz along the radius,
+    The true margin is at most m* + err at z and L-Lipschitz along the radius,
     so delta = min(1/2, gap/2L), gap = -m* - MARGIN_TOL - err, leaves it below
     -MARGIN_TOL - gap/2 at the witness. g and z g' move radially by at most
     S_1 and S_2 on |z| <= 1, so a rule that does not divide by g takes
     _circle_bound's (L, err). For one that does, values g, z g' off by at most
     rho W_0, rho W_1 put z g'/g within err of the true one, with |z g'/g| <= h
-    = S_1/a and a = |g(z*)| - rho W_0. The cap a/(2 S_1) on delta keeps |g| >=
+    = S_1/a and a = |g(z)| - rho W_0. The cap a/(2 S_1) on delta keeps |g| >=
     a/2 along the step, where L = 4 S_2/a + 8 h^2 (with 1/r <= 2 folded in)."""
     _, s1, s2, w0, w1 = sums
     rho = _value_error(len(f.g_coeffs), m)
@@ -276,9 +276,9 @@ def _radial_witness(rule: Rule, f: LaurentFunction, sums, m: int, bound, g: comp
         lipschitz, err = 4.0 * s2 / a + 8.0 * h * h, rho * (w1 + h * w0) / abs(g) + _gamma(8) * (1.0 + h)
     else:
         lipschitz, err = bound
-    gap = -low.min_margin - MARGIN_TOL - err
+    gap = -least - MARGIN_TOL - err
     delta = min(0.5, gap / (2.0 * lipschitz), a / (2.0 * s1))  # 0 for an infinite L
-    witness = (1.0 - delta) * low.witness
+    witness = (1.0 - delta) * z
     return witness if gap > 0 and 1.0 - delta < 1.0 and abs(witness) < 1.0 else None
 
 
@@ -291,10 +291,12 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     exceeds L pi/M plus rounding, a non-member, with min_margin m*, when the
     least sample m* is below -MARGIN_TOL - err and one radial step proves a
     witness inside the disc (see _radial_witness). A positive but unproved
-    minimum refines the circle to 4M points once. Everything else is sampled
-    on the grid's rings from the outermost inward (see the module docstring)
-    to the first that refutes or is all finite, and the rings walked are
-    folded together. samples_checked counts every point evaluated.
+    minimum refines the circle to 4M points once. One argmin and one max
+    over a circle's margins give the finite test, the least margin, its
+    point and g there. Everything else is sampled on the grid's rings from
+    the outermost inward (see the module docstring) to the first that
+    refutes or is all finite, and the rings walked are folded together.
+    samples_checked counts every point evaluated.
     """
     values = ring_values if values is None else values
     sums = _coeff_sums(f)
@@ -304,17 +306,18 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
         g, zgp = values(f, circle)
         margins = rule.margins(alpha, g, zgp)
         evaluated += m
-        if not np.isfinite(margins).all():
+        i = int(np.argmin(margins))  # a NaN or -inf if there is one, and max a NaN or +inf
+        if not (math.isfinite(margins[i]) and math.isfinite(margins.max())):
             break
-        low = verdict_from_margins(margins, circle.points, evaluated)
+        least, z = float(margins[i]), complex(circle.points[i])
         bound = _circle_bound(rule, alpha, f, sums, g, m)
         bounded = bound is not None and all(map(math.isfinite, bound))
-        if bounded and low.min_margin - bound[0] * math.pi / m - bound[1] > 0:
-            return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
-        witness = _radial_witness(rule, f, sums, m, bound, g[np.argmin(margins)].item(), low)
-        if witness is not None:  # gap > 0 makes low a NonMember
-            return replace(low, witness=witness, proof="circle")
-        if not (bounded and low.min_margin > 0):
+        if bounded and least - bound[0] * math.pi / m - bound[1] > 0:
+            return MembershipVerdict(Status.SAMPLED_MEMBER, least, z, evaluated, "circle")
+        witness = _radial_witness(rule, f, sums, m, bound, g[i].item(), least, z)
+        if witness is not None:  # gap > 0 puts least below -MARGIN_TOL
+            return MembershipVerdict(Status.NON_MEMBER, least, witness, evaluated, "circle")
+        if not (bounded and least > 0):
             break
     m = grid.angular_samples
     while m < len(f.g_coeffs):  # M' samples of at most M' coefficients are their DFT: no aliasing

@@ -658,9 +658,10 @@ _SUITES = {
 }
 SUITE_IDS = (*_SUITES, "all")
 
-# parameter -> its kind and bounds for series.scalar; a suite may bound alpha further
+# parameter -> its kind and bounds for series.scalar; a suite may bound alpha further.
+# alpha < 2^1018 keeps the samplers' weights 1 + alpha(n + 1), n <= 40, finite
 _PARAMS = {
-    "alpha": (float, {"low": 0}),
+    "alpha": (float, {"low": 0, "below": 2.0**1018}),
     "n": (int, {"low": 1}),
     "count": (int, {"low": 1}),
     "seed": (int, {"low": 0}),

@@ -76,9 +76,9 @@ def check_ratio_bounds(
     excluded = int(np.count_nonzero(degenerate))
     if excluded == len(grid):
         raise ValueError("all grid points degenerate")
-    usable = ~degenerate
-    f_over_s = np.real(gf[usable] / gs[usable])
-    s_over_f = np.real(gs[usable] / gf[usable])
+    if excluded:
+        gf, gs = gf[~degenerate], gs[~degenerate]
+    f_over_s, s_over_f = np.real(gf / gs), np.real(gs / gf)
     return RatioBoundReport(
         n=n,
         d_n=d_n,

@@ -177,13 +177,15 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
     On the ring |z| = r with M equispaced angles, p(r e^{2 pi i j/M}) =
     sum_k c_k r^k e^{2 pi i jk/M} is one inverse DFT of length M, and the
     coefficients with k >= M fold onto index k mod M exactly (aliasing).
-    The whole stack shares one transform per ring. The fold takes M
-    coefficients and one ring at a time, so beside the output it holds
-    O(N + M) per row for N coefficients. Stacks whose longest row has at
-    most log2(M) coefficients take Horner's rule on grid.points instead: its
-    cost grows with the length and the transform's does not, so it is the
-    cheaper one on the shortest series. Either branch writes into the array
-    it returns and into no other array of its size.
+    The whole stack shares one transform per ring. The fold reads each row
+    in place and adds its blocks of M coefficients times r^k into zeroed
+    spectra, one ring at a time; on the unit circle it adds the block itself,
+    with the bits of c * 1.0 for finite c (an add to +0.0 leaves no -0.0).
+    Stacks whose longest row has at most log2(M) coefficients take Horner's
+    rule on grid.points instead: its cost grows with the length and the
+    transform's does not, so it is the cheaper one on the shortest series.
+    Either branch writes into the array it returns and into no other array
+    of its size.
     """
     m = grid.angular_samples
     longest = max(len(row) for row in rows)
@@ -199,16 +201,15 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
                     out *= x
                     out += c
             return values
-        coeffs = np.zeros((len(rows), longest), dtype=complex)
-        for padded, row in zip(coeffs, rows):
-            padded[: len(row)] = row
         spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
-        # one block of M coefficients at a time, on one ring at a time
+        # one block of M coefficients at a time, on one ring at a time; rows are read in place
         for start in range(0, longest, m):
-            stop = min(start + m, longest)
-            exponents = np.arange(start, stop)
+            exponents = np.arange(start, min(start + m, longest))
             for k, r in enumerate(grid.radii):
-                spectra[:, k, : stop - start] += coeffs[:, start:stop] * r**exponents
+                powers = None if r == 1.0 else r**exponents
+                for spectrum, row in zip(spectra, rows):
+                    block = row[start : start + m]
+                    spectrum[k, : len(block)] += block if powers is None else block * powers[: len(block)]
         np.fft.ifft(spectra, axis=-1, norm="forward", out=spectra)
     return spectra.reshape(len(rows), -1)
 

@@ -11,14 +11,24 @@ import csv
 import io
 import math
 import numbers
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 from mpmath.libmp import from_float, from_man_exp, libmpi, mpf_ge
 from numpy.polynomial import polynomial as npoly
 
-from merostar.classes import _gamma, _value_error, decide
-from merostar.series import ring_values
+from merostar.classes import (
+    Status,
+    _circle_bound,
+    _coeff_sums,
+    _gamma,
+    _radial_witness,
+    _value_error,
+    decide,
+    verdict_from_margins,
+)
+from merostar.series import DiscGrid, ring_values
 from merostar.tolerances import EXACT_TOL, MARGIN_TOL
 
 
@@ -428,3 +438,44 @@ def decide_recorded(rule, alpha: float, f, grid):
     else:
         at, values = next(e for e in reversed(evaluations) if verdict.witness in e[0].points)
     return verdict, rule.margins(alpha, *values), at.points
+
+
+def composed_decide(rule, alpha: float, f, grid):
+    """classes.decide composed from whole-array steps, as it was before its
+    circle fold was inlined: on each circle the isfinite mask over all M
+    margins, verdict_from_margins over all M points, then
+    dataclasses.replace with proof "circle" of that verdict, as a member or
+    with the witness of _radial_witness; the ring walk is decide's own."""
+    sums = _coeff_sums(f)
+    evaluated = 0
+    for m in (grid.angular_samples, 4 * grid.angular_samples):
+        circle = DiscGrid.circle(m)
+        g, zgp = ring_values(f, circle)
+        margins = rule.margins(alpha, g, zgp)
+        evaluated += m
+        if not np.isfinite(margins).all():
+            break
+        low = verdict_from_margins(margins, circle.points, evaluated)
+        bound = _circle_bound(rule, alpha, f, sums, g, m)
+        bounded = bound is not None and all(map(math.isfinite, bound))
+        if bounded and low.min_margin - bound[0] * math.pi / m - bound[1] > 0:
+            return replace(low, status=Status.SAMPLED_MEMBER, proof="circle")
+        at = g[np.argmin(margins)].item()
+        witness = _radial_witness(rule, f, sums, m, bound, at, low.min_margin, low.witness)
+        if witness is not None:
+            return replace(low, witness=witness, proof="circle")
+        if not (bounded and low.min_margin > 0):
+            break
+    m = grid.angular_samples
+    while m < len(f.g_coeffs):
+        m *= 2
+    walked = []
+    for r in reversed(grid.radii):
+        ring = DiscGrid((r,), m)
+        margins = rule.margins(alpha, *ring_values(f, ring))
+        evaluated += len(ring)
+        walked.append((margins, ring.points))
+        finite = np.isfinite(margins)
+        if finite.all() or (margins[finite] < -MARGIN_TOL).any():
+            break
+    return verdict_from_margins(*map(np.concatenate, zip(*walked)), evaluated)

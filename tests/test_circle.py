@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from merostar import classes, cli, convolution, harness
@@ -15,6 +15,7 @@ from merostar.classes import (
     _REMARK2,
     ClassSpec,
     Family,
+    Rule,
     Status,
     _circle_bound,
     _coeff_sums,
@@ -660,3 +661,82 @@ def test_check_payload_names_the_proof(tmp_path, capsys):
     code, payload = check(theorem21_extremal(2.0).coeffs, 2.0)
     assert (code, payload["status"], payload["proof"]) == (0, "SampledMember", None)
     assert payload["samples_checked"] == 2 * 2048  # the circle, then the outermost ring
+
+
+def _verdict_bits(decision):
+    """status, min_margin as float.hex, witness, samples_checked and proof
+    of the verdict decision() gives, or the message of its ValueError."""
+    try:
+        v = decision()
+    except ValueError as exc:
+        return str(exc)
+    witness = None if v.witness is None else (v.witness.real.hex(), v.witness.imag.hex())
+    return v.status, v.min_margin.hex(), witness, v.samples_checked, v.proof
+
+
+UNIT_PHASES = (1.0, -1.0, 1j, -1j, 0.6 + 0.8j)
+
+
+@st.composite
+def fold_cases(draw):
+    """(rule, alpha, series, grid) on the default radii at M angles: ME, MF,
+    STARLIKE, Remark 2 or thm3.1's kernel rule, for a random series, a tie
+    (the thm2.1 extremal or a sharp function at its own order), g with a
+    zero on or inside the circle, or coefficients so large that k c_k, the
+    ME margin or the coefficient sums overflow."""
+    grid = DiscGrid(GRID.radii, draw(st.sampled_from([16, 256, 2048])))
+    which = draw(st.sampled_from(["me", "mf", "starlike", "remark2", "kernels"]))
+    below_one = which in ("mf", "starlike")
+    alpha = draw(st.floats(0.0, 0.95) if below_one else st.floats(0.0, 4.0))
+    kind = draw(st.sampled_from(["random", "tie", "zero", "overflow"]))
+    if kind == "random":
+        scale = draw(st.floats(0.01, 4.0))
+        coeffs = [scale * c / (n + 1) for n, c in enumerate(draw(st.lists(coefficient, max_size=40)))]
+    elif kind == "tie":
+        a, n = draw(st.floats(1.0, 5.0)), draw(st.integers(1, 30))
+        f = theorem21_extremal(a, n) if draw(st.booleans()) else sharp_function(a, n).to_laurent()
+        coeffs, alpha = f.coeffs, 1.0 - 1.0 / a if below_one else a
+    elif kind == "zero":
+        # g = (1 - z/z0) h with h(0) = 1 and its zero z0 on or inside the circle
+        radius = draw(st.one_of(st.just(1.0), st.floats(0.2, 1.0)))
+        z0 = radius * complex(draw(st.sampled_from(UNIT_PHASES)))
+        h = [1.0] + [c / (n + 2) for n, c in enumerate(draw(st.lists(coefficient, max_size=4)))]
+        coeffs = np.convolve([1.0, -1.0 / z0], h)[1:]
+    else:
+        coeffs = [0j] * draw(st.integers(1, 30))
+        for _ in range(draw(st.integers(1, 3))):
+            magnitude = draw(st.floats(1e150, 1.7e308))
+            coeffs[draw(st.integers(0, len(coeffs) - 1))] = magnitude * draw(st.sampled_from(UNIT_PHASES))
+    if which == "remark2":
+        rule, alpha = _REMARK2, 1.0
+    elif which == "kernels":
+        gamma_samples = draw(st.sampled_from([4, 16, 64]))
+        rule = Rule(lambda g, zgp, a: convolution.phase_margins(g, zgp, a, gamma_samples)[1], False)
+    else:
+        rule = ClassSpec(Family(which), alpha).rule
+    return rule, alpha, LaurentFunction(coeffs), grid
+
+
+def test_decide_gives_the_verdict_of_the_composed_circle_fold():
+    seen = set()
+
+    # g = 1 + 0.6 z^4: ME(0) margin 0.4 at least, under L pi/M = 2.4 pi/16, proved at 4M
+    @example((ClassSpec(Family.ME, 0.0).rule, 0.0, LaurentFunction([0, 0, 0, 0.6]), DiscGrid(GRID.radii, 16)))
+    @given(fold_cases())
+    @settings(max_examples=300, deadline=None)
+    def same_verdict(case):
+        rule, alpha, f, grid = case
+        got = _verdict_bits(lambda: decide(rule, alpha, f, grid))
+        assert got == _verdict_bits(lambda: oracles.composed_decide(rule, alpha, f, grid))
+        if not isinstance(got, str):
+            seen.add((got[0], got[4], got[3] == 5 * grid.angular_samples))
+
+    same_verdict()
+    # circle proofs either way, a member proved on the refined circle, and the ring walk's verdicts
+    assert {
+        (Status.SAMPLED_MEMBER, "circle", False),
+        (Status.SAMPLED_MEMBER, "circle", True),
+        (Status.NON_MEMBER, "circle", False),
+        (Status.SAMPLED_MEMBER, None, False),
+        (Status.NON_MEMBER, None, False),
+    } <= seen, seen

@@ -595,7 +595,7 @@ def test_suite_with_an_unwritable_path_writes_neither_file(tmp_path, capsys, unw
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("alpha", ["nan", "-0.5", "inf"])
+@pytest.mark.parametrize("alpha", ["nan", "-0.5", "inf", "1e308"])
 @pytest.mark.parametrize("name", harness.SUITE_IDS[:-1])
 def test_suite_with_a_bad_order_names_alpha_and_exits_two(tmp_path, capsys, name, alpha):
     # a validated order, not a division by 1 + 2 alpha = 0 or a NaN coefficient, is what fails
@@ -633,6 +633,22 @@ def test_thm22_runs_below_two_to_the_53_and_refuses_alpha_from_there(tmp_path, c
         assert not out_path.exists()
     else:
         assert json.loads(out_path.read_text())["passed"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", harness.SUITE_IDS[:-1])
+def test_suite_runs_just_below_the_alpha_bound_without_a_warning(tmp_path, capsys, name):
+    # 1 + alpha(n + 1), n <= 40, overflows from about 4.4e306, and from 2^1018
+    # on every suite refuses alpha by name (1e308 above); just below that
+    # each runs without a floating-point warning, unless its own domain of
+    # alpha refuses it
+    out_path = tmp_path / "r.json"
+    below = repr(math.nextafter(2.0**1018, 0))
+    code, _, err = run(capsys, ["suite", "--name", name, "--alpha", below, "--out", str(out_path)])
+    if name in ("thm2.1", "thm2.2", "rem1"):  # alpha < 2^54, < 2^53 and < 1
+        assert code == 2 and err.startswith("error: alpha") and not out_path.exists()
+    else:
+        assert (code, err) == (0, "") and json.loads(out_path.read_text())["passed"]
 
 
 def test_check_tme_refutes_a_weighted_sum_beyond_float_range(tmp_path, capsys):

@@ -185,9 +185,9 @@ def _checks(name, params):
 
 def test_thm23_root_identity_keeps_a_nan():
     # alpha * n overflows, so the given pair's identity is NaN: the claim fails
-    # although every random draw holds
-    with np.errstate(over="ignore"):  # the sampler's weights overflow too
-        checks = _checks("thm2.3", {"alpha": 1e308, "n": 2})
+    # although every random draw holds; the largest alpha a suite takes, just
+    # below 2^1018, overflows from n = 65 on, with the sampler's weights finite
+    checks = _checks("thm2.3", {"alpha": math.nextafter(2.0**1018, 0), "n": 65})
     assert checks["root_identity"].status is CheckStatus.FAIL
     assert math.isnan(checks["root_identity"].margin)
     # where only m * m overflows, coeff_bound is 1/m and the identity holds
