@@ -375,10 +375,7 @@ def check_starlike(f: LaurentFunction, alpha: float, grid: DiscGrid) -> Membersh
 
 def coeff_weight(alpha: float, n: int) -> float:
     """Weight 1 + alpha*(n+1) of the tail coefficient a_n, for a scalar or an
-    array n (unchecked: callers pass a validated alpha).
-
-    coeff_sufficient_me applies the same weights to a whole series at once.
-    """
+    array n (unchecked: callers pass a validated alpha)."""
     return 1.0 + alpha * (n + 1)
 
 
@@ -395,7 +392,7 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     # hypot rounds as abs of a complex does; an overflowing term is inf, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         moduli = np.hypot(c.real, c.imag)
-        terms = (1.0 + alpha * np.arange(1, len(c) + 1)) * moduli
+        terms = coeff_weight(alpha, np.arange(len(c))) * moduli
     try:  # inf for a modulus beyond float range (abs() raises there) or a sum that overflows
         total = math.inf if np.isinf(moduli).any() else math.fsum(terms.tolist())
     except OverflowError:

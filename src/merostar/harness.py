@@ -168,8 +168,7 @@ def _boundary_deviation(results) -> float:
 
 
 def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    # from 2^54 on, the order 1 - 1/alpha rounds to 1, which MF and STARLIKE refuse
-    alpha = scalar(p["alpha"], "alpha", low=1, below=2.0**54)
+    alpha = p["alpha"]
 
     expz = extremal.mf_not_me_witness(30)
     in_mf0 = check_mf(expz, 0.0, grid)
@@ -228,9 +227,7 @@ def _suite_thm21(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 
 def _suite_thm22(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    # the thm2.1 extremal's coefficient sum exceeds 1 by about 2/alpha, which is
-    # ulp(1) at 2^53 and rounds away just above it: alpha is refused from there on
-    alpha, count, seed = scalar(p["alpha"], "alpha", low=0, below=2.0**53), p["count"], p["seed"]
+    alpha, count, seed = p["alpha"], p["count"], p["seed"]
     rng = np.random.default_rng(seed + 22)
 
     members = [sample_certified_member(alpha, rng) for _ in range(count)]
@@ -280,8 +277,8 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
     for a, k in draws:
         m = a * k
         d = coeff_bound(a, k - 1) / 2.0
-        roots.append(abs(1.0 - d * d - 2.0 * m * d))
-    # np.max, unlike max, keeps a NaN root (alpha * n beyond float range) so that it fails
+        roots.append(abs(1.0 - d * d - m * d * 2.0))  # 2.0 * m can overflow; doubling is exact
+    # np.max, unlike max, keeps a NaN root so that it fails
     worst_root = float(np.max(roots))
 
     # the truncation drops 2 d^m z^{mn} for m >= m0, which lowers the ME margin on
@@ -301,17 +298,11 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
     else:
         in_me = CheckResult("extremal_in_me", CheckStatus.INAPPLICABLE, None, None, reason)
 
-    # coeff_bound and abs at every index of a member in one pass; sqrt and
-    # hypot round as math.sqrt and abs do (np.abs of a complex array does not)
-    worst_bound = math.inf
-    for _ in range(count):
-        c = np.array(sample_certified_member(alpha, rng).coeffs, dtype=complex)
-        with np.errstate(over="ignore", divide="ignore"):  # coeff_bound is 1/m where m * m overflows
-            m = float(alpha) * np.arange(1, len(c) + 1)
-            square = m * m
-            bound = np.where(np.isinf(square), 1.0 / m, 2.0 / (np.sqrt(square + 1.0) + m))
-        gaps = bound - np.hypot(c.real, c.imag)
-        worst_bound = min(worst_bound, float(gaps.min(initial=math.inf)))
+    # coeff_bound once per index, abs of a whole member in one pass: hypot
+    # rounds as abs does (np.abs of a complex array does not)
+    members = [np.array(sample_certified_member(alpha, rng).coeffs, dtype=complex) for _ in range(count)]
+    bounds = np.array([coeff_bound(alpha, k) for k in range(max(map(len, members)))])
+    worst_bound = min(float(np.min(bounds[: len(c)] - np.hypot(c.real, c.imag))) for c in members)
     return [
         _within("root_identity", worst_root, detail="50 random (alpha, n) plus the given pair"),
         in_me,
@@ -326,7 +317,7 @@ def _suite_thm23(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 
 def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    alpha, n = scalar(p["alpha"], "alpha", above=0, below=1), p["n"]
+    alpha, n = p["alpha"], p["n"]
 
     w = extremal.remark1_witness(n)
     me_v = check_me(w, 1.0, grid)
@@ -351,7 +342,7 @@ def _suite_rem1(p: dict, grid: DiscGrid) -> list[CheckResult]:
 
 
 def _suite_rem2(p: dict, grid: DiscGrid) -> list[CheckResult]:
-    alpha, count, seed = scalar(p["alpha"], "alpha", low=1), p["count"], p["seed"]
+    alpha, count, seed = p["alpha"], p["count"], p["seed"]
     rng = np.random.default_rng(seed + 32)
 
     v = check_remark2(extremal.theorem21_extremal(alpha), grid)
@@ -445,7 +436,9 @@ def _suite_thm31(p: dict, grid: DiscGrid) -> list[CheckResult]:
 def _suite_thm32(p: dict, grid: DiscGrid) -> list[CheckResult]:
     alpha, eps, count, seed = p["alpha"], p["eps"], p["count"], p["seed"]
     pole = LaurentFunction(())
-    delta = p.get("delta", convolution.delta_star(alpha))
+    # delta* = 1/(1 + 2 alpha) is not below the default eps 0.5 from alpha = 0.5 down
+    star = convolution.delta_star(alpha)
+    delta = p.get("delta", star if star < eps else eps / 2.0)
     stability = convolution.check_thm32(pole, alpha, eps, delta, count, grid, seed)
 
     verdicts = [
@@ -642,23 +635,7 @@ def _suite_thm42(p: dict, grid: DiscGrid) -> list[CheckResult]:
     ]
 
 
-# suite id -> (suite, its default parameters); "all" runs them in this order
-_SUITES = {
-    "thm2.1": (_suite_thm21, {"alpha": 2.0}),
-    "thm2.2": (_suite_thm22, {"alpha": 1.0, "count": 200, "seed": 0}),
-    "thm2.3": (_suite_thm23, {"alpha": 1.5, "n": 2, "count": 200, "seed": 0}),
-    "rem1": (_suite_rem1, {"alpha": 0.1, "n": 18}),
-    "rem2": (_suite_rem2, {"alpha": 1.0, "count": 50, "seed": 0}),
-    "thm3.1": (_suite_thm31, {"alpha": 1.0, "count": 200, "seed": 0, "gamma_samples": 256}),
-    "thm3.2": (_suite_thm32, {"alpha": 1.0, "eps": 0.5, "count": 200, "seed": 0}),
-    "thm4.1": (_suite_thm41, {"alpha": 2.0, "n": 3, "count": 100, "seed": 0}),
-    "cor1": (_suite_cor1, {"alpha": 1.0, "count": 200, "seed": 0}),
-    "cor2": (_suite_cor2, {"alpha": 1.0, "count": 200, "seed": 0}),
-    "thm4.2": (_suite_thm42, {"alpha": 1.0, "n": 2, "count": 200, "seed": 0}),
-}
-SUITE_IDS = (*_SUITES, "all")
-
-# parameter -> its kind and bounds for series.scalar; a suite may bound alpha further.
+# parameter -> its kind and bounds for series.scalar.
 # alpha < 2^1018 keeps the samplers' weights 1 + alpha(n + 1), n <= 40, finite
 _PARAMS = {
     "alpha": (float, {"low": 0, "below": 2.0**1018}),
@@ -670,16 +647,36 @@ _PARAMS = {
     "delta": (float, {"above": 0}),
 }
 
+# suite id -> (suite, its default parameters, its alpha bounds where they are
+# narrower than _PARAMS', which they replace); "all" runs them in this order
+_SUITES = {
+    # from 2^54 on, the order 1 - 1/alpha rounds to 1, which MF and STARLIKE refuse
+    "thm2.1": (_suite_thm21, {"alpha": 2.0}, {"low": 1, "below": 2.0**54}),
+    # the thm2.1 extremal's coefficient sum, about 1 + 2/alpha, rounds to 1 from 2^53 on
+    "thm2.2": (_suite_thm22, {"alpha": 1.0, "count": 200, "seed": 0}, {"low": 0, "below": 2.0**53}),
+    "thm2.3": (_suite_thm23, {"alpha": 1.5, "n": 2, "count": 200, "seed": 0}, None),
+    "rem1": (_suite_rem1, {"alpha": 0.1, "n": 18}, {"above": 0, "below": 1}),
+    "rem2": (_suite_rem2, {"alpha": 1.0, "count": 50, "seed": 0}, {"low": 1, "below": 2.0**1018}),
+    "thm3.1": (_suite_thm31, {"alpha": 1.0, "count": 200, "seed": 0, "gamma_samples": 256}, None),
+    "thm3.2": (_suite_thm32, {"alpha": 1.0, "eps": 0.5, "count": 200, "seed": 0}, None),
+    "thm4.1": (_suite_thm41, {"alpha": 2.0, "n": 3, "count": 100, "seed": 0}, None),
+    "cor1": (_suite_cor1, {"alpha": 1.0, "count": 200, "seed": 0}, None),
+    "cor2": (_suite_cor2, {"alpha": 1.0, "count": 200, "seed": 0}, None),
+    "thm4.2": (_suite_thm42, {"alpha": 1.0, "n": 2, "count": 200, "seed": 0}, None),
+}
+SUITE_IDS = (*_SUITES, "all")
+
 
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     """Run one verification suite (or "all") and return its report.
 
     params may override the suite defaults: alpha, n, count, seed, eps,
     delta, gamma_samples where the suite uses them; None leaves a default.
-    series.scalar checks each against _PARAMS: n, count, seed and
-    gamma_samples must be ints or numpy integers (2.0 is refused), and every
-    value must be in range. "all" takes only the seed, since each suite keeps
-    its own defaults. Unknown suite and parameter names are rejected.
+    series.scalar checks the merged inputs once against _PARAMS, with the
+    suite's own alpha bounds: n, count, seed and gamma_samples must be ints
+    or numpy integers (2.0 is refused), every value must be in range, and
+    alpha(n + 1) finite where the suite takes n. "all" takes only the seed,
+    since each suite keeps its own defaults. Unknown names are rejected.
     """
     t0 = time.perf_counter()
     if name not in SUITE_IDS:
@@ -688,21 +685,24 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     unknown = [key for key in params if key not in _PARAMS]
     if unknown:
         raise ValueError(f"{unknown[0]} is not a suite parameter; choose from {', '.join(_PARAMS)}")
-    params = {key: scalar(value, key, _PARAMS[key][0], **_PARAMS[key][1]) for key, value in params.items()}
     if name == "all":
         ignored = sorted(params.keys() - {"seed"})
         if ignored:
             raise ValueError(f"suite all takes only seed, not {', '.join(ignored)}")
-        seed = params.get("seed", 0)
+        seed = scalar(params.get("seed", 0), "seed", int, **_PARAMS["seed"][1])
         checks: list[CheckResult] = []
         inputs: dict = {"seed": seed}
-        for sub, (_, defaults) in _SUITES.items():
+        for sub, (_, defaults, _) in _SUITES.items():
             report = run_suite(sub, {"seed": seed} if "seed" in defaults else {})
             inputs[sub] = report.inputs
             checks.extend(replace(c, name=f"{sub}/{c.name}") for c in report.checks)
     else:
-        suite, defaults = _SUITES[name]
-        inputs = {**defaults, **params}
+        suite, defaults, alpha_bounds = _SUITES[name]
+        domain = {**_PARAMS, "alpha": (float, alpha_bounds or _PARAMS["alpha"][1])}
+        inputs = {k: scalar(v, k, domain[k][0], **domain[k][1]) for k, v in {**defaults, **params}.items()}
+        # n + 1.0 converts n first, which scalar found finite; n + 1 may round past float range
+        if "n" in defaults and not math.isfinite(inputs["alpha"] * (inputs["n"] + 1.0)):
+            raise ValueError(f"alpha * (n + 1) must be finite, got alpha {inputs['alpha']!r} and n {inputs['n']!r}")
         checks = suite(inputs, DiscGrid.default())
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(name, inputs, tuple(checks), runtime_ms)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -167,8 +168,8 @@ def test_thm31_gamma_bound_holds_at_rounding_prone_seeds(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_thm23_member_bounds_are_the_per_coefficient_bounds(seed):
-    # the suite takes coeff_bound and abs of a whole member at once; its
-    # least gap must keep the bits of the per-coefficient scalar loop
+    # the suite takes coeff_bound once per index and abs of a whole member at
+    # once; its least gap must keep the bits of the per-coefficient scalar loop
     alpha, count = 1.5, 200  # the suite's defaults
     rng = np.random.default_rng(seed + 23)
     for _ in range(50):  # the root-identity draws come first
@@ -179,19 +180,76 @@ def test_thm23_member_bounds_are_the_per_coefficient_bounds(seed):
     assert checks["certified_members_respect_bounds"].margin.hex() == expected.hex()
 
 
+UNDECIDED = (CheckStatus.INAPPLICABLE, CheckStatus.INDETERMINATE)
+
+
 def _checks(name, params):
     return {c.name: c for c in run_suite(name, params).checks}
 
 
-def test_thm23_root_identity_keeps_a_nan():
-    # alpha * n overflows, so the given pair's identity is NaN: the claim fails
-    # although every random draw holds; the largest alpha a suite takes, just
-    # below 2^1018, overflows from n = 65 on, with the sampler's weights finite
-    checks = _checks("thm2.3", {"alpha": math.nextafter(2.0**1018, 0), "n": 65})
-    assert checks["root_identity"].status is CheckStatus.FAIL
-    assert math.isnan(checks["root_identity"].margin)
-    # where only m * m overflows, coeff_bound is 1/m and the identity holds
-    assert run_suite("thm2.3", {"alpha": 1e200, "n": 2, "count": 20}).passed
+def test_thm23_root_identity_keeps_a_nan(monkeypatch):
+    # np.max, unlike max, keeps a NaN root after the first, so the claim fails
+    # although every other draw holds
+    calls, bound = itertools.count(), harness.coeff_bound
+    monkeypatch.setattr(harness, "coeff_bound", lambda a, k: math.nan if next(calls) == 1 else bound(a, k))
+    check = _checks("thm2.3", {"count": 5})["root_identity"]
+    assert check.status is CheckStatus.FAIL
+    assert math.isnan(check.margin)
+    # where only m * m overflows, coeff_bound is 1/m and the identity holds; at
+    # alpha n = 1.12e308, 2 alpha n overflows, which 1 - d^2 - (alpha n) d 2 never forms
+    for alpha, n in ((1e200, 2), (2.8e306, 40)):
+        assert run_suite("thm2.3", {"alpha": alpha, "n": n, "count": 20}).passed
+
+
+@pytest.mark.parametrize("name", ["thm2.3", "thm4.1", "thm4.2"])
+def test_a_suite_that_takes_n_refuses_an_infinite_weight_by_name(name):
+    # the weight 1 + alpha(n + 1) of a_n overflows: thm4.1's and thm4.2's sharp
+    # functions would have a zero coefficient, and thm2.3's root identity a NaN.
+    # Just below 2^1018, alpha * 64 is the largest finite float
+    alpha = math.nextafter(2.0**1018, 0)
+    assert run_suite(name, {"alpha": alpha, "n": 63, "count": 3}).passed
+    for given, n in ((alpha, 64), (1e306, 1000), (2.8e306, 64)):
+        with pytest.raises(ValueError) as err:
+            run_suite(name, {"alpha": given, "n": n, "count": 3})
+        assert str(err.value) == f"alpha * (n + 1) must be finite, got alpha {given!r} and n {n!r}"
+
+
+@st.composite
+def _declared_inputs(draw, name):
+    """Inputs from a suite's declared domain: alpha log-uniform over its range,
+    with its ends, n up to 300, count up to 3."""
+    _, defaults, bounds = harness._SUITES[name]
+    bounds = bounds or harness._PARAMS["alpha"][1]
+    low, top = bounds.get("low", bounds.get("above")), math.nextafter(bounds["below"], 0)
+    logs = st.floats(math.log2(low) if low else -64.0, math.log2(top))
+    ends = [top] + ([float(low)] if "low" in bounds else [])
+    params = {"alpha": draw(st.one_of(st.sampled_from(ends), logs.map(lambda u: min(2.0**u, top))))}
+    for key, values in (("n", st.integers(1, 300)), ("count", st.integers(1, 3)), ("seed", st.integers(0, 10**6))):
+        if key in defaults:
+            params[key] = draw(values)
+    return params
+
+
+@pytest.mark.parametrize("name", SUITE_IDS[:-1])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_each_suite_holds_on_its_declared_domain(tmp_path_factory, name, data):
+    # every claim passes or says why it cannot, without a floating-point warning,
+    # and the report is strict JSON; only the weight 1 + alpha(n + 1) is refused
+    params = data.draw(_declared_inputs(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = run_suite(name, params)
+        except ValueError as err:
+            assert "n" in params and math.isinf(params["alpha"] * (params["n"] + 1.0)), err
+            assert str(err).startswith("alpha * (n + 1) must be finite"), err
+            return
+    for c in report.checks:
+        assert c.status is CheckStatus.PASS or (c.status in UNDECIDED and c.detail), c
+    path = tmp_path_factory.getbasetemp() / f"{name}.json"
+    save_report(report, path)
+    assert json.loads(path.read_text(), parse_constant=pytest.fail)["suite"] == name
 
 
 @pytest.mark.parametrize("name, params", [("thm2.1", {"alpha": 1e15}), ("thm4.2", {"n": 3000, "count": 10})])
@@ -358,8 +416,8 @@ def test_all_runs_each_suite_once_with_its_defaults_and_the_seed(monkeypatch):
 
         return suite
 
-    for sid, (_, defaults) in list(harness._SUITES.items()):
-        monkeypatch.setitem(harness._SUITES, sid, (recorder(sid), defaults))
+    for sid, (_, defaults, alpha_bounds) in list(harness._SUITES.items()):
+        monkeypatch.setitem(harness._SUITES, sid, (recorder(sid), defaults, alpha_bounds))
     report = run_suite("all", {"seed": 5})
     assert calls == list(ALL_AT_SEED_5.items())
     assert SUITE_IDS == (*ALL_AT_SEED_5, "all")
@@ -462,6 +520,13 @@ def test_within_passes_strictly_below_its_tolerance(deviation, status):
 def test_thm32_suite_rejects_bad_delta():
     with pytest.raises(ValueError, match="delta"):
         run_suite("thm3.2", {"delta": 2.0, "count": 5})
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.25, 0.5])
+def test_thm32_default_delta_is_below_the_default_eps(alpha):
+    # delta* = 1/(1 + 2 alpha) is not below eps = 0.5 from alpha = 0.5 down, where
+    # the suite takes delta = eps/2 instead of refusing an eps it was not given
+    assert run_suite("thm3.2", {"alpha": alpha, "count": 5}).passed
 
 
 def test_rem1_suite_rejects_alpha_out_of_range():

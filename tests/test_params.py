@@ -113,7 +113,7 @@ ENTRY_POINTS = [
     ("seed", _suite("rem2", "seed", count=1), int, 3, [-1]),
     ("gamma_samples", _suite("thm3.1", "gamma_samples", count=1), int, 8, [3]),
     ("alpha", _suite("rem1", "alpha"), float, 0.25, [-0.5, 0, 1]),
-    ("eps", _suite("thm3.2", "eps", count=1), float, 0.5, [0, 1, 0.25]),
+    ("eps", _suite("thm3.2", "eps", count=1, delta=0.3), float, 0.5, [0, 1, 0.25]),
     ("delta", _suite("thm3.2", "delta", count=1), float, 0.25, [0, 0.4]),
     ("n", lambda v: partial_sum(F, v), int, 2, [0]),
     ("alpha", lambda v: coeff_bound(v, 1), float, 0.5, [-1]),
