@@ -202,29 +202,23 @@ def _value_error(n: int, m: int) -> float:
     return 2.0 * (_gamma(4 * n + 8) + fft + _gamma(n // m + 2))
 
 
+def _sum_weights(n: int) -> np.ndarray:
+    """The rows 1, k, k^2, 1 + k and (1 + k)k for k < n: exact integers in float."""
+    k = np.arange(n, dtype=float)
+    return np.stack((np.ones(n), k, k * k, k + 1.0, (k + 1.0) * k))
+
+
+_SUM_WEIGHTS = _sum_weights(1024)  # a fixed 40 KB; a longer series gets its own rows
+
+
 def _coeff_sums(f: LaurentFunction) -> tuple[float, ...]:
     """S_0, S_1, S_2 and W_0, W_1 of the coefficients c_k of g, with
-    S_p = sum k^p |c_k| and W_p = sum (1 + k) k^p |c_k| (inf on overflow).
-
-    The five rows |c_k|, k|c_k|, k^2|c_k|, (1 + k)|c_k| and (1 + k)k|c_k|
-    are written into one (5, n) buffer and summed along it in one reduction,
-    which gives each sum the bits of its own np.sum.
-    """
-    n = len(f.g_coeffs)
-    rows = np.empty((5, n))
-    c, kc, k2c, w0, w1 = rows
-    k = np.arange(n, dtype=float)
-    np.abs(f.g_coeffs, out=c)
+    S_p = sum k^p |c_k| and W_p = sum (1 + k) k^p |c_k| (inf on overflow):
+    the weight rows times |c_k|, one multiply per term, summed along each row."""
+    c = np.abs(f.g_coeffs)
+    rows = _SUM_WEIGHTS[:, : len(c)] if len(c) <= _SUM_WEIGHTS.shape[1] else _sum_weights(len(c))
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing sums give no bound
-        np.multiply(k, c, out=kc)
-        np.multiply(k, k, out=k2c)
-        k2c *= c
-        np.add(k, 1.0, out=w0)
-        np.multiply(w0, k, out=w1)
-        w0 *= c
-        w1 *= c
-        sums = rows.sum(axis=1)
-    return tuple(sums.tolist())
+        return tuple((rows * c).sum(axis=1).tolist())
 
 
 def _circle_bound(rule: Rule, alpha: float, f: LaurentFunction, sums: tuple[float, ...], g, m: int):
@@ -302,11 +296,11 @@ def decide(rule: Rule, alpha: float, f: LaurentFunction, grid: DiscGrid, values=
     sums = _coeff_sums(f)
     evaluated = 0
     for m in (grid.angular_samples, 4 * grid.angular_samples):
-        circle = DiscGrid.circle(m)
+        circle = DiscGrid._circle(m)  # m is the grid's checked count, or 4 times it
         g, zgp = values(f, circle)
         margins = rule.margins(alpha, g, zgp)
         evaluated += m
-        i = int(np.argmin(margins))  # a NaN or -inf if there is one, and max a NaN or +inf
+        i = int(margins.argmin())  # a NaN or -inf if there is one, and max a NaN or +inf
         if not (math.isfinite(margins[i]) and math.isfinite(margins.max())):
             break
         least, z = float(margins[i]), complex(circle.points[i])

@@ -172,7 +172,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_suite = sub.add_parser("suite", help="run a verification suite, write a JSON report")
     p_suite.add_argument("--name", required=True, choices=list(harness.SUITE_IDS))
-    p_suite.add_argument("--alpha", type=float, default=None)
+    domains = "; ".join(f"{sid} {harness.alpha_domain(sid)}" for sid in harness.SUITE_IDS[:-1])
+    p_suite.add_argument("--alpha", type=float, default=None, help=f"the order, in the suite's domain: {domains}")
     p_suite.add_argument("--n", type=int, default=None)
     p_suite.add_argument("--delta", type=float, default=None)
     p_suite.add_argument("--eps", type=float, default=None)

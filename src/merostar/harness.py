@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from .tolerances import EXACT_TOL, MARGIN_TOL
 
 __all__ = [
     "SUITE_IDS",
+    "alpha_domain",
     "run_suite",
     "load_series",
     "load_tme",
@@ -512,12 +514,8 @@ def _suite_cor1(p: dict, grid: DiscGrid) -> list[CheckResult]:
     for _ in range(count):
         f = sample_tme_member(alpha, rng)
         back = tme.recompose(tme.decompose(f, alpha), alpha)
-        a = np.asarray(f.magnitudes)
-        b = np.asarray(back.magnitudes)
-        m = max(len(a), len(b))
-        a = np.pad(a, (0, m - len(a)))
-        b = np.pad(b, (0, m - len(b)))
-        worst = max(worst, float(np.max(np.abs(a - b))) if m else 0.0)
+        pairs = zip_longest(f.magnitudes, back.magnitudes, fillvalue=0.0)  # the shorter one padded with zeros
+        worst = max([worst, *(abs(a - b) for a, b in pairs)])
 
     worst_margin = math.inf
     for _ in range(count):
@@ -665,6 +663,13 @@ _SUITES = {
     "thm4.2": (_suite_thm42, {"alpha": 1.0, "n": 2, "count": 200, "seed": 0}, None),
 }
 SUITE_IDS = (*_SUITES, "all")
+
+
+def alpha_domain(name: str) -> str:
+    """The alpha domain that run_suite checks for suite name, such as "[1, 2^54)"; ends >= 2^10 read 2^k."""
+    (lower, a), (upper, b) = (_SUITES[name][2] or _PARAMS["alpha"][1]).items()  # the lower bound first
+    a, b = (f"2^{math.log2(x):g}" if x >= 1024 else f"{x:g}" for x in (a, b))
+    return f"{'[' if lower == 'low' else '('}{a}, {b}{')' if upper == 'below' else ']'}"
 
 
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:

@@ -105,9 +105,10 @@ def scalars(values, name: str, kind: type = float, **bounds) -> tuple:
     """
     if not isinstance(values, (tuple, list, np.ndarray)):  # a str or bytes would iterate into entries
         raise ValueError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
-    if set(map(type, values)) <= _PLAIN[kind]:
+    types = set(map(type, values))
+    if types <= _PLAIN[kind]:
         with suppress(ValueError, OverflowError):  # the loop below names the bad entry
-            out = tuple(map(kind, values))
+            out = tuple(values) if types <= {kind} else tuple(map(kind, values))  # kind(x) is x for x of type kind
             if all(map(cmath.isfinite, out)):
                 for extreme in (min(out), max(out)) if bounds and out else ():
                     scalar(extreme, name, kind, **bounds)
@@ -136,7 +137,7 @@ class LaurentFunction:
     @cached_property
     def g_coeffs(self) -> np.ndarray:
         # ascending coefficients of g(z) = z*f(z) = 1 + sum a_n z^{n+1}
-        return np.concatenate(([1.0 + 0.0j], np.asarray(self.coeffs, dtype=complex)))
+        return np.array((1.0 + 0.0j, *self.coeffs), dtype=complex)
 
     @cached_property
     def g_prime_coeffs(self) -> np.ndarray:
@@ -164,9 +165,8 @@ def eval_g_prime(f: LaurentFunction, z: complex):
 def ring_values(f: LaurentFunction, grid: DiscGrid) -> tuple[np.ndarray, np.ndarray]:
     """g and z g' at every grid point, as flat arrays in grid.points order."""
     c = f.g_coeffs
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN count as degenerate
-        kc = np.arange(len(c)) * c
-    g, zgp = ring_transform([c, kc], grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
+        g, zgp = _transform((c, np.arange(len(c)) * c), grid)
     return g, zgp
 
 
@@ -180,37 +180,41 @@ def ring_transform(rows: Sequence[np.ndarray], grid: DiscGrid) -> np.ndarray:
     The whole stack shares one transform per ring. The fold reads each row
     in place and adds its blocks of M coefficients times r^k into zeroed
     spectra, one ring at a time; on the unit circle it adds the block itself,
-    with the bits of c * 1.0 for finite c (an add to +0.0 leaves no -0.0).
-    Stacks whose longest row has at most log2(M) coefficients take Horner's
-    rule on grid.points instead: its cost grows with the length and the
-    transform's does not, so it is the cheaper one on the shortest series.
-    Either branch writes into the array it returns and into no other array
-    of its size.
+    with the bits of c * 1.0 for finite c (an add to +0.0 leaves no -0.0),
+    and takes no powers. Stacks whose longest row has at most log2(M)
+    coefficients take Horner's rule on grid.points instead: its cost grows
+    with the length and the transform's does not, so it is the cheaper one
+    on the shortest series. Either branch writes into the array it returns
+    and into no other array of its size.
     """
-    m = grid.angular_samples
-    longest = max(len(row) for row in rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        if longest <= math.log2(m):
-            # npoly.polyval's recurrence c[-1] + x*0, then c_k + out*x, in place
-            x = grid.points
-            values = np.empty((len(rows), len(x)), dtype=complex)
-            for out, row in zip(values, rows):
-                np.multiply(x, 0, out=out)
-                out += row[-1]
-                for c in row[-2::-1]:
-                    out *= x
-                    out += c
-            return values
-        spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
-        # one block of M coefficients at a time, on one ring at a time; rows are read in place
-        for start in range(0, longest, m):
-            exponents = np.arange(start, min(start + m, longest))
-            for k, r in enumerate(grid.radii):
-                powers = None if r == 1.0 else r**exponents
-                for spectrum, row in zip(spectra, rows):
-                    block = row[start : start + m]
-                    spectrum[k, : len(block)] += block if powers is None else block * powers[: len(block)]
-        np.fft.ifft(spectra, axis=-1, norm="forward", out=spectra)
+        return _transform(rows, grid)
+
+
+def _transform(rows, grid: DiscGrid) -> np.ndarray:
+    """ring_transform without its errstate, for ring_values to share its own."""
+    m = grid.angular_samples
+    longest = max(map(len, rows))
+    if longest <= math.log2(m):
+        # npoly.polyval's recurrence c[-1] + x*0, then c_k + out*x, in place
+        x = grid.points
+        values = np.empty((len(rows), len(x)), dtype=complex)
+        for out, row in zip(values, rows):
+            np.multiply(x, 0, out=out)
+            out += row[-1]
+            for c in row[-2::-1]:
+                out *= x
+                out += c
+        return values
+    spectra = np.zeros((len(rows), len(grid.radii), m), dtype=complex)
+    # one block of M coefficients at a time, on one ring at a time; rows are read in place
+    for start in range(0, longest, m):
+        for k, r in enumerate(grid.radii):
+            powers = None if r == 1.0 else r ** np.arange(start, min(start + m, longest))
+            for spectrum, row in zip(spectra, rows):
+                block = row[start : start + m]
+                spectrum[k, : len(block)] += block if powers is None else block * powers[: len(block)]
+    np.fft.ifft(spectra, axis=-1, norm="forward", out=spectra)
     return spectra.reshape(len(rows), -1)
 
 
@@ -319,12 +323,15 @@ def random_support(
     """Random coefficient support shared by the member samplers.
 
     Draws n in [1, max_active) distinct indices from lowest..highest, then
-    Dirichlet(1, ..., 1) weights of length n + extra (extra weights lead).
+    Dirichlet(1, ..., 1) weights of length n + extra (extra weights lead),
+    built as rng.dirichlet(np.ones(n + extra)) builds them, with its bits and
+    generator state: unit gamma variates times 1/(their sequential sum).
     Returns (indices, weights).
     """
     n_active = int(rng.integers(1, max_active))
     indices = rng.choice(np.arange(lowest, highest + 1), size=n_active, replace=False)
-    return indices, rng.dirichlet(np.ones(n_active + extra))
+    e = rng.standard_gamma(1.0, n_active + extra)
+    return indices, e * (1.0 / np.add.accumulate(e)[-1])
 
 
 def serialize_coeffs(f: LaurentFunction) -> dict:

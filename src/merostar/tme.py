@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .classes import ClassSpec, Family, coeff_sufficient_me, coeff_weight
 from .series import LaurentFunction, scalar, scalars
 
@@ -42,7 +44,7 @@ class TmeFunction:
         object.__setattr__(self, "magnitudes", scalars(self.magnitudes, "magnitudes", low=0))
 
     def to_laurent(self) -> LaurentFunction:
-        return LaurentFunction((0j,) + tuple(-m + 0j for m in self.magnitudes))
+        return LaurentFunction((0j, *(np.negative(self.magnitudes) + 0j).tolist()))  # the bits of -m + 0j
 
     @classmethod
     def from_laurent(cls, f: LaurentFunction) -> "TmeFunction":

@@ -370,6 +370,27 @@ def per_power_coeff_sums(g_coeffs) -> tuple[float, ...]:
     return s0, s1, s2, w0, w1
 
 
+def eight_call_coeff_sums(g_coeffs) -> tuple[float, ...]:
+    """classes._coeff_sums as it was before its weight table: the rows |c_k|,
+    k|c_k|, k^2|c_k|, (1 + k)|c_k| and (1 + k)k|c_k| written into one (5, n)
+    buffer by eight ufunc calls, then summed along it in one reduction."""
+    n = len(g_coeffs)
+    rows = np.empty((5, n))
+    c, kc, k2c, w0, w1 = rows
+    k = np.arange(n, dtype=float)
+    np.abs(g_coeffs, out=c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(k, c, out=kc)
+        np.multiply(k, k, out=k2c)
+        k2c *= c
+        np.add(k, 1.0, out=w0)
+        np.multiply(w0, k, out=w1)
+        w0 *= c
+        w1 *= c
+        sums = rows.sum(axis=1)
+    return tuple(sums.tolist())
+
+
 def same_bits(a, b) -> bool:
     """Equal arrays of the same shape, NaN where the other has NaN, and the
     same sign bit in every real and imaginary part (so +0.0 is not -0.0)."""

@@ -4,6 +4,7 @@ bound behind a "circle" verdict, checked against interval arithmetic and
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,36 @@ def test_coeff_sums_are_the_per_power_sums(coeffs):
     sums = _coeff_sums(f)
     assert all(type(s) is float for s in sums)
     assert oracles.same_bits(np.array(sums), np.array(oracles.per_power_coeff_sums(f.g_coeffs)))
+
+
+# the length of classes._coeff_sums' weight table, beyond which a series gets its own rows
+SUM_CAP = classes._SUM_WEIGHTS.shape[1]
+NONFINITE_OR_HUGE = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 8.99e307, 0.0])
+
+
+@st.composite
+def g_rows(draw):
+    """Coefficients of g of any length up to 300 or at the table's cap and one
+    either side, at a drawn scale (up to overflowing sums), with a few entries
+    inf, NaN or near the top of float range."""
+    n = draw(st.one_of(st.integers(0, 300), st.sampled_from([SUM_CAP - 1, SUM_CAP, SUM_CAP + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = (rng.normal(size=n) + 1j * rng.normal(size=n)) * draw(st.sampled_from([1.0, 1e-300, 1e150, 1e303]))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        g[draw(st.integers(0, n - 1))] = complex(draw(NONFINITE_OR_HUGE), draw(NONFINITE_OR_HUGE))
+    return g
+
+
+@given(g_rows())
+@example(np.array([1e308 + 0j] * 4))
+@example(np.array([8.99e307 + 0j, 1e308 + 0j]))
+@example(np.full(50, 1e200 + 1e200j))
+@settings(max_examples=300, deadline=None)
+def test_coeff_sums_have_the_bits_of_the_eight_call_sums(g):
+    # the weight table's one product per term gives every sum the bits of the
+    # rows the eight ufunc calls wrote, below, at and beyond the table's cap
+    sums = _coeff_sums(SimpleNamespace(g_coeffs=g))  # _coeff_sums reads g's coefficients alone
+    assert list(map(float.hex, sums)) == list(map(float.hex, oracles.eight_call_coeff_sums(g)))
 
 
 @given(

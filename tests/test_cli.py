@@ -651,6 +651,30 @@ def test_suite_runs_just_below_the_alpha_bound_without_a_warning(tmp_path, capsy
         assert (code, err) == (0, "") and json.loads(out_path.read_text())["passed"]
 
 
+def test_suite_help_names_each_suites_alpha_domain(capsys):
+    # the domains that run_suite checks, as harness declares them once
+    with pytest.raises(SystemExit):
+        cli.main(["suite", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help at any space
+    assert "thm2.1 [1, 2^54)" in text and "rem1 (0, 1)" in text
+    assert all(f"{sid} {harness.alpha_domain(sid)}" in text for sid in harness.SUITE_IDS[:-1])
+
+
+@pytest.mark.parametrize("name", harness.SUITE_IDS[:-1])
+def test_each_alpha_domain_is_the_one_run_suite_checks(name):
+    # a closed end runs, an open end and one step beyond either end are refused
+    low, high = harness.alpha_domain(name)[1:-1].split(", ")
+    ends = [float(2 ** int(x[2:]) if x.startswith("2^") else x) for x in (low, high)]
+    closed = harness.alpha_domain(name)[0] == "[", harness.alpha_domain(name)[-1] == "]"
+    params = {"count": 1} if name not in ("thm2.1", "rem1") else {}
+    for end, is_closed, beyond in zip(ends, closed, (-math.inf, math.inf)):
+        if is_closed:
+            harness.run_suite(name, {**params, "alpha": end})
+        for alpha in [math.nextafter(end, beyond)] + ([] if is_closed else [end]):
+            with pytest.raises(ValueError, match="^alpha"):
+                harness.run_suite(name, {**params, "alpha": alpha})
+
+
 def test_check_tme_refutes_a_weighted_sum_beyond_float_range(tmp_path, capsys):
     # the exact test's sum overflows to inf, which refutes although no grid margin is finite
     path = tmp_path / "f.json"

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from merostar import harness, partial_sums, tme
+from merostar import convolution, harness, partial_sums, tme
 from merostar.harness import run_suite
 from merostar.reporting import CheckStatus
 
@@ -49,12 +49,20 @@ def _coeff_bound_too_strong(monkeypatch):
     monkeypatch.setattr(harness, "coeff_bound", lambda alpha, n: 0.85 * bound(alpha, n))
 
 
+def _delta_star_too_large(monkeypatch):
+    # Theorem 3.2's radius 1/(1 + 2 alpha) 1% too large, as thm3.2 and check_thm32
+    # read it: the axis spike delta z then has the ME(1) margin 1 - 3 delta = -0.01
+    star = convolution.delta_star
+    monkeypatch.setattr(convolution, "delta_star", lambda alpha: 1.01 * star(alpha))
+
+
 # claim of suite all -> a mutation that must turn it to FAIL
 MUTATIONS = {
     "thm2.3/root_identity": _coeff_bound_too_strong,
     "thm2.3/certified_members_respect_bounds": _coeff_bound_too_strong,
     "cor2/equality_function_attains_lower_at_r": _spread_too_strong,
     "thm4.2/sharp_function_attains_bounds": _ratio_bounds_too_strong,
+    "thm3.2/neighborhood_members": _delta_star_too_large,
 }
 
 

@@ -18,6 +18,7 @@ from merostar.series import (
     eval_g_prime,
     hadamard,
     partial_sum,
+    random_support,
     ring_transform,
     ring_values,
     serialize_coeffs,
@@ -506,3 +507,29 @@ def test_ring_values_allocates_little_beyond_its_output(grid, degree):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (g.nbytes + zgp.nbytes)
+
+
+# (lowest, highest, max_active, extra) of the member samplers: _sample_weighted,
+# neighborhood_sample and sample_tme_member with and without its pole weight
+SAMPLER_SUPPORTS = [(0, 40, 13, 0), (1, 40, 13, 0), (1, 30, 9, 0), (1, 30, 9, 1)]
+
+
+@st.composite
+def supports(draw):
+    lowest = draw(st.integers(0, 5))
+    highest = draw(st.integers(lowest, lowest + 40))
+    return lowest, highest, draw(st.integers(2, highest - lowest + 2)), draw(st.integers(0, 3))
+
+
+@given(st.integers(0, 2**64 - 1), st.one_of(st.sampled_from(SAMPLER_SUPPORTS), supports()))
+@settings(max_examples=300, deadline=None)
+def test_random_support_draws_what_choice_and_dirichlet_draw(seed, support):
+    # the same bytes as numpy's own draws from a twin generator, which is then
+    # in the same state; a numpy release that changes dirichlet fails here
+    lowest, highest, max_active, extra = support
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    indices, weights = random_support(rng, lowest, highest, max_active, extra)
+    k = int(twin.integers(1, max_active))
+    assert indices.tobytes() == twin.choice(np.arange(lowest, highest + 1), size=k, replace=False).tobytes()
+    assert weights.tobytes() == twin.dirichlet(np.ones(k + extra)).tobytes()
+    assert rng.random() == twin.random()

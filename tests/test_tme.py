@@ -136,6 +136,13 @@ def test_decompose_recompose_roundtrip():
         assert max((abs(x - y) for x, y in zip(a, b)), default=0.0) < 1e-12
 
 
+@pytest.mark.parametrize("mags", [(), (0.0,), (5e-324, 0.0, 1e-300), (0.25, 1e308, 0.0, 1.0)])
+def test_to_laurent_has_the_bits_of_minus_m_plus_0j(mags):
+    # one numpy pass gives each tail coefficient the bits of -m + 0j: 0.0 gives 0j, not -0j
+    got, want = TmeFunction(mags).to_laurent().coeffs, (0j,) + tuple(-m + 0j for m in mags)
+    assert [(c.real.hex(), c.imag.hex()) for c in got] == [(c.real.hex(), c.imag.hex()) for c in want]
+
+
 def test_recompose_examples_and_validation():
     assert recompose([1.0], 2.0).magnitudes == ()
     f = recompose([0.0, 0.5, 0.5], 1.0)
