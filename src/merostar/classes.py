@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, ring_values, scalar
+from .series import DiscGrid, LaurentFunction, eval_g, eval_zg_prime, ring_values, scalar
 from .tolerances import EXACT_TOL, MARGIN_TOL, ZERO_TOL
 
 __all__ = [
@@ -333,7 +333,7 @@ def class_margins(spec: ClassSpec, f: LaurentFunction, points):
     where |g| ~ 0 or overflow leaves them undefined. Positive everywhere on E
     means membership. On a DiscGrid, grid_margins is the faster route."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf, NaN count as degenerate
-        return spec.rule.margins(spec.alpha, eval_g(f, points), points * eval_g_prime(f, points))
+        return spec.rule.margins(spec.alpha, eval_g(f, points), eval_zg_prime(f, points))
 
 
 def grid_margins(spec: ClassSpec, f: LaurentFunction, grid: DiscGrid):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import ClassSpec, Family, MembershipVerdict, Rule, check_me, coeff_weight, decide
 from .reporting import CheckResult, CheckStatus, fold_members
-from .series import DiscGrid, LaurentFunction, eval_g, eval_g_prime, random_support, ring_values, scalar
+from .series import DiscGrid, LaurentFunction, eval_g, eval_zg_prime, random_support, ring_values, scalar
 
 __all__ = [
     "KernelSpec",
@@ -114,7 +114,7 @@ def convolve_with_kernel(f: LaurentFunction, alpha: float, gamma: float, z):
     """z*(f*h_gamma)(z) computed from the right-hand side of the identity."""
     alpha, gamma = ClassSpec(Family.ME, alpha).alpha, scalar(gamma, "gamma")  # gamma as given, not normalised
     phase = complex(math.cos(gamma), math.sin(gamma))
-    return eval_g(f, z) + alpha * phase * np.asarray(z) * eval_g_prime(f, z)
+    return eval_g(f, z) + alpha * phase * eval_zg_prime(f, z)
 
 
 def stability_premise(

@@ -9,13 +9,15 @@ hold on the whole disc. 1/z - z^n/d_n attains both on the unit circle: the
 first at z = 1, the second where z^{n+1} = -1. Ratios are evaluated through
 g, so f/S_n = g_f/g_{S_n} never sees the pole; the hypothesis keeps both
 denominators zero-free in exact arithmetic (tail mass < 1), so degenerate
-grid points indicate noise and are excluded but counted. Where both denominators are zero-free on the
-closed disc, both ratios are harmonic and DiscGrid.circle samples their
-minima.
+grid points indicate noise and are excluded but counted. Where sum |a_k| < 1
+both ratios are harmonic on the closed disc, so their minima lie on |z| = 1
+(H. Silverman, J. Math. Anal. Appl. 209, 1997).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +67,14 @@ class RatioBoundReport:
 def check_ratio_bounds(
     f: LaurentFunction, alpha: float, n: int, grid: DiscGrid
 ) -> RatioBoundReport:
-    """Evaluate Re(f/S_n) and Re(S_n/f) over the grid and compare with the
-    bounds 1 - 1/d_n and d_n/(1 + d_n)."""
+    """Least Re(f/S_n), Re(S_n/f) against the bounds above, on grid or, where sum |a_k| < 1, its unit circle."""
     n = scalar(n, "n", int, low=1)
     # the hypothesis is the coefficient certificate with a_0 left out; it validates alpha
     holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
     d_n = coeff_weight(alpha, n)
+    with suppress(OverflowError):  # abs and fsum raise beyond float range, where the grid stays
+        if math.fsum(map(abs, f.coeffs)) < 1.0:
+            grid = DiscGrid.circle(grid.angular_samples)
     gf, gs = ring_transform([f.g_coeffs, partial_sum(f, n).g_coeffs], grid)
     degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
     excluded = int(np.count_nonzero(degenerate))

@@ -36,7 +36,7 @@ __all__ = [
     "LaurentFunction",
     "DiscGrid",
     "eval_g",
-    "eval_g_prime",
+    "eval_zg_prime",
     "ring_values",
     "ring_transform",
     "hadamard",
@@ -139,10 +139,6 @@ class LaurentFunction:
         # ascending coefficients of g(z) = z*f(z) = 1 + sum a_n z^{n+1}
         return np.array((1.0 + 0.0j, *self.coeffs), dtype=complex)
 
-    @cached_property
-    def g_prime_coeffs(self) -> np.ndarray:
-        return npoly.polyder(self.g_coeffs)
-
     def __repr__(self) -> str:
         return f"LaurentFunction(degree={self.truncation_degree})"
 
@@ -156,10 +152,11 @@ def eval_g(f: LaurentFunction, z: complex):
     return npoly.polyval(z, f.g_coeffs)
 
 
-def eval_g_prime(f: LaurentFunction, z: complex):
-    """Evaluate g'(z) = sum (n+1) a_n z^n; consistent with eval_g under
-    finite differencing."""
-    return npoly.polyval(z, f.g_prime_coeffs)
+def eval_zg_prime(f: LaurentFunction, z: complex):
+    """Evaluate z g'(z) = sum k c_k z^k, c the coefficients of g, by Horner
+    recurrence on the row k c_k that ring_values transforms."""
+    c = f.g_coeffs
+    return npoly.polyval(z, np.arange(len(c)) * c)
 
 
 def ring_values(f: LaurentFunction, grid: DiscGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,12 @@ def naive_eval_g_prime(coeffs, z: complex) -> complex:
     return total
 
 
+def polyder_zg_prime(f, z):
+    """z g'(z) as z times numpy's polyder of g at z: a second route to
+    eval_zg_prime's row k c_k, with its own rounding."""
+    return z * npoly.polyval(z, npoly.polyder(f.g_coeffs))
+
+
 def central_difference(func, z: complex, h: float = 1e-6) -> complex:
     return (func(z + h) - func(z - h)) / (2.0 * h)
 

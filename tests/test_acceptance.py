@@ -44,7 +44,7 @@ from merostar.series import (
     DiscGrid,
     LaurentFunction,
     eval_g,
-    eval_g_prime,
+    eval_zg_prime,
     partial_sum,
 )
 from merostar.tme import (
@@ -114,10 +114,10 @@ def test_criterion_02_order_sharpness(capsys):
         # (odd numerator), checked as a cross-validation
         vals, mirrored = [], []
         for r in (0.9, 0.99, 0.999):
-            vals.append(1.0 - (r * eval_g_prime(f, r) / eval_g(f, r)).real)
+            vals.append(1.0 - (eval_zg_prime(f, r) / eval_g(f, r)).real)
             vals[-1] = float(vals[-1])
             gm = eval_g(f, -r)
-            mirrored.append(float(1.0 - (-r * eval_g_prime(f, -r) / gm).real))
+            mirrored.append(float(1.0 - (eval_zg_prime(f, -r) / gm).real))
         gaps = [abs(v - 0.5) for v in vals]
         ok = (
             const_ok

@@ -34,14 +34,13 @@ from merostar.extremal import (
     theorem21_extremal,
 )
 from merostar.harness import (
-    _ratio_grid,
     sample_certified_member,
     sample_hypothesis_member,
     sample_tme_member,
     sample_wild_function,
 )
 from merostar.partial_sums import check_ratio_bounds
-from merostar.series import DiscGrid, LaurentFunction, ring_transform, ring_values
+from merostar.series import DiscGrid, LaurentFunction, partial_sum, ring_transform, ring_values
 from merostar.tme import sharp_function
 from merostar.tolerances import MARGIN_TOL
 
@@ -664,16 +663,20 @@ def test_thm31_suite_evaluates_its_gap_member_once(monkeypatch):
 
 def test_ratio_bounds_take_the_circle_where_both_denominators_are_zero_free():
     rng = np.random.default_rng(6)
+    circle = DiscGrid.circle(GRID.angular_samples)
     for _ in range(10):
         f = sample_hypothesis_member(1.0, rng)
-        assert _ratio_grid(f, GRID) == DiscGrid.circle(GRID.angular_samples)
-        on_circle = check_ratio_bounds(f, 1.0, 3, _ratio_grid(f, GRID))
-        on_grid = check_ratio_bounds(f, 1.0, 3, GRID)
-        # both ratios are harmonic: the circle holds their least values
-        assert on_circle.observed_min_f_over_s <= on_grid.observed_min_f_over_s + 1e-12
-        assert on_circle.observed_min_s_over_f <= on_grid.observed_min_s_over_f + 1e-12
+        assert sum(map(abs, f.coeffs)) < 1.0
+        # both ratios are harmonic on the closed disc: the circle holds their least values
+        assert check_ratio_bounds(f, 1.0, 3, GRID) == check_ratio_bounds(f, 1.0, 3, circle)
     heavy = LaurentFunction([0.6, 0.5])  # sum |a_k| >= 1: g may vanish in the disc
-    assert _ratio_grid(heavy, GRID) is GRID
+    on_grid = check_ratio_bounds(heavy, 1.0, 3, GRID)
+    assert on_grid != check_ratio_bounds(heavy, 1.0, 3, circle)
+    gf, gs = ring_transform([heavy.g_coeffs, partial_sum(heavy, 3).g_coeffs], GRID)
+    assert (on_grid.observed_min_f_over_s, on_grid.observed_min_s_over_f) == (
+        float(np.real(gf / gs).min()),
+        float(np.real(gs / gf).min()),
+    )
 
 
 def test_check_payload_names_the_proof(tmp_path, capsys):

@@ -22,7 +22,7 @@ from merostar.series import (
     DiscGrid,
     LaurentFunction,
     eval_g,
-    eval_g_prime,
+    eval_zg_prime,
     hadamard,
     ring_values,
 )
@@ -102,23 +102,49 @@ def test_closed_form_gamma_minimum_matches_brute_scan():
         exact, sampled = phase_margins(*ring_values(f, grid), alpha, m)
         for j, p in enumerate(grid.points):
             g = complex(eval_g(f, p))
-            w = alpha * p * complex(eval_g_prime(f, p))
+            w = alpha * complex(eval_zg_prime(f, p))
             brute = oracles.brute_gamma_min(g, w, m)
             assert sampled[j] == pytest.approx(brute, abs=1e-12)
             assert exact[j] == pytest.approx(g.real - abs(w), abs=1e-12)
             assert sampled[j] >= exact[j] - 1e-15
 
 
+def _gap_bound(zgp, sampled, alpha, m):
+    """phase_margins' documented bound alpha |z g'| pi^2 / (2 M^2) on the gap,
+    and the rounding allowance of sampled = exact + gap: an ulp of sampled
+    and 16 ulps of the bound."""
+    bound = np.pi**2 * alpha * np.abs(zgp) / (2.0 * m**2)
+    return bound, np.spacing(np.abs(sampled)) + 16.0 * np.finfo(float).eps * bound
+
+
 def test_sampled_gamma_gap_within_quadratic_bound():
     rng = np.random.default_rng(14)
     f = sample_certified_member(1.0, rng)
     for m in (8, 64, 256):
-        exact, sampled = phase_margins(*ring_values(f, GRID), 1.0, m)
+        g, zgp = ring_values(f, GRID)
+        exact, sampled = phase_margins(g, zgp, 1.0, m)
         gap = sampled - exact
-        zgp = np.abs(GRID.points * eval_g_prime(f, GRID.points))
-        bound = 2.0 * np.pi**2 * 1.0 * zgp / m**2
-        assert np.all(gap >= -1e-15)
-        assert np.all(gap <= bound + 1e-15)
+        bound, allowance = _gap_bound(zgp, sampled, 1.0, m)
+        assert np.all(gap >= -allowance)
+        assert np.all(gap <= bound + allowance)
+
+
+@given(
+    st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+    st.sampled_from((4, 256, 2**16)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_phase_gap_within_documented_bound(log_alpha, m, seed):
+    # alpha log-uniform in [1e-3, 1e3], at a wild series' values on two rings
+    alpha = math.exp(log_alpha)
+    f = sample_wild_function(np.random.default_rng(seed))
+    g, zgp = ring_values(f, DiscGrid((0.5, 0.999), 64))
+    exact, sampled = phase_margins(g, zgp, alpha, m)
+    gap = sampled - exact
+    bound, allowance = _gap_bound(zgp, sampled, alpha, m)
+    assert np.all(gap >= -allowance)
+    assert np.all(gap <= bound + allowance)
 
 
 def test_check_thm31_agrees_with_direct_check():

@@ -5,6 +5,7 @@ from merostar.classes import coeff_weight
 from merostar.harness import sample_hypothesis_member
 from merostar.partial_sums import RatioBoundReport, check_ratio_bounds, eq16_function
 from merostar.series import DiscGrid, LaurentFunction, eval_g, partial_sum
+from merostar.tolerances import EXACT_TOL
 
 import oracles
 
@@ -124,16 +125,24 @@ def test_random_members_satisfy_both_bounds():
         assert min(report.margins) >= 0 or min(m1, m2) > -1e-9
 
 
-def test_sharp_function_margin_shrinks_towards_boundary():
+def test_sharp_function_attains_the_f_over_s_bound_on_the_circle():
+    # sum |a_k| = 1/4: the report is the circle's, whatever the grid's radii, and
+    # f/S_2 = 1 - z^3/4 reaches 1 - 1/d_2 = 3/4 at z = 1, which rings at
+    # r < 1 only approach, by (1 - r^3)/4
     f = eq16_function(1.0, 2)
-    gaps = []
-    for rmax in (0.9, 0.99, 0.999, 0.9999):
-        grid = DiscGrid.with_rmax(rmax, angular_samples=256)
-        report = check_ratio_bounds(f, 1.0, 2, grid)
-        assert report.applicable and min(report.margins) >= 0
-        gaps.append(report.margins[0])
-    assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] == pytest.approx((1.0 - 0.9999**3) / 4.0, abs=1e-9)
+    for rmax in (0.9, 0.9999):
+        report = check_ratio_bounds(f, 1.0, 2, DiscGrid.with_rmax(rmax, angular_samples=256))
+        assert report.applicable and report.excluded_points == 0
+        assert report.margins[0] == pytest.approx(0.0, abs=EXACT_TOL)
+        assert report.margins[1] >= -EXACT_TOL
+
+
+def test_a_modulus_sum_beyond_float_range_keeps_the_grid():
+    # abs and math.fsum raise OverflowError on this sum: the report is the ring's, as S_1 = 1/z
+    f = LaurentFunction([1e308, 1e308])
+    report = check_ratio_bounds(f, 1.0, 1, SMALL_GRID)
+    assert not report.applicable
+    assert report.observed_min_f_over_s == float(np.real(eval_g(f, SMALL_GRID.points)).min())
 
 
 def test_degenerate_points_are_excluded_but_counted():

@@ -15,7 +15,7 @@ from merostar.series import (
     LaurentFunction,
     deserialize_coeffs,
     eval_g,
-    eval_g_prime,
+    eval_zg_prime,
     hadamard,
     partial_sum,
     random_support,
@@ -39,19 +39,19 @@ def test_empty_tail_is_pure_pole():
     assert f.truncation_degree == -1
     for z in (0.3, -0.7j, 0.5 + 0.5j):
         assert eval_g(f, z) == 1.0
-        assert eval_g_prime(f, z) == 0.0
+        assert eval_zg_prime(f, z) == 0.0
 
 
 def test_one_minus_z_squared_over_z_values():
     f = LaurentFunction([-2.0, 1.0])
     assert eval_g(f, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert eval_g_prime(f, 0.5) == pytest.approx(-1.0, abs=1e-15)
+    assert eval_zg_prime(f, 0.5) == pytest.approx(-0.5, abs=1e-15)  # z g' = -2z + 2z^2
 
 
 def test_single_coefficient_at_pure_imaginary_point():
     f = LaurentFunction([0.0, 1.0])  # g = 1 + z^2
     assert eval_g(f, 0.3j) == pytest.approx(0.91, abs=1e-15)
-    assert eval_g_prime(f, 0.3j) == pytest.approx(0.6j, abs=1e-15)
+    assert eval_zg_prime(f, 0.3j) == pytest.approx(-0.18, abs=1e-15)  # z g' = 2z^2
 
 
 def test_truncation_degree_counts_coefficients():
@@ -99,9 +99,10 @@ def test_derivative_matches_central_differences():
         coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
         f = LaurentFunction(tuple(coeffs))
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        want = oracles.central_difference(lambda w: eval_g(f, w), z)
-        got = eval_g_prime(f, z)
-        if abs(want) > 1e-3:  # away from zeros of g'
+        want = z * oracles.central_difference(lambda w: eval_g(f, w), z)
+        got = eval_zg_prime(f, z)
+        assert abs(got - oracles.polyder_zg_prime(f, z)) <= 1e-12 * max(1.0, abs(got))
+        if abs(want) > 1e-3:  # away from zeros of z g'
             assert abs(got - want) <= 1e-5 * abs(want)
 
 
@@ -396,7 +397,7 @@ def test_ring_values_match_horner_on_grid_points(m):
         tol = 1e-12 * _ring_scale(f, grid)
         assert g.shape == zgp.shape == pts.shape
         assert np.all(np.abs(g - eval_g(f, pts)) <= tol)
-        assert np.all(np.abs(zgp - pts * eval_g_prime(f, pts)) <= tol)
+        assert np.all(np.abs(zgp - eval_zg_prime(f, pts)) <= tol)
 
 
 @pytest.mark.parametrize(
