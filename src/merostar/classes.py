@@ -382,13 +382,8 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     is exactly 1 in real arithmetic stay certified.
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
-    c = f.g_coeffs[1:]
-    # hypot rounds as abs of a complex does; an overflowing term is inf, as in float arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        moduli = np.hypot(c.real, c.imag)
-        terms = coeff_weight(alpha, np.arange(len(c))) * moduli
-    try:  # inf for a modulus beyond float range (abs() raises there) or a sum that overflows
-        total = math.inf if np.isinf(moduli).any() else math.fsum(terms.tolist())
+    try:  # a zero a_n adds 0 at any weight; abs and fsum raise beyond float range
+        total = math.fsum(coeff_weight(alpha, n) * abs(a) for n, a in enumerate(f.coeffs) if a)
     except OverflowError:
         total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total

@@ -82,15 +82,16 @@ def sharp_function(alpha: float, n: int) -> TmeFunction:
 
 def decompose(f: TmeFunction, alpha: float) -> tuple[float, ...]:
     """Convex weights (lambda_0, lambda_1, ..., lambda_N) of f over the
-    extreme points: lambda_n = (1 + alpha(n+1)) a_n for n >= 1 and lambda_0
-    (the weight of the bare pole) absorbs the slack 1 - sum.
+    extreme points: lambda_n = (1 + alpha(n+1)) a_n for n >= 1, 0 where a_n
+    is 0 whatever the weight, and lambda_0 (the weight of the bare pole)
+    absorbs the slack 1 - sum.
 
     Rejects non-members, whose lambda_0 would be negative.
     """
     member, margin = check_tme_exact(f, alpha)
     if not member:
         raise ValueError(f"not a member: weighted sum exceeds 1 by {-margin}")
-    lambdas = [coeff_weight(alpha, n) * m for n, m in enumerate(f.magnitudes, start=1)]
+    lambdas = [coeff_weight(alpha, n) * m if m else 0.0 for n, m in enumerate(f.magnitudes, start=1)]
     lambda0 = max(margin, 0.0)  # clamp the certified-boundary dust
     return (lambda0, *lambdas)
 

@@ -12,6 +12,7 @@ import io
 import math
 import numbers
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -96,12 +97,14 @@ def naive_certificate_sum(coeffs, alpha: float) -> float:
     return total
 
 
-def generator_certificate(coeffs, alpha: float) -> tuple[bool, float]:
-    """coeff_sufficient_me as one generator over the coefficients: math.fsum
-    of (1 + alpha(n+1)) |a_n| in float arithmetic, inf where the terms are
-    finite but their sum is not; (sum <= 1 + EXACT_TOL, 1 - sum)."""
+def exact_certificate(coeffs, alpha: float) -> tuple[bool, float]:
+    """coeff_sufficient_me from the exact sum: each term (1 + alpha(n+1)) |a_n|
+    of a nonzero a_n in float arithmetic, the terms added exactly as fractions
+    and the total rounded once; inf for an inf term or a modulus or total
+    beyond float range. (sum <= 1 + EXACT_TOL, 1 - sum)."""
     try:
-        total = math.fsum((1.0 + alpha * (n + 1)) * abs(c) for n, c in enumerate(coeffs))
+        terms = [(1.0 + alpha * (n + 1)) * abs(complex(c)) for n, c in enumerate(coeffs) if c]
+        total = float(sum(map(Fraction, terms), Fraction(0)))  # Fraction(inf) raises too
     except OverflowError:
         total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total

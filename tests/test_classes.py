@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from merostar.classes import (
@@ -226,16 +226,18 @@ complex_file = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False
 
 
 @given(st.one_of(hostile.series_file, complex_file), st.one_of(st.floats(0.0, 4.0), st.floats(1e300, 1e308)))
+@example({"coeffs": [[0.0, 0.0], [0.0, 0.0]]}, 4e306)  # zeros whose weights overflow
 @settings(max_examples=300, deadline=None)
 def test_certificate_has_the_bits_of_the_generator_sum(data, alpha):
-    # one numpy pass over the weights and moduli, then fsum: the same sum, NaN
-    # and inf (an overflowing term or total) included, as one term at a time
+    # fsum is correctly rounded, so the certificate has the bits of the exact
+    # sum of its float terms rounded once; a zero a_n adds 0 even where its
+    # weight overflows, and an inf term or total gives inf
     try:
         f = deserialize_coeffs(data)
     except ValueError:
         return  # not finite or beyond float range: refused on reading
     certified, margin = coeff_sufficient_me(f, alpha)
-    expected, want = oracles.generator_certificate(f.coeffs, alpha)
+    expected, want = oracles.exact_certificate(f.coeffs, alpha)
     assert certified is expected
     assert oracles.same_bits(np.array([margin]), np.array([want]))
 

@@ -422,6 +422,26 @@ def test_decompose_non_member_exits_one(tmp_path, capsys):
     assert err.startswith("error: not a member")
 
 
+def test_a_zero_magnitude_adds_nothing_where_its_weight_overflows(tmp_path, capsys):
+    # at alpha = 1e308 the weight 1 + 2 alpha of a_1 is inf, but a_1 = 0 adds 0:
+    # the bare pole is a member with the whole slack, and its weights are strict JSON
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"magnitudes": [0.0]}))
+    code, out, _ = run(capsys, ["check", "--class", "tme", "--alpha", "1e308", "--series", str(path)])
+    payload = _strict_json(out)
+    assert (code, payload["status"], payload["exact_margin"]) == (0, "CertifiedMember", 1.0)
+    code, out, _ = run(capsys, ["decompose", "--alpha", "1e308", "--series", str(path)])
+    assert (code, _strict_json(out)) == (0, {"alpha": 1e308, "weights": [1.0, 0.0]})
+
+
+def test_zero_coefficients_are_certified_where_their_weights_overflow(tmp_path, capsys):
+    series = write_series(tmp_path, [[0.0, 0.0], [0.0, 0.0]])
+    code, out, _ = run(capsys, ["check", "--class", "me", "--alpha", "1e308", "--series", series])
+    payload = _strict_json(out)
+    assert (code, payload["status"], payload["proof"]) == (0, "CertifiedMember", "coefficients")
+    assert (payload["min_margin"], payload["samples_checked"], payload["witness"]) == (1.0, 2, None)
+
+
 @pytest.mark.parametrize("rmax", [[], ["--grid-rmax", "0.9"]], ids=["theta-alone", "with-rmax"])
 def test_check_zero_grid_theta_exits_two(tmp_path, capsys, rmax):
     series = write_series(tmp_path, [])

@@ -168,8 +168,8 @@ def test_thm31_gamma_bound_holds_at_rounding_prone_seeds(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_thm23_member_bounds_are_the_per_coefficient_bounds(seed):
-    # the suite takes coeff_bound once per index and abs of a whole member at
-    # once; its least gap must keep the bits of the per-coefficient scalar loop
+    # the suite takes coeff_bound once per index; its least gap must keep the
+    # bits of the per-coefficient scalar loop
     alpha, count = 1.5, 200  # the suite's defaults
     rng = np.random.default_rng(seed + 23)
     for _ in range(50):  # the root-identity draws come first

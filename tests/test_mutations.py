@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from merostar import convolution, harness, partial_sums, tme
+from merostar import classes, convolution, harness, partial_sums, tme
 from merostar.harness import run_suite
 from merostar.reporting import CheckStatus
 
@@ -69,6 +69,13 @@ def _phase_gap_too_large(monkeypatch):
     monkeypatch.setattr(harness, "phase_margins", mutated)
 
 
+def _weight_index_shifted(monkeypatch):
+    # the certificate's weight of a_n as 1 + alpha n, the index convention that
+    # reporting.DEVIATIONS resolves against, as coeff_sufficient_me reads it; the
+    # samplers and sharp_function keep 1 + alpha(n + 1), so boundary sums fall below 1
+    monkeypatch.setattr(classes, "coeff_weight", lambda alpha, n: 1.0 + alpha * n)
+
+
 # claim of suite all -> a mutation that must turn it to FAIL
 MUTATIONS = {
     "thm2.3/root_identity": _coeff_bound_too_strong,
@@ -77,6 +84,9 @@ MUTATIONS = {
     "thm4.2/sharp_function_attains_bounds": _ratio_bounds_too_strong,
     "thm3.2/neighborhood_members": _delta_star_too_large,
     "thm3.1/gamma_discretization_within_bound": _phase_gap_too_large,
+    "thm2.2/boundary_members_sum_exactly_one": _weight_index_shifted,
+    "thm4.1/sharp_functions_margin_zero": _weight_index_shifted,
+    "thm4.1/scaled_sharp_function_refuted": _weight_index_shifted,
 }
 
 
