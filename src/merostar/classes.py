@@ -59,6 +59,7 @@ __all__ = [
     "coeff_sufficient_me",
     "coeff_bound",
     "coeff_weight",
+    "coeff_term",
     "check_remark2",
 ]
 
@@ -373,8 +374,15 @@ def coeff_weight(alpha: float, n: int) -> float:
     return 1.0 + alpha * (n + 1)
 
 
-def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
-    """Sufficient condition: sum_n (1 + alpha(n+1)) |a_n| <= 1.
+def coeff_term(alpha: float, n: int, m: float) -> float:
+    """The term (1 + alpha(n+1)) m of a modulus m = |a_n|: the weight times m, or where the
+    weight overflows m + (alpha m)(n + 1), finite wherever the term is (0 for m = 0)."""
+    weight = coeff_weight(alpha, n)
+    return weight * m if weight < math.inf else m + alpha * m * (n + 1)
+
+
+def coeff_sufficient_me(coeffs, alpha: float) -> tuple[bool, float]:
+    """Sufficient condition sum_n (1 + alpha(n+1)) |a_n| <= 1 on a checked tail coeffs = (a_0, a_1, ...).
 
     Returns (certified, 1 - sum). True certifies membership in ME(alpha) for
     the represented truncation; False is inconclusive, never a refutation.
@@ -382,8 +390,8 @@ def coeff_sufficient_me(f: LaurentFunction, alpha: float) -> tuple[bool, float]:
     is exactly 1 in real arithmetic stay certified.
     """
     alpha = ClassSpec(Family.ME, alpha).alpha
-    try:  # a zero a_n adds 0 at any weight; abs and fsum raise beyond float range
-        total = math.fsum(coeff_weight(alpha, n) * abs(a) for n, a in enumerate(f.coeffs) if a)
+    try:  # abs and fsum raise beyond float range
+        total = math.fsum(coeff_term(alpha, n, abs(a)) for n, a in enumerate(coeffs) if a)
     except OverflowError:
         total = math.inf
     return total <= 1.0 + EXACT_TOL, 1.0 - total

@@ -122,7 +122,7 @@ def classify_me(f: LaurentFunction, alpha: float, grid: DiscGrid) -> MembershipV
     disc (there Re g >= 1 - sum |a_n| and |z g'| <= sum (n+1)|a_n|), with no
     witness and the coefficients summed as samples_checked. Otherwise
     check_me's verdict."""
-    certified, slack = coeff_sufficient_me(f, alpha)
+    certified, slack = coeff_sufficient_me(f.coeffs, alpha)
     if certified:
         return MembershipVerdict(Status.CERTIFIED_MEMBER, slack, None, len(f.coeffs), "coefficients")
     return check_me(f, alpha, grid)
@@ -238,16 +238,16 @@ def _suite_thm22(p: dict, grid: DiscGrid) -> list[CheckResult]:
         [check_me(f, alpha, grid) for f in members],
         f"{count} random certified members",
     )
-    if not all(coeff_sufficient_me(f, alpha)[0] for f in members):
+    if not all(coeff_sufficient_me(f.coeffs, alpha)[0] for f in members):
         members_check = replace(members_check, status=CheckStatus.FAIL, margin=-math.inf)
 
     worst_dev = _boundary_deviation(
-        coeff_sufficient_me(extremal.remark1_witness(n), 1.0) for n in range(1, 21)
+        coeff_sufficient_me(extremal.remark1_witness(n).coeffs, 1.0) for n in range(1, 21)
     )
 
     # the deficit itself, not the certified flag, which EXACT_TOL relaxes
     f21 = extremal.theorem21_extremal(max(alpha, 1.0))
-    _, margin = coeff_sufficient_me(f21, max(alpha, 1.0))
+    _, margin = coeff_sufficient_me(f21.coeffs, max(alpha, 1.0))
     v = check_me(f21, max(alpha, 1.0), grid)
     return [
         members_check,

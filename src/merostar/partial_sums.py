@@ -70,7 +70,7 @@ def check_ratio_bounds(
     """Least Re(f/S_n), Re(S_n/f) against the bounds above, on grid or, where sum |a_k| < 1, its unit circle."""
     n = scalar(n, "n", int, low=1)
     # the hypothesis is the coefficient certificate with a_0 left out; it validates alpha
-    holds, margin = coeff_sufficient_me(LaurentFunction((0j,) + f.coeffs[1:]), alpha)
+    holds, margin = coeff_sufficient_me((0j, *f.coeffs[1:]), alpha)
     d_n = coeff_weight(alpha, n)
     with suppress(OverflowError):  # abs and fsum raise beyond float range, where the grid stays
         if math.fsum(map(abs, f.coeffs)) < 1.0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classes import ClassSpec, Family, coeff_sufficient_me, coeff_weight
+from .classes import ClassSpec, Family, coeff_sufficient_me, coeff_term, coeff_weight
 from .series import LaurentFunction, scalar, scalars
 
 __all__ = [
@@ -68,7 +68,7 @@ def check_tme_exact(f: TmeFunction, alpha: float) -> tuple[bool, float]:
     coeff_sufficient_me, which on the negative-coefficient form decides both
     directions; EXACT_TOL of slack keeps boundary functions inside.
     """
-    return coeff_sufficient_me(f.to_laurent(), alpha)
+    return coeff_sufficient_me((0.0, *f.magnitudes), alpha)
 
 
 def sharp_function(alpha: float, n: int) -> TmeFunction:
@@ -82,8 +82,8 @@ def sharp_function(alpha: float, n: int) -> TmeFunction:
 
 def decompose(f: TmeFunction, alpha: float) -> tuple[float, ...]:
     """Convex weights (lambda_0, lambda_1, ..., lambda_N) of f over the
-    extreme points: lambda_n = (1 + alpha(n+1)) a_n for n >= 1, 0 where a_n
-    is 0 whatever the weight, and lambda_0 (the weight of the bare pole)
+    extreme points: lambda_n = (1 + alpha(n+1)) a_n for n >= 1, the
+    certificate's coeff_term, and lambda_0 (the weight of the bare pole)
     absorbs the slack 1 - sum.
 
     Rejects non-members, whose lambda_0 would be negative.
@@ -91,7 +91,7 @@ def decompose(f: TmeFunction, alpha: float) -> tuple[float, ...]:
     member, margin = check_tme_exact(f, alpha)
     if not member:
         raise ValueError(f"not a member: weighted sum exceeds 1 by {-margin}")
-    lambdas = [coeff_weight(alpha, n) * m if m else 0.0 for n, m in enumerate(f.magnitudes, start=1)]
+    lambdas = [coeff_term(alpha, n, m) for n, m in enumerate(f.magnitudes, start=1)]
     lambda0 = max(margin, 0.0)  # clamp the certified-boundary dust
     return (lambda0, *lambdas)
 

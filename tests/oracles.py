@@ -99,11 +99,16 @@ def naive_certificate_sum(coeffs, alpha: float) -> float:
 
 def exact_certificate(coeffs, alpha: float) -> tuple[bool, float]:
     """coeff_sufficient_me from the exact sum: each term (1 + alpha(n+1)) |a_n|
-    of a nonzero a_n in float arithmetic, the terms added exactly as fractions
-    and the total rounded once; inf for an inf term or a modulus or total
-    beyond float range. (sum <= 1 + EXACT_TOL, 1 - sum)."""
+    of a nonzero a_n in float arithmetic, as w |a_n| with w = 1 + alpha(n+1)
+    or, where w overflows, |a_n| + (alpha |a_n|)(n + 1); the terms added
+    exactly as fractions and the total rounded once; inf for an inf term or a
+    modulus or total beyond float range. (sum <= 1 + EXACT_TOL, 1 - sum)."""
     try:
-        terms = [(1.0 + alpha * (n + 1)) * abs(complex(c)) for n, c in enumerate(coeffs) if c]
+        terms = []
+        for n, c in enumerate(coeffs):
+            if c:
+                m, w = abs(complex(c)), 1.0 + alpha * (n + 1)
+                terms.append(w * m if w != math.inf else m + (alpha * m) * (n + 1))
         total = float(sum(map(Fraction, terms), Fraction(0)))  # Fraction(inf) raises too
     except OverflowError:
         total = math.inf

@@ -139,7 +139,7 @@ def test_criterion_03_boundary_certificates(capsys):
         worst = 0.0
         all_certified = True
         for n in range(1, 21):
-            certified, margin = coeff_sufficient_me(remark1_witness(n), 1.0)
+            certified, margin = coeff_sufficient_me(remark1_witness(n).coeffs, 1.0)
             all_certified = all_certified and certified
             worst = max(worst, abs(margin))
         rejected = check_starlike(remark1_witness(18), 0.1, GRID)

@@ -24,7 +24,7 @@ from merostar.classes import (
 )
 from merostar.extremal import mf_not_me_witness, starlike_not_mf_witness, theorem21_extremal
 from merostar.harness import classify_me, sample_certified_member, sample_wild_function
-from merostar.partial_sums import eq16_function
+from merostar.partial_sums import check_ratio_bounds, eq16_function
 from merostar.series import (
     DEFAULT_ANGULAR_SAMPLES,
     DEFAULT_RADII,
@@ -34,12 +34,14 @@ from merostar.series import (
     eval_g,
     eval_zg_prime,
 )
+from merostar.tme import TmeFunction, check_tme_exact
 from merostar.tolerances import MARGIN_TOL
 
 import hostile
 import oracles
 
 GRID = DiscGrid.default()
+TINY_RING = DiscGrid((1e-3,), 8)
 
 
 def test_me_functional_of_pole_is_one():
@@ -201,10 +203,10 @@ def test_verdict_statuses_reflect_margins():
 
 
 def test_coeff_sufficient_me_examples():
-    ok, margin = coeff_sufficient_me(LaurentFunction([]), 2.0)
+    ok, margin = coeff_sufficient_me(LaurentFunction([]).coeffs, 2.0)
     assert ok and margin == 1.0
     # a_0 = 0.9 at alpha = 1 SUMS to 1.8: not certified, not refuted
-    ok, margin = coeff_sufficient_me(LaurentFunction([0.9]), 1.0)
+    ok, margin = coeff_sufficient_me(LaurentFunction([0.9]).coeffs, 1.0)
     assert not ok
     assert margin == pytest.approx(-0.8, abs=1e-12)
 
@@ -214,7 +216,7 @@ def test_coeff_sufficient_matches_naive_sum():
     for _ in range(50):
         f = sample_wild_function(rng)
         alpha = float(rng.uniform(0.0, 3.0))
-        _, margin = coeff_sufficient_me(f, alpha)
+        _, margin = coeff_sufficient_me(f.coeffs, alpha)
         assert margin == pytest.approx(
             1.0 - oracles.naive_certificate_sum(f.coeffs, alpha), abs=1e-12
         )
@@ -225,21 +227,39 @@ complex_file = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False
 )
 
 
-@given(st.one_of(hostile.series_file, complex_file), st.one_of(st.floats(0.0, 4.0), st.floats(1e300, 1e308)))
-@example({"coeffs": [[0.0, 0.0], [0.0, 0.0]]}, 4e306)  # zeros whose weights overflow
+magnitudes = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e308]), st.floats(0.0, 1e308)), max_size=40)
+
+
+@given(
+    st.one_of(hostile.series_file, complex_file),
+    st.one_of(st.floats(0.0, 4.0), st.floats(1e300, 1e308)),
+    magnitudes,
+    st.integers(1, 8),
+)
+@example({"coeffs": [[0.0, 0.0], [0.0, 0.0]]}, 4e306, [0.0], 1)  # zeros whose weights overflow
+@example({"coeffs": [[0.0, 0.0], [0.0, 0.0], [1e-310, 0.0]]}, 1e308, [0.0, 1e-310], 2)  # a finite term, inf weight
 @settings(max_examples=300, deadline=None)
-def test_certificate_has_the_bits_of_the_generator_sum(data, alpha):
+def test_certificate_has_the_bits_of_the_generator_sum(data, alpha, mags, n):
     # fsum is correctly rounded, so the certificate has the bits of the exact
     # sum of its float terms rounded once; a zero a_n adds 0 even where its
-    # weight overflows, and an inf term or total gives inf
+    # weight overflows, an overflowing weight leaves a finite term finite, and
+    # an inf term or total gives inf. TME's exact test and Theorem 4.2's
+    # hypothesis hand the certificate their own coefficients.
+    member, slack = check_tme_exact(TmeFunction(mags), alpha)
+    expected, want = oracles.exact_certificate((0.0, *mags), alpha)
+    assert (member, float.hex(slack)) == (expected, float.hex(want))
     try:
         f = deserialize_coeffs(data)
     except ValueError:
         return  # not finite or beyond float range: refused on reading
-    certified, margin = coeff_sufficient_me(f, alpha)
+    certified, margin = coeff_sufficient_me(f.coeffs, alpha)
     expected, want = oracles.exact_certificate(f.coeffs, alpha)
     assert certified is expected
     assert oracles.same_bits(np.array([margin]), np.array([want]))
+    with np.errstate(all="ignore"):  # only the hypothesis is checked, not ratios of values that overflow
+        report = check_ratio_bounds(f, alpha, n, TINY_RING)
+    expected, want = oracles.exact_certificate((0j, *f.coeffs[1:]), alpha)
+    assert (report.applicable, float.hex(report.hypothesis_margin)) == (expected, float.hex(want))
 
 
 def test_certificate_implies_grid_margins():
@@ -247,7 +267,7 @@ def test_certificate_implies_grid_margins():
     for _ in range(60):
         alpha = float(rng.uniform(0.0, 4.0))
         f = sample_certified_member(alpha, rng)
-        ok, _ = coeff_sufficient_me(f, alpha)
+        ok, _ = coeff_sufficient_me(f.coeffs, alpha)
         assert ok
         assert float(np.min(class_margins(ClassSpec(Family.ME, alpha), f, GRID.points))) >= -MARGIN_TOL
 
@@ -263,10 +283,10 @@ def test_certificate_slack_is_a_lower_bound_for_the_me_margin(seed, alpha, weigh
     # classify_me reports the slack as a certified member's margin without
     # sampling, so no sampled verdict may refute or undercut it
     f = sample_certified_member(alpha, np.random.default_rng(seed))
-    certified, slack = coeff_sufficient_me(f, alpha)
+    certified, slack = coeff_sufficient_me(f.coeffs, alpha)
     if weighted_sum is not None and slack < 1.0:  # rescale the weighted sum into [1 - 1e-6, 1]
         f = LaurentFunction([c * (weighted_sum / (1.0 - slack)) for c in f.coeffs])
-        certified, slack = coeff_sufficient_me(f, alpha)
+        certified, slack = coeff_sufficient_me(f.coeffs, alpha)
     assert certified
     v = check_me(f, alpha, GRID)
     assert v.status is not Status.NON_MEMBER

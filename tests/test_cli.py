@@ -442,6 +442,24 @@ def test_zero_coefficients_are_certified_where_their_weights_overflow(tmp_path, 
     assert (payload["min_margin"], payload["samples_checked"], payload["witness"]) == (1.0, 2, None)
 
 
+def test_a_finite_term_stays_finite_where_its_weight_overflows(tmp_path, capsys):
+    # at alpha = 1e308 the weight 1 + 3 alpha of a_2 = 1e-310 is inf, but its term
+    # a_2 + (alpha a_2) 3 is about 0.03: the certificate decides all three commands
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"magnitudes": [0.0, 1e-310]}))
+    code, out, _ = run(capsys, ["check", "--class", "tme", "--alpha", "1e308", "--series", str(path)])
+    payload = _strict_json(out)
+    assert (code, payload["status"], payload["exact_margin"]) == (0, "CertifiedMember", 0.9700000000000001)
+    code, out, _ = run(capsys, ["decompose", "--alpha", "1e308", "--series", str(path)])
+    weights = [0.9700000000000001, 0.0, 0.02999999999999991]
+    assert (code, _strict_json(out)) == (0, {"alpha": 1e308, "weights": weights})
+    series = write_series(tmp_path, [[0.0, 0.0], [0.0, 0.0], [1e-310, 0.0]])
+    code, out, _ = run(capsys, ["check", "--class", "me", "--alpha", "1e308", "--series", series])
+    payload = _strict_json(out)
+    assert (code, payload["status"], payload["proof"]) == (0, "CertifiedMember", "coefficients")
+    assert (payload["min_margin"], payload["samples_checked"]) == (0.9700000000000001, 3)
+
+
 @pytest.mark.parametrize("rmax", [[], ["--grid-rmax", "0.9"]], ids=["theta-alone", "with-rmax"])
 def test_check_zero_grid_theta_exits_two(tmp_path, capsys, rmax):
     series = write_series(tmp_path, [])

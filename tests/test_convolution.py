@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from merostar.classes import Status, check_me, verdict_from_margins
@@ -34,6 +34,7 @@ POLE = LaurentFunction([])
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
+@example(-math.pi)  # the remainder keeps -pi, which the normalization moves to pi
 @settings(max_examples=100, deadline=None)
 def test_kernel_phase_normalized(gamma):
     spec = KernelSpec(1.0, gamma)

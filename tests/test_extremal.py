@@ -162,7 +162,7 @@ def test_remark1_witness_shape_and_certificate():
     f = remark1_witness(1)
     assert f.coeffs == (0j, complex(1.0 / 3.0))
     for n in range(1, 21):
-        ok, margin = coeff_sufficient_me(remark1_witness(n), 1.0)
+        ok, margin = coeff_sufficient_me(remark1_witness(n).coeffs, 1.0)
         assert ok
         assert abs(margin) < 1e-12
     with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ def test_certified_sampler_always_certifies():
     rng = np.random.default_rng(5)
     for _ in range(40):
         f = sample_certified_member(float(rng.uniform(0, 4)), rng)
-        certified, _ = coeff_sufficient_me(f, 0.0)  # weakest weights
+        certified, _ = coeff_sufficient_me(f.coeffs, 0.0)  # weakest weights
         assert certified
         assert len(f.coeffs) <= 41
 
@@ -52,7 +52,7 @@ def test_certified_sampler_respects_its_own_alpha():
     for _ in range(40):
         alpha = float(rng.uniform(0, 4))
         f = sample_certified_member(alpha, rng)
-        certified, margin = coeff_sufficient_me(f, alpha)
+        certified, margin = coeff_sufficient_me(f.coeffs, alpha)
         assert certified
         assert margin >= -1e-12
 
@@ -63,7 +63,7 @@ def test_hypothesis_sampler_leaves_index_zero_empty():
         alpha = float(rng.uniform(0, 4))
         f = sample_hypothesis_member(alpha, rng)
         assert f.coeffs[0] == 0
-        holds, margin = coeff_sufficient_me(f, alpha)  # a_0 = 0, so this is the hypothesis
+        holds, margin = coeff_sufficient_me(f.coeffs, alpha)  # a_0 = 0, so this is the hypothesis
         assert holds and margin >= -1e-12
 
 
@@ -100,7 +100,7 @@ def test_classify_me_sampled_when_certificate_fails():
     # boundary extremal: member on the grid, but its coefficient sum is
     # infinite in the limit and far above 1 at any truncation
     f = theorem21_extremal(2.0)
-    certified, _ = coeff_sufficient_me(f, 2.0)
+    certified, _ = coeff_sufficient_me(f.coeffs, 2.0)
     assert not certified
     v = classify_me(f, 2.0, GRID)
     assert v.status is Status.SAMPLED_MEMBER

@@ -71,7 +71,7 @@ def _phase_gap_too_large(monkeypatch):
 
 def _weight_index_shifted(monkeypatch):
     # the certificate's weight of a_n as 1 + alpha n, the index convention that
-    # reporting.DEVIATIONS resolves against, as coeff_sufficient_me reads it; the
+    # reporting.DEVIATIONS resolves against, as coeff_term reads it for the certificate; the
     # samplers and sharp_function keep 1 + alpha(n + 1), so boundary sums fall below 1
     monkeypatch.setattr(classes, "coeff_weight", lambda alpha, n: 1.0 + alpha * n)
 

@@ -44,6 +44,8 @@ def test_laurent_conversion_roundtrip():
     assert lf.coeffs == (0j, -0.1 + 0j, 0j, -0.05 + 0j)
     assert TmeFunction.from_laurent(lf).magnitudes == f.magnitudes
     assert TmeFunction.from_laurent(LaurentFunction([])).magnitudes == ()
+    # trailing zeros of the tail are stripped, as recompose strips them
+    assert TmeFunction.from_laurent(LaurentFunction((0j, -0.1 + 0j, 0j))) == TmeFunction((0.1,))
 
 
 def test_from_laurent_rejects_wrong_shape():
