@@ -34,31 +34,39 @@ def _build_grid(args) -> DiscGrid:
 
 
 # rows per write of the margin CSV; the writer holds one chunk of rows at a time
-_CSV_CHUNK = 512
+_CSV_CHUNK = 256
 
 
 def _dump_margin_csv(path: str, grid: DiscGrid, margins: np.ndarray) -> None:
     """One CRLF row per grid point, radius-major; every number is its float repr.
 
-    Written a chunk of _CSV_CHUNK points of one ring at a time: the thetas
-    are formatted once per call, and each of re, im and margin once per chunk
-    in one map(repr) pass, whose rows go out in one write. Memory stays
-    O(angular_samples) for the thetas plus O(_CSV_CHUNK) for the chunk. A
-    float repr holds no comma, quote or newline, so no field needs CSV quoting.
+    The thetas are formatted once per call. Each ring's distinct re and im
+    values, told apart by their bits, are formatted once per ring: a grid's
+    points are exactly symmetric, so a ring of M points has about M/2 of them
+    among its 2M coordinates. Rows then go out _CSV_CHUNK at a time, in one
+    write per chunk, with the coordinates looked up and the margins formatted
+    in one map(repr) pass. Memory stays O(angular_samples) for the thetas and
+    one ring's strings, plus O(_CSV_CHUNK) for the chunk. A float repr holds
+    no comma, quote or newline, so no field needs CSV quoting.
     """
     m = grid.angular_samples
     thetas = list(map(repr, grid.thetas.tolist()))
-    pts = grid.points
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("radius,theta,re,im,margin\r\n")
-        for k, r in enumerate(grid.radii):
+        for r, ring, ring_margins in zip(grid.radii, grid.points.reshape(-1, m), margins.reshape(-1, m)):
+            coords = (ring.real.view(np.int64), ring.imag.view(np.int64))  # each float as its bits
+            strings = None  # the last ring's strings go before this ring's are made
+            bits = np.concatenate(coords)  # sorted and deduplicated in place of np.unique's extra copies
+            bits.sort()
+            bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+            strings = list(map(repr, bits.view(np.float64).tolist()))
             radius = repr(r)
             for start in range(0, m, _CSV_CHUNK):
-                chunk = slice(k * m + start, k * m + min(start + _CSV_CHUNK, m))
-                z = pts[chunk]
-                columns = (z.real.tolist(), z.imag.tolist(), margins[chunk].tolist())
-                rows = zip(repeat(radius), thetas[start : start + _CSV_CHUNK], *(map(repr, c) for c in columns))
+                part = slice(start, start + _CSV_CHUNK)
+                re, im = (map(strings.__getitem__, np.searchsorted(bits, c[part]).tolist()) for c in coords)
+                rows = zip(repeat(radius), thetas[part], re, im, map(repr, ring_margins[part].tolist()))
                 fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+                del re, im, rows  # their lists go before the next chunk's are made
 
 
 def _cmd_check(args) -> int:

@@ -43,7 +43,7 @@ class RatioBoundReport:
 
     applicable is False when the hypothesis fails (the bounds are then not
     claimed); excluded_points counts grid points skipped because one of the
-    denominators was numerically zero.
+    denominators was numerically zero or one of the ratios was not finite.
     """
 
     n: int
@@ -76,20 +76,22 @@ def check_ratio_bounds(
         if math.fsum(map(abs, f.coeffs)) < 1.0:
             grid = DiscGrid.circle(grid.angular_samples)
     gf, gs = ring_transform([f.g_coeffs, partial_sum(f, n).g_coeffs], grid)
-    degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
+    with np.errstate(all="ignore"):  # a ratio beyond float range, inf or NaN marks a degenerate point
+        degenerate = (np.abs(gf) < ZERO_TOL) | (np.abs(gs) < ZERO_TOL)
+        f_over_s, s_over_f = gf / gs, gs / gf
+    degenerate |= ~(np.isfinite(f_over_s) & np.isfinite(s_over_f))
     excluded = int(np.count_nonzero(degenerate))
     if excluded == len(grid):
         raise ValueError("all grid points degenerate")
     if excluded:
-        gf, gs = gf[~degenerate], gs[~degenerate]
-    f_over_s, s_over_f = np.real(gf / gs), np.real(gs / gf)
+        f_over_s, s_over_f = f_over_s[~degenerate], s_over_f[~degenerate]
     return RatioBoundReport(
         n=n,
         d_n=d_n,
         bound_f_over_s=1.0 - 1.0 / d_n,
         bound_s_over_f=d_n / (1.0 + d_n),
-        observed_min_f_over_s=float(f_over_s.min()),
-        observed_min_s_over_f=float(s_over_f.min()),
+        observed_min_f_over_s=float(f_over_s.real.min()),
+        observed_min_s_over_f=float(s_over_f.real.min()),
         hypothesis_margin=margin,
         applicable=holds,
         excluded_points=excluded,

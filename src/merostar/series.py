@@ -282,7 +282,7 @@ class DiscGrid:
         object.__setattr__(grid, "radii", (1.0,))
         try:
             thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
-            roots = np.exp(1j * thetas)
+            roots = _unit_roots(angular_samples)
         except MemoryError:
             raise ValueError(f"angular_samples {angular_samples} is too large to allocate its angles") from None
         for shared in (thetas, roots):
@@ -312,6 +312,43 @@ class DiscGrid:
 
     def __len__(self) -> int:
         return len(self.radii) * self.angular_samples
+
+
+def _unit_roots(m: int) -> np.ndarray:
+    """e^{2 pi i j/m} for j < m, built by exact quarter-turn reduction.
+
+    The angle 2 pi j/m is q quarter turns, q the integer nearest 4j/m, plus
+    a remainder pi p/(2m) in [-pi/4, pi/4], p = 4j - qm. q = rint(j * (4/m))
+    is that integer: j * (4/m) is off by less than 2^-50, and 4j/m lies at
+    least 1/(2m) from a half-integer unless it is one, where both neighbours
+    give the same point. p and q are integers, exact in floats; float
+    arithmetic keeps numpy's int64 division code unmapped (about 0.4 MB of
+    resident memory). The remainder's cos and sin are taken at |p| and
+    signed by p, with the correctly rounded sqrt(1/2) at |p| = m/2; the
+    quarter turns only swap and negate them, and adding +0.0 leaves no -0.0.
+    So the table is exactly symmetric, z_{m-j} = conj z_j and, where 4 | m,
+    z_{j+m/4} = i z_j, and each component is within 2^-52 of the true root.
+    """
+    p = np.arange(m, dtype=float)
+    q = np.rint(p * (4.0 / m))
+    p *= 4.0
+    p -= q * m
+    q = q.astype(np.int8) & 3  # i^q (c + i s) depends on q mod 4 alone
+    rho = np.abs(p)
+    tie = rho == m / 2
+    rho /= 2 * m
+    rho *= np.pi
+    s = np.sin(rho)
+    c = np.cos(rho, out=rho)
+    c[tie] = s[tie] = math.sqrt(0.5)
+    np.negative(s, out=s, where=p < 0)
+    del p, tie  # not held through the rotation
+    turned = (c, -s, -c, s)  # Re i^q (c + i s) for q = 0, 1, 2, 3; Im is the entry before
+    roots = np.empty(m, dtype=complex)
+    roots.real = np.choose(q, turned)
+    roots.imag = np.choose(q, turned[3:] + turned[:3])
+    roots += 0.0  # no -0.0
+    return roots
 
 
 def random_support(

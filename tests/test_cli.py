@@ -193,18 +193,31 @@ def test_check_csv_bytes_match_the_csv_writer_oracle(tmp_path, capsys, klass, al
     assert csv_path.read_bytes() == oracles.margin_csv_bytes(grid, margins)
 
 
-# the last two end each ring in a partial chunk of cli._CSV_CHUNK rows
+# two-rings-1000 and one-ring-1537 end each ring in a partial chunk of cli._CSV_CHUNK rows;
+# at 8 and 12 angles the coordinates repeat exactly, 0.0 and +-r among them
 ORACLE_GRIDS = [
     DiscGrid.default(),
     DiscGrid.with_rmax(0.95, 64),
     DiscGrid((0.3,), 8),
     DiscGrid((0.5, 0.9), 1000),
     DiscGrid((0.7,), 1537),
+    DiscGrid.with_rmax(0.5, 8),
+    DiscGrid((0.25, 0.6, 0.75), 12),
 ]
 
 
 @pytest.mark.parametrize(
-    "grid", ORACLE_GRIDS, ids=["default", "rmax-0.95-theta-64", "one-ring-8", "two-rings-1000", "one-ring-1537"]
+    "grid",
+    ORACLE_GRIDS,
+    ids=[
+        "default",
+        "rmax-0.95-theta-64",
+        "one-ring-8",
+        "two-rings-1000",
+        "one-ring-1537",
+        "rmax-0.5-theta-8",
+        "three-rings-12",
+    ],
 )
 def test_margin_csv_matches_the_csv_writer_oracle(tmp_path, grid):
     rng = np.random.default_rng(len(grid))
@@ -253,8 +266,8 @@ def test_margin_csv_writer_holds_one_ring_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the file is 2 MB: the formatted thetas plus one chunk of rows peak near 0.31 MB, a
-    # ring at a time near 0.38 MB and the whole ring in one join near 0.8 MB
+    # the file is 2 MB: the formatted thetas, one ring's 1,025 coordinate strings and one
+    # chunk of 256 rows peak near 0.33 MB; a ring's rows in one join would take near 0.8 MB
     assert peak < 360_000
 
 

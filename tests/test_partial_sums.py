@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,17 @@ def test_degenerate_points_are_excluded_but_counted():
     assert not report.applicable
     with pytest.raises(ValueError, match="degenerate"):
         check_ratio_bounds(f, 1.0, 1, DiscGrid(radii=(0.5,), angular_samples=8))
+
+
+def test_ratios_beyond_float_range_are_degenerate_points():
+    # g_f overflows on most of the grid, so f/S_1 and S_1/f are inf or NaN there: those
+    # points are excluded and counted like a zero denominator, with no floating-point warning
+    f = LaurentFunction([1.7976931348623157e308j, 9.979201547673599e294j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_ratio_bounds(f, 1.0, 1, GRID)
+    assert 0 < report.excluded_points < len(GRID)
+    assert np.isfinite([report.observed_min_f_over_s, report.observed_min_s_over_f]).all()
 
 
 def test_order_validation():

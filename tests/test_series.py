@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,14 +363,44 @@ def test_coefficient_check_is_the_entrywise_check(values):
 def test_grid_points_are_the_outer_product_of_radii_and_roots(grid):
     m = grid.angular_samples
     thetas = 2.0 * np.pi * np.arange(m) / m
-    points = (np.asarray(grid.radii)[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    points = (np.asarray(grid.radii)[:, None] * DiscGrid.circle(m).points[None, :]).ravel()
     assert grid.thetas.tobytes() == thetas.tobytes()
     assert grid.points.tobytes() == points.tobytes()
+    # a radius scales both components, so every ring keeps the roots' symmetry
+    rings, j = grid.points.reshape(-1, m), np.arange(1, m)
+    assert np.array_equal(rings[:, m - j], np.conj(rings[:, j]))
+    assert not np.signbit(grid.points.view(float)[grid.points.view(float) == 0.0]).any()
     # one table of roots per M, shared read-only by every grid with M angles
     assert grid.thetas is DiscGrid.circle(m).thetas
     for shared in (grid.thetas, grid.points, DiscGrid.circle(m).points):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
+
+
+@given(st.integers(8, 4096), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_unit_roots_are_accurate_and_exactly_symmetric(m, seed):
+    roots = DiscGrid.circle(m).points
+    # each component within 2^-52 of cos and sin of 2 pi j/m, on a sample of indices
+    sample = np.random.default_rng(seed).integers(0, m, 12).tolist() + [0, m // 8, m // 4, m // 2, m - 1]
+    with mpmath.workdps(30):
+        for j in sample:
+            angle = 2 * mpmath.pi * j / m
+            for got, want in ((roots[j].real, mpmath.cos(angle)), (roots[j].imag, mpmath.sin(angle))):
+                assert abs(mpmath.mpf(float(got)) - want) <= mpmath.mpf(2) ** -52, (m, j)
+    # z_{m-j} = conj z_j and, where 4 | m, z_{j+m/4} = i z_j, exactly
+    j = np.arange(1, m)
+    assert np.array_equal(roots[m - j], np.conj(roots[j]))
+    if m % 4 == 0:
+        j = np.arange(m - m // 4)
+        assert np.array_equal(roots[j + m // 4], 1j * roots[j])
+    parts = roots.view(float)
+    assert not np.signbit(parts[parts == 0.0]).any()  # no -0.0
+    # one read-only table per m, shared by every grid with m angles
+    assert DiscGrid((0.5,), m).points.tobytes() == (0.5 * roots).tobytes()
+    assert DiscGrid.circle(m).points is roots
+    with pytest.raises(ValueError, match="read-only"):
+        roots[0] = 0.0
 
 
 def _ring_scale(f, grid):
